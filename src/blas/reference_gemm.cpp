@@ -65,8 +65,8 @@ void blocked_colmajor(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t
 }  // namespace
 
 void validate_gemm_args(Layout layout, Trans trans_a, Trans trans_b, std::int64_t m,
-                        std::int64_t n, std::int64_t k, const double* a, std::int64_t lda,
-                        const double* b, std::int64_t ldb, const double* c, std::int64_t ldc) {
+                        std::int64_t n, std::int64_t k, const void* a, std::int64_t lda,
+                        const void* b, std::int64_t ldb, const void* c, std::int64_t ldc) {
   AG_CHECK_MSG(m >= 0 && n >= 0 && k >= 0,
                "negative dimension m=" << m << " n=" << n << " k=" << k);
   // Row-major op(A) of shape m x k is stored as its k x m column-major

@@ -32,13 +32,14 @@ void blocked_dgemm(Layout layout, Trans trans_a, Trans trans_b,
                    const double* b, std::int64_t ldb,
                    double beta, double* c, std::int64_t ldc);
 
-/// Validates dgemm arguments; throws ag::InvalidArgument on violation.
-/// Shared by the reference and the optimized implementation so both reject
-/// exactly the same inputs.
+/// Validates GEMM arguments; throws ag::InvalidArgument on violation.
+/// Shared by the references and the optimized dgemm and sgemm so all of
+/// them reject exactly the same inputs. The operands are only tested for
+/// null, so they are taken untyped.
 void validate_gemm_args(Layout layout, Trans trans_a, Trans trans_b,
                         std::int64_t m, std::int64_t n, std::int64_t k,
-                        const double* a, std::int64_t lda,
-                        const double* b, std::int64_t ldb,
-                        const double* c, std::int64_t ldc);
+                        const void* a, std::int64_t lda,
+                        const void* b, std::int64_t ldb,
+                        const void* c, std::int64_t ldc);
 
 }  // namespace ag

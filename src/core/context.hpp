@@ -1,10 +1,12 @@
 // Execution context for the optimized DGEMM: kernel choice, block sizes,
 // thread count, reusable packing scratch, and the (lazily created,
-// persistent) thread pool.
+// persistent) thread pool. sgemm keeps one per caller thread for its
+// pool and scratch.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -15,22 +17,39 @@
 
 namespace ag {
 
-/// Packing buffers for one in-flight GEMM: a double-buffered shared B
-/// panel (the parallel driver packs panel pc+1 while computing panel pc)
-/// and one A block per rank. Buffers grow monotonically via ensure(), so
-/// steady-state repeated calls allocate nothing.
-struct GemmScratch {
-  AlignedBuffer<double> packed_b[2];
-  std::vector<AlignedBuffer<double>> packed_a;
+/// Packing buffers of element type T for one in-flight GEMM: a
+/// double-buffered shared B panel (the parallel driver packs panel pc+1
+/// while computing panel pc) and one A block per rank. Buffers grow
+/// monotonically via ensure(), so steady-state repeated calls allocate
+/// nothing.
+template <typename T>
+struct PackBuffers {
+  AlignedBuffer<T> packed_b[2];
+  std::vector<AlignedBuffer<T>> packed_a;
 
-  /// Grows the buffers to hold a `b_elems`-double B panel (x2 when
-  /// `double_buffer`) and `a_elems`-double A blocks for `ranks` ranks.
+  /// Grows the buffers to hold a `b_elems`-element B panel (x2 when
+  /// `double_buffer`) and `a_elems`-element A blocks for `ranks` ranks.
   void reserve(std::size_t b_elems, std::size_t a_elems, int ranks, bool double_buffer) {
     packed_b[0].ensure(b_elems);
     if (double_buffer) packed_b[1].ensure(b_elems);
     if (packed_a.size() < static_cast<std::size_t>(ranks))
       packed_a.resize(static_cast<std::size_t>(ranks));
     for (int r = 0; r < ranks; ++r) packed_a[static_cast<std::size_t>(r)].ensure(a_elems);
+  }
+};
+
+/// One context's reusable scratch: dgemm packs into `f64`, sgemm into
+/// `f32`. The buffers of a precision a context never runs stay empty.
+struct GemmScratch {
+  PackBuffers<double> f64;
+  PackBuffers<float> f32;
+
+  template <typename T>
+  PackBuffers<T>& buffers() {
+    if constexpr (std::is_same_v<T, float>)
+      return f32;
+    else
+      return f64;
   }
 };
 

@@ -1,9 +1,6 @@
 #include "core/gebp.hpp"
 
-#include "common/math_util.hpp"
-#include "common/timer.hpp"
 #include "core/gebp_impl.hpp"
-#include "obs/gemm_stats.hpp"
 
 namespace ag {
 
@@ -12,22 +9,6 @@ void gebp(index_t mc, index_t nc, index_t kc, double alpha, const double* packed
           const Microkernel& kernel) {
   detail::gebp_t<double>(mc, nc, kc, alpha, packed_a, packed_b, beta, c, ldc, kernel.fn,
                          kernel.shape.mr, kernel.shape.nr);
-}
-
-void gebp(index_t mc, index_t nc, index_t kc, double alpha, const double* packed_a,
-          const double* packed_b, double beta, double* c, index_t ldc, const Microkernel& kernel,
-          obs::ThreadSlot* slot) {
-  if (!slot) {
-    gebp(mc, nc, kc, alpha, packed_a, packed_b, beta, c, ldc, kernel);
-    return;
-  }
-  Timer t;
-  gebp(mc, nc, kc, alpha, packed_a, packed_b, beta, c, ldc, kernel);
-  const std::uint64_t kernels =
-      static_cast<std::uint64_t>(ceil_div(mc, static_cast<index_t>(kernel.shape.mr))) *
-      static_cast<std::uint64_t>(ceil_div(nc, static_cast<index_t>(kernel.shape.nr)));
-  slot->add_gebp(kernels, static_cast<std::uint64_t>(2 * mc * nc) * sizeof(double),
-                 t.seconds());
 }
 
 }  // namespace ag

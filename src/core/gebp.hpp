@@ -15,23 +15,11 @@
 
 namespace ag {
 
-namespace obs {
-struct ThreadSlot;
-}
-
 /// `packed_a`: pack_a output for an mc x kc block (mr-padded).
 /// `packed_b`: pack_b output for a kc x nc panel (nr-padded).
 /// `c`: column-major mc x nc panel with leading dimension ldc.
 void gebp(index_t mc, index_t nc, index_t kc, double alpha, const double* packed_a,
           const double* packed_b, double beta, double* c, index_t ldc,
           const Microkernel& kernel);
-
-/// Instrumented variant: when `slot` is non-null additionally records the
-/// GEBP call, the ceil(mc/mr)*ceil(nc/nr) register-kernel invocations it
-/// dispatches (edge tiles included), the 2*mc*nc*8 bytes of C traffic
-/// (read + write), and the elapsed time.
-void gebp(index_t mc, index_t nc, index_t kc, double alpha, const double* packed_a,
-          const double* packed_b, double beta, double* c, index_t ldc, const Microkernel& kernel,
-          obs::ThreadSlot* slot);
 
 }  // namespace ag

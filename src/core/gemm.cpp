@@ -6,14 +6,13 @@
 #include <vector>
 
 #include "blas/reference_gemm.hpp"
-#include "common/aligned_buffer.hpp"
 #include "common/check.hpp"
 #include "common/knobs.hpp"
 #include "common/math_util.hpp"
 #include "common/timer.hpp"
-#include "core/gebp.hpp"
+#include "core/gebp_impl.hpp"
 #include "core/gemm_internal.hpp"
-#include "core/packing.hpp"
+#include "core/packing_impl.hpp"
 #include "core/schedule.hpp"
 #include "core/tuning.hpp"
 #include "obs/gemm_stats.hpp"
@@ -30,12 +29,13 @@ namespace detail {
 // Only used when no multiply runs at all (k == 0 or alpha == 0): with the
 // beta epilogue fused into the microkernels, the compute paths never make
 // a standalone pass over C.
-void scale_panel(double* c, index_t ldc, index_t m, index_t n, double beta) {
-  if (beta == 1.0) return;
+template <typename T>
+void scale_panel(T* c, index_t ldc, index_t m, index_t n, T beta) {
+  if (beta == T(1)) return;
   for (index_t j = 0; j < n; ++j) {
-    double* col = c + j * ldc;
-    if (beta == 0.0) {
-      std::fill(col, col + m, 0.0);
+    T* col = c + j * ldc;
+    if (beta == T(0)) {
+      std::fill(col, col + m, T(0));
     } else {
       for (index_t i = 0; i < m; ++i) col[i] *= beta;
     }
@@ -47,24 +47,25 @@ void scale_panel(double* c, index_t ldc, index_t m, index_t n, double beta) {
 // before that column's accumulation, while its line is hot (beta == 0
 // overwrites, so NaN/Inf garbage never propagates). Always serial — at
 // these sizes a fork-join costs more than the multiply.
-void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
-                     double alpha, const double* a, index_t lda, const double* b, index_t ldb,
-                     double beta, double* c, index_t ldc) {
+template <typename T>
+void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
+                     const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c,
+                     index_t ldc) {
   const bool ta = trans_a != Trans::NoTrans;
   const bool tb = trans_b != Trans::NoTrans;
   for (index_t j = 0; j < n; ++j) {
-    double* cj = c + j * ldc;
-    if (beta == 0.0) {
-      std::fill(cj, cj + m, 0.0);
-    } else if (beta != 1.0) {
+    T* cj = c + j * ldc;
+    if (beta == T(0)) {
+      std::fill(cj, cj + m, T(0));
+    } else if (beta != T(1)) {
       for (index_t i = 0; i < m; ++i) cj[i] *= beta;
     }
     for (index_t l = 0; l < k; ++l) {
-      const double blj = tb ? b[j + l * ldb] : b[l + j * ldb];
-      if (blj == 0.0) continue;
-      const double scale = alpha * blj;
+      const T blj = tb ? b[j + l * ldb] : b[l + j * ldb];
+      if (blj == T(0)) continue;
+      const T scale = alpha * blj;
       if (!ta) {
-        const double* al = a + l * lda;
+        const T* al = a + l * lda;
         for (index_t i = 0; i < m; ++i) cj[i] += scale * al[i];
       } else {
         for (index_t i = 0; i < m; ++i) cj[i] += scale * a[l + i * lda];
@@ -73,130 +74,92 @@ void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t
   }
 }
 
-// Uninstrumented serial blocked nest for the autotuner's probes. Same
-// loop order and beta fusion as gemm_serial below, minus every stats /
-// tracer / PMU hook — a probe must not perturb the serving counters.
-void gemm_blocked_serial(index_t m, index_t n, index_t k, double alpha, const double* a,
-                         index_t lda, const double* b, index_t ldb, double beta, double* c,
-                         index_t ldc, const Microkernel& kernel, const BlockSizes& bs,
-                         GemmScratch& scratch) {
-  scratch.reserve(static_cast<std::size_t>(
-                      packed_b_size(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)),
-                  static_cast<std::size_t>(
-                      packed_a_size(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr)),
-                  1, /*double_buffer=*/false);
-  double* const packed_a = scratch.packed_a[0].data();
-  double* const packed_b = scratch.packed_b[0].data();
-  for (index_t jj = 0; jj < n; jj += bs.nc) {
-    const index_t nc = std::min(bs.nc, n - jj);
-    for (index_t kk = 0; kk < k; kk += bs.kc) {
-      const index_t kc = std::min(bs.kc, k - kk);
-      pack_b(Trans::NoTrans, b, ldb, kk, jj, kc, nc, bs.nr, packed_b);
-      for (index_t ii = 0; ii < m; ii += bs.mc) {
-        const index_t mc = std::min(bs.mc, m - ii);
-        pack_a(Trans::NoTrans, a, lda, ii, kk, mc, kc, bs.mr, packed_a);
-        gebp(mc, nc, kc, alpha, packed_a, packed_b, kk == 0 ? beta : 1.0,
-             c + ii + jj * ldc, ldc, kernel);
-      }
-    }
-  }
-}
-
-}  // namespace detail
-
-namespace {
-
-using detail::scale_panel;
-
 // Stats-recording wrapper of the no-pack fast path for small problems
 // (m*n*k <= ARMGEMM_SMALL_MNK^3): packing and the blocked loop nest cost
 // more than they save when the operands fit in cache.
-void gemm_small(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, double alpha,
-                const double* a, index_t lda, const double* b, index_t ldb, double beta,
-                double* c, index_t ldc, const Context& ctx, obs::CallPhases* phases) {
-  obs::GemmStats* stats = ctx.stats();
+template <typename T>
+void gemm_small(const GemmCall<T>& g, const Instrumentation& inst) {
+  obs::GemmStats* stats = inst.stats;
   obs::ThreadSlot* slot = stats ? &stats->slot(0) : nullptr;
   obs::Tracer::Region region(stats ? stats->tracer() : nullptr, 0, "small_gemm");
   obs::PmuRegion hw(stats ? stats->pmu() : nullptr, 0, obs::PmuLayer::kSmall);
   // The no-pack nest is all compute: the whole call is kernel time.
-  obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kKernel) : nullptr);
+  obs::PhaseScope phase(inst.phases ? inst.phases->slot(obs::Phase::kKernel) : nullptr);
   Timer t;
-  detail::gemm_small_nest(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+  gemm_small_nest(g.trans_a, g.trans_b, g.m, g.n, g.k, g.alpha, g.a, g.lda, g.b, g.ldb, g.beta,
+                  g.c, g.ldc);
   if (slot) {
     // One read + one write of C; the operands stream straight from the
     // caller's buffers, so there is no packed traffic to account.
-    slot->add_small(t.seconds(),
-                    static_cast<std::uint64_t>(2 * m * n) * sizeof(double));
+    slot->add_small(t.seconds(), static_cast<std::uint64_t>(2 * g.m * g.n) * sizeof(T));
   }
 }
 
-// Serial column-major driver. beta rides into GEBP with the first k-panel
-// (kk == 0) of each column panel — the jj -> kk -> ii loop order guarantees
-// every C element's first update in its jj panel comes from kk == 0 — and
-// later k-panels accumulate with beta == 1.
-void gemm_serial(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, double alpha,
-                 const double* a, index_t lda, const double* b, index_t ldb, double beta,
-                 double* c, index_t ldc, const Context& ctx, const Microkernel& kernel,
-                 const BlockSizes& bs, GemmScratch& scratch, obs::CallPhases* phases) {
-  obs::GemmStats* stats = ctx.stats();
-  obs::ThreadSlot* slot = stats ? &stats->slot(0) : nullptr;
-  obs::Tracer* tracer = stats ? stats->tracer() : nullptr;
-  obs::PmuCollector* pmu = stats ? stats->pmu() : nullptr;
+namespace {
 
-  scratch.reserve(static_cast<std::size_t>(
-                      packed_b_size(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)),
-                  static_cast<std::size_t>(
-                      packed_a_size(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr)),
-                  1, /*double_buffer=*/false);
-  double* const packed_a = scratch.packed_a[0].data();
-  double* const packed_b = scratch.packed_b[0].data();
-
-  for (index_t jj = 0; jj < n; jj += bs.nc) {        // layer 1
-    const index_t nc = std::min(bs.nc, n - jj);
-    const index_t jc = jj / bs.nc;
-    for (index_t kk = 0; kk < k; kk += bs.kc) {      // layer 2
-      const index_t kc = std::min(bs.kc, k - kk);
-      const index_t pc = kk / bs.kc;
-      {
-        obs::Tracer::Region region(tracer, 0, "pack_b", {-1, jc, pc});
-        obs::PmuRegion hw(pmu, 0, obs::PmuLayer::kPackB);
-        obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kPackB) : nullptr);
-        pack_b(trans_b, b, ldb, kk, jj, kc, nc, bs.nr, packed_b, slot);
-      }
-      for (index_t ii = 0; ii < m; ii += bs.mc) {    // layer 3
-        const index_t mc = std::min(bs.mc, m - ii);
-        const index_t ic = ii / bs.mc;
-        {
-          obs::Tracer::Region region(tracer, 0, "pack_a", {ic, jc, pc});
-          obs::PmuRegion hw(pmu, 0, obs::PmuLayer::kPackA);
-          obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kPackA) : nullptr);
-          pack_a(trans_a, a, lda, ii, kk, mc, kc, bs.mr, packed_a, slot);
-        }
-        obs::Tracer::Region region(tracer, 0, "gebp", {ic, jc, pc});
-        obs::PmuRegion hw(pmu, 0, obs::PmuLayer::kGebp);
-        obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kKernel) : nullptr);
-        gebp(mc, nc, kc, alpha, packed_a, packed_b, kk == 0 ? beta : 1.0,
-             c + ii + jj * ldc, ldc, kernel, slot);
-      }
-    }
-  }
+// The driver's three layer calls with their stats hook: given a slot,
+// each records one call, its bytes (the packed buffer, padding included;
+// for GEBP the read + write of C) and its seconds. A null slot skips the
+// clock reads.
+template <typename T>
+void pack_a_layer(Trans trans, const T* a, index_t lda, index_t row0, index_t col0, index_t mc,
+                  index_t kc, int mr, T* dst, obs::ThreadSlot* slot) {
+  if (!slot) return pack_a_t(trans, a, lda, row0, col0, mc, kc, mr, dst);
+  Timer t;
+  pack_a_t(trans, a, lda, row0, col0, mc, kc, mr, dst);
+  slot->add_pack_a(static_cast<std::uint64_t>(packed_a_size_t<T>(mc, kc, mr)) * sizeof(T),
+                   t.seconds());
 }
 
-// Parallel column-major driver (Figure 9, pipelined): the (jj, kk) loop
-// nest is flattened into a sequence of kc x nc panels of B. The shared
-// packed-B panel is double-buffered — while ranks compute panel p out of
-// buf[p % 2] they first cooperatively pack panel p+1 into the other
-// buffer — so only ONE barrier per panel remains on the critical path
-// (the classic schedule needed two: packed-before-compute and
-// computed-before-repack). Within a panel, layer-3 work is claimed
+// A rank that received no slivers records nothing, so cooperative packing
+// does not inflate the call count.
+template <typename T>
+void pack_b_layer(Trans trans, const T* b, index_t ldb, index_t row0, index_t col0, index_t kc,
+                  index_t nc, int nr, index_t sliver_begin, index_t sliver_end, T* dst,
+                  obs::ThreadSlot* slot) {
+  if (!slot || sliver_begin >= sliver_end)
+    return pack_b_slivers_t(trans, b, ldb, row0, col0, kc, nc, nr, sliver_begin, sliver_end,
+                            dst);
+  Timer t;
+  pack_b_slivers_t(trans, b, ldb, row0, col0, kc, nc, nr, sliver_begin, sliver_end, dst);
+  slot->add_pack_b(
+      static_cast<std::uint64_t>((sliver_end - sliver_begin) * nr * kc) * sizeof(T),
+      t.seconds());
+}
+
+// Also counts the ceil(mc/mr)*ceil(nc/nr) register-kernel invocations
+// (edge tiles included).
+template <typename T>
+void gebp_layer(index_t mc, index_t nc, index_t kc, T alpha, const T* packed_a,
+                const T* packed_b, T beta, T* c, index_t ldc, KernelFnT<T> kernel, int mr,
+                int nr, obs::ThreadSlot* slot) {
+  if (!slot) return gebp_t<T>(mc, nc, kc, alpha, packed_a, packed_b, beta, c, ldc, kernel, mr, nr);
+  Timer t;
+  gebp_t<T>(mc, nc, kc, alpha, packed_a, packed_b, beta, c, ldc, kernel, mr, nr);
+  const std::uint64_t kernels =
+      static_cast<std::uint64_t>(ceil_div(mc, static_cast<index_t>(mr))) *
+      static_cast<std::uint64_t>(ceil_div(nc, static_cast<index_t>(nr)));
+  slot->add_gebp(kernels, static_cast<std::uint64_t>(2 * mc * nc) * sizeof(T), t.seconds());
+}
+
+}  // namespace
+
+// Column-major blocked driver (Figure 9, pipelined): the (jj, kk) loop
+// nest is flattened into a sequence of kc x nc panels of B. With several
+// ranks the shared packed-B panel is double-buffered — while ranks
+// compute panel p out of buf[p % 2] they first cooperatively pack panel
+// p+1 into the other buffer — so only ONE barrier per panel remains on
+// the critical path (the classic schedule needed two: packed-before-
+// compute and computed-before-repack). One rank packs each panel into a
+// single buffer right before computing it, with no pool and no barrier:
+// the serial jj -> kk -> ii nest. Within a panel, layer-3 work is claimed
 // dynamically from a per-panel atomic ticket counter over the
 // PanelSchedule block grid, which falls back to a 2-D (m x n) split when
 // there are fewer mc row blocks than ranks. beta rides into GEBP with the
 // pc == 0 panels (the first k-panel of each column panel): panels run in
 // sequence with a barrier between them, and each block of a panel is
 // claimed by exactly one rank, so every C element sees its pc == 0 update
-// first and exactly once. The serial pre-fork sweep over all of C that
-// beta used to cost is gone.
+// first and exactly once. No serial sweep over C runs before the panels.
 //
 // On asymmetric (big.LITTLE) hosts with ARMGEMM_WEIGHTED_SCHEDULE on,
 // ticket claiming is heterogeneity-weighted: each panel's ticket range is
@@ -210,36 +173,38 @@ void gemm_serial(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, 
 // computes WHAT first changes. `mc_class` (tune::per_class_mc) lets a
 // slow-class rank additionally sub-block its claimed mc rows to its own
 // cache-sized mc, again without touching the grid.
-void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
-                   double alpha, const double* a, index_t lda, const double* b, index_t ldb,
-                   double beta, double* c, index_t ldc, const Context& ctx,
-                   const Microkernel& kernel, const BlockSizes& bs,
-                   const std::vector<index_t>& mc_class, GemmScratch& scratch,
-                   int nthreads, obs::CallPhases* phases) {
-  obs::GemmStats* stats = ctx.stats();
+template <typename T>
+void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>& scratch,
+                  ThreadPool* pool, int ranks, const Instrumentation& inst) {
+  const BlockSizes& bs = plan.bs;
+  obs::GemmStats* const stats = inst.stats;
+  obs::Tracer* const tracer = stats ? stats->tracer() : nullptr;
+  obs::PmuCollector* const pmu = stats ? stats->pmu() : nullptr;
 
   // Per-rank phase partials, cache-line padded so concurrent accumulation
-  // never false-shares; merged into *phases after the join.
+  // never false-shares; merged into inst.phases after the join. A lone
+  // rank accumulates into inst.phases directly.
   struct alignas(64) RankPhases {
     obs::CallPhases ph;
   };
   std::vector<RankPhases> rank_phases(
-      phases ? static_cast<std::size_t>(nthreads) : 0);
+      inst.phases && ranks > 1 ? static_cast<std::size_t>(ranks) : 0);
 
+  // Panel p is the kc x nc block (jc, pc) = (p / kpanels, p % kpanels) of
+  // B: layer 1 (jj) outside, layer 2 (kk) inside.
   struct Panel {
     index_t jj, nc, kk, kc, jc, pc;
   };
-  std::vector<Panel> panels;
-  std::vector<PanelSchedule> plans;
-  for (index_t jj = 0; jj < n; jj += bs.nc) {      // layer 1
-    const index_t nc = std::min(bs.nc, n - jj);
-    for (index_t kk = 0; kk < k; kk += bs.kc) {    // layer 2
-      panels.push_back({jj, nc, kk, std::min(bs.kc, k - kk), jj / bs.nc, kk / bs.kc});
-      plans.emplace_back(m, nc, bs.mc, bs.nr, nthreads);
-    }
-  }
-  const index_t npanels = static_cast<index_t>(panels.size());
-  std::vector<std::atomic<index_t>> tickets(panels.size());
+  const index_t kpanels = ceil_div(g.k, bs.kc);
+  const index_t npanels = ceil_div(g.n, bs.nc) * kpanels;
+  const auto panel_at = [&](index_t p) {
+    const index_t jc = p / kpanels, pc = p % kpanels;
+    const index_t jj = jc * bs.nc, kk = pc * bs.kc;
+    return Panel{jj, std::min(bs.nc, g.n - jj), kk, std::min(bs.kc, g.k - kk), jc, pc};
+  };
+  // Shared claim counters, one per panel; a lone rank walks its tickets in
+  // order and needs none.
+  std::vector<std::atomic<index_t>> tickets(ranks > 1 ? static_cast<std::size_t>(npanels) : 0);
   for (auto& t : tickets) t.store(0, std::memory_order_relaxed);
 
   // Heterogeneity-weighted claiming: per-(panel, rank) contiguous ticket
@@ -248,10 +213,10 @@ void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k
   // comes out equal — the single shared counter above is cheaper.
   std::vector<double> weights;
   std::vector<index_t> rank_mc;  // per-rank sub-blocking mc (empty: bs.mc)
-  if (nthreads > 1 && weighted_schedule_enabled()) {
+  if (ranks > 1 && weighted_schedule_enabled()) {
     const Topology& topo = Topology::get();
     if (topo.asymmetric()) {
-      weights = topo.rank_weights(nthreads);
+      weights = topo.rank_weights(ranks);
       bool uniform = true;
       for (const double w : weights)
         if (w != weights.front()) {
@@ -259,13 +224,13 @@ void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k
           break;
         }
       if (uniform) weights.clear();
-      if (!mc_class.empty()) {
-        rank_mc.resize(static_cast<std::size_t>(nthreads), bs.mc);
-        for (int r = 0; r < nthreads; ++r) {
+      if (!plan.mc_class.empty()) {
+        rank_mc.resize(static_cast<std::size_t>(ranks), bs.mc);
+        for (int r = 0; r < ranks; ++r) {
           const int cls = topo.class_of_rank(r);
-          if (cls >= 0 && cls < static_cast<int>(mc_class.size()))
+          if (cls >= 0 && cls < static_cast<int>(plan.mc_class.size()))
             rank_mc[static_cast<std::size_t>(r)] =
-                std::clamp<index_t>(mc_class[static_cast<std::size_t>(cls)],
+                std::clamp<index_t>(plan.mc_class[static_cast<std::size_t>(cls)],
                                     bs.mr, bs.mc);
         }
       }
@@ -273,207 +238,184 @@ void gemm_parallel(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k
   }
   const bool weighted = !weights.empty();
   std::vector<std::vector<PanelSchedule::TicketSpan>> spans;
-  std::vector<std::atomic<index_t>> cursors;  // [panel * nthreads + rank]
+  std::vector<std::atomic<index_t>> cursors;  // [panel * ranks + rank]
   if (weighted) {
-    spans.reserve(panels.size());
-    cursors = std::vector<std::atomic<index_t>>(panels.size() *
-                                                static_cast<std::size_t>(nthreads));
-    for (std::size_t p = 0; p < panels.size(); ++p) {
-      spans.push_back(
-          PanelSchedule::proportional_spans(plans[p].total_blocks(), weights));
-      for (int r = 0; r < nthreads; ++r)
-        cursors[p * static_cast<std::size_t>(nthreads) + static_cast<std::size_t>(r)]
-            .store(spans[p][static_cast<std::size_t>(r)].begin,
-                   std::memory_order_relaxed);
+    spans.reserve(static_cast<std::size_t>(npanels));
+    cursors = std::vector<std::atomic<index_t>>(static_cast<std::size_t>(npanels) *
+                                                static_cast<std::size_t>(ranks));
+    for (index_t p = 0; p < npanels; ++p) {
+      const PanelSchedule sched(g.m, panel_at(p).nc, bs.mc, bs.nr, ranks);
+      spans.push_back(PanelSchedule::proportional_spans(sched.total_blocks(), weights));
+      for (int r = 0; r < ranks; ++r)
+        cursors[static_cast<std::size_t>(p * ranks + r)].store(
+            spans.back()[static_cast<std::size_t>(r)].begin, std::memory_order_relaxed);
     }
   }
 
-  scratch.reserve(static_cast<std::size_t>(
-                      packed_b_size(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)),
-                  static_cast<std::size_t>(
-                      packed_a_size(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr)),
-                  nthreads, /*double_buffer=*/npanels > 1);
-  double* const bbuf[2] = {scratch.packed_b[0].data(),
-                           npanels > 1 ? scratch.packed_b[1].data()
-                                       : scratch.packed_b[0].data()};
+  const bool pipelined = ranks > 1 && npanels > 1;
+  scratch.reserve(static_cast<std::size_t>(packed_b_size_t<T>(std::min(bs.kc, g.k),
+                                                              std::min(bs.nc, g.n), bs.nr)),
+                  static_cast<std::size_t>(packed_a_size_t<T>(std::min(bs.mc, g.m),
+                                                              std::min(bs.kc, g.k), bs.mr)),
+                  ranks, pipelined);
+  T* const bbuf[2] = {scratch.packed_b[0].data(), scratch.packed_b[pipelined ? 1 : 0].data()};
 
-  Barrier barrier(nthreads);
+  Barrier barrier(ranks);
 
-  ctx.pool().run(
-      [&](int rank) {
-        obs::ThreadSlot* slot = stats ? &stats->slot(rank) : nullptr;
-        obs::Tracer* tracer = stats ? stats->tracer() : nullptr;
-        obs::PmuCollector* pmu = stats ? stats->pmu() : nullptr;
-        double barrier_wait = 0;
-        // Telemetry wants the per-worker wait signal even with no
-        // GemmStats collector attached.
-        double* const wait_acc =
-            (slot || obs::telemetry_active()) ? &barrier_wait : nullptr;
-        obs::CallPhases* const my_ph =
-            phases ? &rank_phases[static_cast<std::size_t>(rank)].ph : nullptr;
-        double* const my_packed_a = scratch.packed_a[static_cast<std::size_t>(rank)].data();
-        // Sub-blocking granularity for this rank's claimed mc blocks (a
-        // LITTLE-class rank re-tiles along m to its own cache-sized mc).
-        const index_t my_mc =
-            rank_mc.empty() ? bs.mc : rank_mc[static_cast<std::size_t>(rank)];
+  const auto run_rank = [&](int rank) {
+    obs::ThreadSlot* slot = stats ? &stats->slot(rank) : nullptr;
+    double barrier_wait = 0;
+    double* const wait_acc = (slot || inst.barrier_telemetry) ? &barrier_wait : nullptr;
+    obs::CallPhases* const my_ph =
+        !inst.phases ? nullptr
+        : ranks == 1 ? inst.phases
+                     : &rank_phases[static_cast<std::size_t>(rank)].ph;
+    T* const my_packed_a = scratch.packed_a[static_cast<std::size_t>(rank)].data();
+    // Sub-blocking granularity for this rank's claimed mc blocks (a
+    // LITTLE-class rank re-tiles along m to its own cache-sized mc).
+    const index_t my_mc = rank_mc.empty() ? bs.mc : rank_mc[static_cast<std::size_t>(rank)];
 
-        const auto pack_panel = [&](index_t p) {
-          const Panel& panel = panels[static_cast<std::size_t>(p)];
-          const index_t slivers = ceil_div(panel.nc, static_cast<index_t>(bs.nr));
-          const Range bp = partition_range(slivers, nthreads, rank, 1);
-          obs::Tracer::Region region(tracer, rank, "pack_b", {-1, panel.jc, panel.pc});
-          obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kPackB);
-          obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kPackB) : nullptr);
-          pack_b_slivers(trans_b, b, ldb, panel.kk, panel.jj, panel.kc, panel.nc, bs.nr,
-                         bp.begin, bp.end, bbuf[p & 1], slot);
-        };
+    const auto pack_panel = [&](const Panel& panel, index_t p) {
+      const index_t slivers = ceil_div(panel.nc, static_cast<index_t>(bs.nr));
+      const Range bp = partition_range(slivers, ranks, rank, 1);
+      obs::Tracer::Region region(tracer, rank, "pack_b", {-1, panel.jc, panel.pc});
+      obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kPackB);
+      obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kPackB) : nullptr);
+      pack_b_layer(g.trans_b, g.b, g.ldb, panel.kk, panel.jj, panel.kc, panel.nc, bs.nr,
+                   bp.begin, bp.end, bbuf[p & 1], slot);
+    };
+    const auto sync = [&] {
+      obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kBarrier);
+      barrier.arrive_and_wait(wait_acc);
+    };
 
-        // Prologue: panel 0 must be fully packed before anyone computes.
-        pack_panel(0);
+    // Pipelined prologue: panel 0 must be fully packed before anyone
+    // computes.
+    if (ranks > 1) {
+      pack_panel(panel_at(0), 0);
+      sync();
+    }
+    for (index_t p = 0; p < npanels; ++p) {
+      const Panel panel = panel_at(p);
+      // Overlap: pack the next panel before computing this one, so
+      // another rank's leftover compute hides our pack time (and vice
+      // versa). A lone rank packs the panel it is about to compute.
+      if (ranks == 1)
+        pack_panel(panel, p);
+      else if (p + 1 < npanels)
+        pack_panel(panel_at(p + 1), p + 1);
+
+      const PanelSchedule sched(g.m, panel.nc, bs.mc, bs.nr, ranks);
+      const T* const panel_b = bbuf[p & 1];
+      index_t next = 0;  // a lone rank's next ticket
+
+      // Next ticket of panel p for this rank, or -1 when the panel is
+      // fully claimed. Unweighted: one shared counter. Weighted: own
+      // span first, then steal from the other spans round-robin from
+      // rank+1. Cursors are monotone and the load-then-fetch_add race
+      // only wastes an increment past `end`, never double-claims.
+      const auto claim = [&]() -> index_t {
+        if (ranks == 1) return next < sched.total_blocks() ? next++ : -1;
+        if (!weighted) {
+          const index_t t =
+              tickets[static_cast<std::size_t>(p)].fetch_add(1, std::memory_order_relaxed);
+          return t < sched.total_blocks() ? t : -1;
+        }
+        const std::vector<PanelSchedule::TicketSpan>& sp = spans[static_cast<std::size_t>(p)];
+        std::atomic<index_t>* const cur = &cursors[static_cast<std::size_t>(p * ranks)];
         {
-          obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kBarrier);
-          barrier.arrive_and_wait(wait_acc);
+          const index_t t = cur[rank].fetch_add(1, std::memory_order_relaxed);
+          if (t < sp[static_cast<std::size_t>(rank)].end) return t;
         }
-        for (index_t p = 0; p < npanels; ++p) {
-          // Overlap: pack the next panel before computing this one, so
-          // another rank's leftover compute hides our pack time (and
-          // vice versa).
-          if (p + 1 < npanels) pack_panel(p + 1);
-
-          const Panel& panel = panels[static_cast<std::size_t>(p)];
-          const PanelSchedule& plan = plans[static_cast<std::size_t>(p)];
-          const double* const panel_b = bbuf[p & 1];
-          std::atomic<index_t>& ticket = tickets[static_cast<std::size_t>(p)];
-
-          // Next ticket of panel p for this rank, or -1 when the panel is
-          // fully claimed. Unweighted: one shared counter. Weighted: own
-          // span first, then steal from the other spans round-robin from
-          // rank+1. Cursors are monotone and the load-then-fetch_add race
-          // only wastes an increment past `end`, never double-claims.
-          const auto claim = [&]() -> index_t {
-            if (!weighted)
-              return [&] {
-                const index_t t = ticket.fetch_add(1, std::memory_order_relaxed);
-                return t < plan.total_blocks() ? t : -1;
-              }();
-            const std::vector<PanelSchedule::TicketSpan>& sp =
-                spans[static_cast<std::size_t>(p)];
-            std::atomic<index_t>* const cur =
-                &cursors[static_cast<std::size_t>(p) *
-                         static_cast<std::size_t>(nthreads)];
-            {
-              const index_t t =
-                  cur[rank].fetch_add(1, std::memory_order_relaxed);
-              if (t < sp[static_cast<std::size_t>(rank)].end) return t;
-            }
-            for (int i = 1; i < nthreads; ++i) {
-              const int v = (rank + i) % nthreads;
-              const index_t end = sp[static_cast<std::size_t>(v)].end;
-              if (cur[v].load(std::memory_order_relaxed) >= end) continue;
-              const index_t t = cur[v].fetch_add(1, std::memory_order_relaxed);
-              if (t < end) return t;
-            }
-            return -1;
-          };
-
-          index_t packed_ii = -1;   // first row held in my_packed_a
-          index_t packed_mc = -1;   // rows held in my_packed_a
-          for (;;) {
-            const index_t t = claim();
-            if (t < 0) break;
-            const GemmBlock blk = plan.block(t);
-            const index_t ic = blk.ii / bs.mc;
-            // Per-class re-tiling: a rank whose class mc is smaller than
-            // the grid's walks its claimed block in my_mc-row chunks
-            // (each an mr multiple, so the kernel strip boundaries — and
-            // the results, bitwise — are those of the whole block).
-            for (index_t sub = 0; sub < blk.mc; sub += my_mc) {
-              const index_t sub_ii = blk.ii + sub;
-              const index_t sub_mc = std::min(my_mc, blk.mc - sub);
-              if (sub_ii != packed_ii || sub_mc != packed_mc) {
-                obs::Tracer::Region region(tracer, rank, "pack_a",
-                                           {ic, panel.jc, panel.pc});
-                obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kPackA);
-                obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kPackA) : nullptr);
-                pack_a(trans_a, a, lda, sub_ii, panel.kk, sub_mc, panel.kc, bs.mr,
-                       my_packed_a, slot);
-                packed_ii = sub_ii;
-                packed_mc = sub_mc;
-              }
-              obs::Tracer::Region region(tracer, rank, "gebp", {ic, panel.jc, panel.pc});
-              obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kGebp);
-              obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kKernel) : nullptr);
-              gebp(sub_mc, blk.nb, panel.kc, alpha, my_packed_a,
-                   panel_b + blk.sliver0 * panel.kc * bs.nr, panel.pc == 0 ? beta : 1.0,
-                   c + sub_ii + (panel.jj + blk.jb) * ldc, ldc, kernel, slot);
-            }
-          }
-          // One barrier per panel: it certifies both "panel p fully
-          // computed" (its buffer may be repacked two panels on) and
-          // "panel p+1 fully packed" (computable next iteration). After
-          // the last panel the pool join itself is the sync point.
-          if (p + 1 < npanels) {
-            obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kBarrier);
-            barrier.arrive_and_wait(wait_acc);
-          }
+        for (int i = 1; i < ranks; ++i) {
+          const int v = (rank + i) % ranks;
+          const index_t end = sp[static_cast<std::size_t>(v)].end;
+          if (cur[v].load(std::memory_order_relaxed) >= end) continue;
+          const index_t t = cur[v].fetch_add(1, std::memory_order_relaxed);
+          if (t < end) return t;
         }
-        if (slot) slot->add_barrier_wait(barrier_wait);
-        if (my_ph) my_ph->add(obs::Phase::kBarrier, barrier_wait);
-        if (wait_acc && obs::telemetry_active())
-          obs::telemetry_record_barrier_wait(barrier_wait);
-      },
-      nthreads);
+        return -1;
+      };
 
-  if (phases) {
-    for (const RankPhases& rp : rank_phases) phases->merge(rp.ph);
-    phases->workers = nthreads;
+      index_t packed_ii = -1;   // first row held in my_packed_a
+      index_t packed_mc = -1;   // rows held in my_packed_a
+      for (;;) {
+        const index_t t = claim();
+        if (t < 0) break;
+        const GemmBlock blk = sched.block(t);
+        const index_t ic = blk.ii / bs.mc;
+        // Per-class re-tiling: a rank whose class mc is smaller than
+        // the grid's walks its claimed block in my_mc-row chunks
+        // (each an mr multiple, so the kernel strip boundaries — and
+        // the results, bitwise — are those of the whole block).
+        for (index_t sub = 0; sub < blk.mc; sub += my_mc) {
+          const index_t sub_ii = blk.ii + sub;
+          const index_t sub_mc = std::min(my_mc, blk.mc - sub);
+          if (sub_ii != packed_ii || sub_mc != packed_mc) {
+            obs::Tracer::Region region(tracer, rank, "pack_a", {ic, panel.jc, panel.pc});
+            obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kPackA);
+            obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kPackA) : nullptr);
+            pack_a_layer(g.trans_a, g.a, g.lda, sub_ii, panel.kk, sub_mc, panel.kc, bs.mr,
+                         my_packed_a, slot);
+            packed_ii = sub_ii;
+            packed_mc = sub_mc;
+          }
+          obs::Tracer::Region region(tracer, rank, "gebp", {ic, panel.jc, panel.pc});
+          obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kGebp);
+          obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kKernel) : nullptr);
+          gebp_layer(sub_mc, blk.nb, panel.kc, g.alpha, my_packed_a,
+                     panel_b + blk.sliver0 * panel.kc * bs.nr,
+                     panel.pc == 0 ? g.beta : T(1), g.c + sub_ii + (panel.jj + blk.jb) * g.ldc,
+                     g.ldc, plan.kernel, bs.mr, bs.nr, slot);
+        }
+      }
+      // One barrier per panel: it certifies both "panel p fully
+      // computed" (its buffer may be repacked two panels on) and
+      // "panel p+1 fully packed" (computable next iteration). After
+      // the last panel the pool join itself is the sync point.
+      if (ranks > 1 && p + 1 < npanels) sync();
+    }
+    if (ranks > 1) {
+      if (slot) slot->add_barrier_wait(barrier_wait);
+      if (my_ph) my_ph->add(obs::Phase::kBarrier, barrier_wait);
+      if (inst.barrier_telemetry) obs::telemetry_record_barrier_wait(barrier_wait);
+    }
+  };
+  if (ranks == 1)
+    run_rank(0);
+  else
+    pool->run(run_rank, ranks);
+
+  if (inst.phases) {
+    for (const RankPhases& rp : rank_phases) inst.phases->merge(rp.ph);
+    inst.phases->workers = ranks;
   }
 }
 
-/// How run_gemm executed one call; feeds the serving-telemetry record.
-struct RunInfo {
-  obs::ScheduleKind schedule = obs::ScheduleKind::kSerial;
-  int threads = 1;
-  BlockSizes bs;  // the blocking the call actually ran with
-};
+#define AG_INSTANTIATE_DRIVER(T)                                                            \
+  template void scale_panel(T*, index_t, index_t, index_t, T);                              \
+  template void gemm_small_nest(Trans, Trans, index_t, index_t, index_t, T, const T*,       \
+                                index_t, const T*, index_t, T, T*, index_t);                \
+  template void gemm_small(const GemmCall<T>&, const Instrumentation&);                     \
+  template void gemm_blocked(const GemmCall<T>&, const GemmPlan<T>&, PackBuffers<T>&,       \
+                             ThreadPool*, int, const Instrumentation&);
+AG_INSTANTIATE_DRIVER(double)
+AG_INSTANTIATE_DRIVER(float)
+#undef AG_INSTANTIATE_DRIVER
 
-RunInfo run_gemm(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, double alpha,
-                 const double* a, index_t lda, const double* b, index_t ldb, double beta,
-                 double* c, index_t ldc, const Context& ctx,
-                 obs::CallPhases* phases = nullptr) {
-  RunInfo info;
-  info.bs = ctx.block_sizes();
-  if (use_small_gemm(m, n, k)) {
-    gemm_small(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx, phases);
-    info.schedule = obs::ScheduleKind::kSmall;
-    return info;
-  }
-  // Per-call configuration: the context's kernel + blocking, or — for a
-  // tunable context — whatever the autotuner resolved for this
-  // (precision, shape-class) key.
-  const ExecConfig cfg = resolve_exec_config(ctx, m, n, k);
-  const BlockSizes& bs = cfg.bs;
-  info.bs = bs;
-  int eff = 1;
-  if (ctx.threads() > 1 && m > bs.mr) {
-    // Clamp the rank count to the parallelism actually available in the
-    // widest panel; surplus ranks would only add barrier traffic. One
-    // block total means one rank would own all work: run serial.
-    const PanelSchedule probe(m, std::min(bs.nc, n), bs.mc, bs.nr, ctx.threads());
-    eff = static_cast<int>(
-        std::min<index_t>(ctx.threads(), probe.total_blocks()));
-  }
-  Context::ScratchLease scratch = ctx.acquire_scratch();
-  if (eff > 1) {
-    gemm_parallel(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx,
-                  *cfg.kernel, bs, cfg.mc_class, *scratch, eff, phases);
-    info.schedule = obs::ScheduleKind::kParallel;
-    info.threads = eff;
-    return info;
-  }
-  gemm_serial(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx,
-              *cfg.kernel, bs, *scratch, phases);
-  return info;
+}  // namespace detail
+
+namespace {
+
+detail::RunInfo run_dgemm(const detail::GemmCall<double>& g, const Context& ctx,
+                          const detail::Instrumentation& inst) {
+  return detail::run_gemm(g, ctx, inst, [&ctx](index_t m, index_t n, index_t k) {
+    // The context's kernel + blocking, or — for a tunable context —
+    // whatever the autotuner resolved for this (precision, shape-class)
+    // key.
+    ExecConfig cfg = resolve_exec_config(ctx, m, n, k);
+    return detail::GemmPlan<double>{cfg.kernel->fn, cfg.bs, std::move(cfg.mc_class)};
+  });
 }
 
 }  // namespace
@@ -492,23 +434,24 @@ void dgemm(Layout layout, Trans trans_a, Trans trans_b, std::int64_t m, std::int
     return;
   }
 
+  const detail::GemmCall<double> g{trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
+                                   ldc};
+  const bool computed = k != 0 && alpha != 0.0;
   obs::GemmStats* stats = ctx.stats();
   const bool telemetry = obs::telemetry_active();
   if (stats || telemetry) {
     obs::Tracer::Region region(stats ? stats->tracer() : nullptr, 0, "dgemm");
     obs::PmuRegion hw(stats ? stats->pmu() : nullptr, 0, obs::PmuLayer::kTotal);
     const auto t0 = std::chrono::steady_clock::now();
-    const bool computed = k != 0 && alpha != 0.0;
-    // Stack-owned phase timeline; the drivers accumulate into it only
+    // Stack-owned phase timeline; the driver accumulates into it only
     // when attribution is on (null slots skip every clock read).
     obs::CallPhases call_phases;
     const bool want_phases = telemetry && obs::telemetry_phases_active();
-    RunInfo run;
+    detail::RunInfo run;
     if (computed)
-      run = run_gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx,
-                     want_phases ? &call_phases : nullptr);
+      run = run_dgemm(g, ctx, {stats, want_phases ? &call_phases : nullptr, telemetry});
     else
-      scale_panel(c, ldc, m, n, beta);
+      detail::scale_panel(c, ldc, m, n, beta);
     const auto t1 = std::chrono::steady_clock::now();
     const double seconds = std::chrono::duration<double>(t1 - t0).count();
     const double flops =
@@ -524,11 +467,11 @@ void dgemm(Layout layout, Trans trans_a, Trans trans_b, std::int64_t m, std::int
     return;
   }
 
-  if (k == 0 || alpha == 0.0) {
-    scale_panel(c, ldc, m, n, beta);
+  if (!computed) {
+    detail::scale_panel(c, ldc, m, n, beta);
     return;
   }
-  run_gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx);
+  run_dgemm(g, ctx, {});
 }
 
 }  // namespace ag

@@ -79,8 +79,8 @@ struct TicketCacheCounts {
 
 /// Serial blocked nest over one entry's [row0, row0 + rows) C rows,
 /// sharing packed B panels through the cache. Loop order and beta
-/// placement match gemm_serial, so each C element of the range sees the
-/// exact accumulation order of a serial run.
+/// placement match the one-rank blocked driver, so each C element of the
+/// range sees the exact accumulation order of a serial run.
 TicketCacheCounts run_blocked_rows(const GemmBatchEntry& e, index_t row0, index_t rows,
                                    const Context& ctx, const Microkernel& kernel,
                                    const BlockSizes& bs, std::uint64_t epoch,
@@ -90,7 +90,7 @@ TicketCacheCounts run_blocked_rows(const GemmBatchEntry& e, index_t row0, index_
   PanelCache& cache = PanelCache::instance();
 
   Context::ScratchLease lease = ctx.acquire_scratch();
-  GemmScratch& scratch = *lease;
+  PackBuffers<double>& scratch = lease->f64;
   scratch.reserve(
       static_cast<std::size_t>(
           packed_b_size(std::min(bs.kc, e.k), std::min(bs.nc, e.n), bs.nr)),

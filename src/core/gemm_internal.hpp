@@ -1,37 +1,131 @@
-// Internal driver pieces shared between the single-call driver
-// (core/gemm.cpp) and the batch driver (core/gemm_batch.cpp). Not part of
-// the public surface.
+// The GEMM driver shared by dgemm (core/gemm.cpp), sgemm (core/sgemm.cpp)
+// and the autotuner's probes (core/tuning.cpp), templated on the element
+// type like the packing and GEBP it drives; batch tickets
+// (core/gemm_batch.cpp) reuse its small nest and beta-only epilogue. Not
+// part of the public surface.
 #pragma once
 
+#include <algorithm>
+#include <vector>
+
 #include "blas/gemm_types.hpp"
+#include "common/knobs.hpp"
 #include "core/block_sizes.hpp"
 #include "core/context.hpp"
-#include "kernels/microkernel.hpp"
+#include "core/schedule.hpp"
+#include "obs/flight.hpp"
 
-namespace ag::detail {
+namespace ag {
+
+namespace obs {
+struct CallPhases;
+}
+
+namespace detail {
+
+/// Register-kernel signature for element type T (MicrokernelFn,
+/// SMicrokernelFn).
+template <typename T>
+using KernelFnT = void (*)(index_t kc, T alpha, const T* a, const T* b, T beta, T* c,
+                           index_t ldc);
+
+/// One column-major C := alpha op(A) op(B) + beta C.
+template <typename T>
+struct GemmCall {
+  Trans trans_a, trans_b;
+  index_t m, n, k;
+  T alpha;
+  const T* a;
+  index_t lda;
+  const T* b;
+  index_t ldb;
+  T beta;
+  T* c;
+  index_t ldc;
+};
+
+/// Kernel and blocking of one blocked call. `mc_class` is the per-core-
+/// class mc (tune::per_class_mc) on asymmetric hosts, empty otherwise.
+template <typename T>
+struct GemmPlan {
+  KernelFnT<T> kernel = nullptr;
+  BlockSizes bs;
+  std::vector<index_t> mc_class;
+};
+
+/// Where a call's instrumentation goes. The default records nothing:
+/// sgemm and the tuner's probes pass it, because f32 calls would give the
+/// f64-calibrated drift model false anomalies and a probe must not
+/// perturb the serving counters.
+struct Instrumentation {
+  obs::GemmStats* stats = nullptr;    // per-rank counters, tracer, PMU
+  obs::CallPhases* phases = nullptr;  // phase timeline of this call
+  bool barrier_telemetry = false;     // per-rank barrier waits to telemetry
+};
+
+/// How run_gemm executed one call; feeds the serving-telemetry record.
+struct RunInfo {
+  obs::ScheduleKind schedule = obs::ScheduleKind::kSerial;
+  int threads = 1;
+  BlockSizes bs;  // the blocking the call actually ran with
+};
 
 /// beta-only epilogue: C := beta * C over an m x n panel. Used when no
 /// multiply runs at all (k == 0 or alpha == 0).
-void scale_panel(double* c, index_t ldc, index_t m, index_t n, double beta);
+template <typename T>
+void scale_panel(T* c, index_t ldc, index_t m, index_t n, T beta);
 
 /// The no-pack small-matrix axpy nest (C := alpha op(A) op(B) + beta C,
 /// column-major), without any instrumentation. Deterministic (j, l, i)
 /// accumulation order; beta applied per column before its accumulation.
-/// The stats-recording wrapper lives in gemm.cpp; batch tickets call this
-/// directly because per-rank stats slots are not meaningful for tickets
-/// that run on arbitrary pool threads.
-void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
-                     double alpha, const double* a, index_t lda, const double* b, index_t ldb,
-                     double beta, double* c, index_t ldc);
+/// Batch tickets call this directly because per-rank stats slots are not
+/// meaningful for tickets that run on arbitrary pool threads.
+template <typename T>
+void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
+                     const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c,
+                     index_t ldc);
 
-/// The serial blocked nest (pack + GEBP, NoTrans column-major) with an
-/// explicit kernel and blocking and NO instrumentation — no stats slots,
-/// tracer regions or telemetry. The autotuner's measured probes run
-/// through this so a probe never perturbs the serving counters (and never
-/// re-enters the drift listener while the tuner's lock is held).
-void gemm_blocked_serial(index_t m, index_t n, index_t k, double alpha, const double* a,
-                         index_t lda, const double* b, index_t ldb, double beta, double* c,
-                         index_t ldc, const Microkernel& kernel, const BlockSizes& bs,
-                         GemmScratch& scratch);
+/// gemm_small_nest plus the small-path stats, PMU, tracer and phase hooks.
+template <typename T>
+void gemm_small(const GemmCall<T>& g, const Instrumentation& inst);
 
-}  // namespace ag::detail
+/// The Figure 9 blocked driver on `ranks` ranks: rank 0 is the caller and
+/// ranks > 1 run on `pool`. At one rank there is no pool, no barrier and
+/// no pack-ahead double buffer, so the loop is the plain serial nest.
+template <typename T>
+void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>& scratch,
+                  ThreadPool* pool, int ranks, const Instrumentation& inst);
+
+/// Runs one column-major call with m, n, k > 0 and alpha != 0: the no-pack
+/// nest when use_small_gemm says so, else the blocked driver on up to
+/// ctx.threads() ranks, clamped to the blocks the widest panel offers
+/// (surplus ranks would only add barrier traffic; one block runs
+/// serially). `resolve(m, n, k)` returns the GemmPlan and is called only
+/// on the blocked path, so a small call never consults the tuner, borrows
+/// scratch or starts the pool.
+template <typename T, typename Resolve>
+RunInfo run_gemm(const GemmCall<T>& g, const Context& ctx, const Instrumentation& inst,
+                 Resolve&& resolve) {
+  RunInfo info;
+  info.bs = ctx.block_sizes();
+  if (use_small_gemm(g.m, g.n, g.k)) {
+    gemm_small(g, inst);
+    info.schedule = obs::ScheduleKind::kSmall;
+    return info;
+  }
+  const GemmPlan<T> plan = resolve(g.m, g.n, g.k);
+  const BlockSizes& bs = plan.bs;
+  info.bs = bs;
+  if (ctx.threads() > 1 && g.m > bs.mr) {
+    const PanelSchedule probe(g.m, std::min(bs.nc, g.n), bs.mc, bs.nr, ctx.threads());
+    info.threads = static_cast<int>(std::min<index_t>(ctx.threads(), probe.total_blocks()));
+  }
+  if (info.threads > 1) info.schedule = obs::ScheduleKind::kParallel;
+  Context::ScratchLease scratch = ctx.acquire_scratch();
+  gemm_blocked(g, plan, scratch->buffers<T>(), info.threads > 1 ? &ctx.pool() : nullptr,
+               info.threads, inst);
+  return info;
+}
+
+}  // namespace detail
+}  // namespace ag

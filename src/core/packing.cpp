@@ -1,8 +1,6 @@
 #include "core/packing.hpp"
 
-#include "common/timer.hpp"
 #include "core/packing_impl.hpp"
-#include "obs/gemm_stats.hpp"
 
 namespace ag {
 
@@ -43,39 +41,6 @@ void pack_b_reference(Trans trans, const double* b, index_t ldb, index_t row0, i
                       index_t kc, index_t nc, int nr, double* dst) {
   detail::pack_b_slivers_scalar_t(trans, b, ldb, row0, col0, kc, nc, nr, 0,
                                   ceil_div(nc, static_cast<index_t>(nr)), dst);
-}
-
-void pack_a(Trans trans, const double* a, index_t lda, index_t row0, index_t col0, index_t mc,
-            index_t kc, int mr, double* dst, obs::ThreadSlot* slot) {
-  if (!slot) {
-    pack_a(trans, a, lda, row0, col0, mc, kc, mr, dst);
-    return;
-  }
-  Timer t;
-  pack_a(trans, a, lda, row0, col0, mc, kc, mr, dst);
-  slot->add_pack_a(static_cast<std::uint64_t>(packed_a_size(mc, kc, mr)) * sizeof(double),
-                   t.seconds());
-}
-
-void pack_b_slivers(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0,
-                    index_t kc, index_t nc, int nr, index_t sliver_begin, index_t sliver_end,
-                    double* dst, obs::ThreadSlot* slot) {
-  if (!slot || sliver_begin >= sliver_end) {
-    pack_b_slivers(trans, b, ldb, row0, col0, kc, nc, nr, sliver_begin, sliver_end, dst);
-    return;
-  }
-  Timer t;
-  pack_b_slivers(trans, b, ldb, row0, col0, kc, nc, nr, sliver_begin, sliver_end, dst);
-  // Every sliver is written nr-wide and kc-deep (edge slivers are padded).
-  slot->add_pack_b(
-      static_cast<std::uint64_t>((sliver_end - sliver_begin) * nr * kc) * sizeof(double),
-      t.seconds());
-}
-
-void pack_b(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0, index_t kc,
-            index_t nc, int nr, double* dst, obs::ThreadSlot* slot) {
-  pack_b_slivers(trans, b, ldb, row0, col0, kc, nc, nr, 0,
-                 ceil_div(nc, static_cast<index_t>(nr)), dst, slot);
 }
 
 }  // namespace ag

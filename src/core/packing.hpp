@@ -19,10 +19,6 @@
 
 namespace ag {
 
-namespace obs {
-struct ThreadSlot;
-}
-
 /// Name of the SIMD lowering the shipping packers use on this build:
 /// "avx2", "neon", or "scalar".
 const char* packing_isa();
@@ -56,18 +52,5 @@ void pack_a_reference(Trans trans, const double* a, index_t lda, index_t row0, i
                       index_t mc, index_t kc, int mr, double* dst);
 void pack_b_reference(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0,
                       index_t kc, index_t nc, int nr, double* dst);
-
-/// Instrumented variants: identical packing, but when `slot` is non-null
-/// they additionally record one pack call, the bytes written into the
-/// packed buffer (padding included), and the elapsed time. The sliver
-/// variant records nothing for an empty range, so cooperative ranks that
-/// received no slivers do not inflate the call count.
-void pack_a(Trans trans, const double* a, index_t lda, index_t row0, index_t col0, index_t mc,
-            index_t kc, int mr, double* dst, obs::ThreadSlot* slot);
-void pack_b(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0, index_t kc,
-            index_t nc, int nr, double* dst, obs::ThreadSlot* slot);
-void pack_b_slivers(Trans trans, const double* b, index_t ldb, index_t row0, index_t col0,
-                    index_t kc, index_t nc, int nr, index_t sliver_begin, index_t sliver_end,
-                    double* dst, obs::ThreadSlot* slot);
 
 }  // namespace ag

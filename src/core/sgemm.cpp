@@ -1,43 +1,37 @@
 #include "core/sgemm.hpp"
 
 #include <algorithm>
-#include <vector>
 
-#include "common/aligned_buffer.hpp"
-#include "common/check.hpp"
-#include "common/math_util.hpp"
+#include "blas/reference_gemm.hpp"
 #include "common/knobs.hpp"
-#include "core/gebp_impl.hpp"
-#include "core/packing_impl.hpp"
+#include "common/math_util.hpp"
+#include "core/context.hpp"
+#include "core/gemm_internal.hpp"
 #include "core/tuning.hpp"
 #include "kernels/sgemm_kernels.hpp"
-#include "threading/thread_pool.hpp"
 #include "tune/tune.hpp"
 
 namespace ag {
 namespace {
 
-struct SBlocks {
-  int mr, nr;
-  index_t kc, mc, nc;
-};
-
-SBlocks resolve_blocks(const SgemmOptions& options, index_t m, index_t n, index_t k_dim) {
+detail::GemmPlan<float> resolve_plan(const SgemmOptions& options, int threads, index_t m,
+                                     index_t n, index_t k_dim) {
   const SMicrokernel& k = best_smicrokernel();
-  SBlocks bs;
+  detail::GemmPlan<float> plan;
+  plan.kernel = k.fn;
+  BlockSizes& bs = plan.bs;
   bs.mr = k.mr;
   bs.nr = k.nr;
   if (options.tunable && options.kc == 0 && options.mc == 0 && options.nc == 0 &&
       tune_mode() != kTuneModeOff) {
     ensure_tune_probe_runner();
-    const tune::TunedConfig* tc =
-        tune::resolve(tune::Precision::kF32, m, n, k_dim, options.threads);
+    const tune::TunedConfig* tc = tune::resolve(tune::Precision::kF32, m, n, k_dim, threads);
     if (tc != nullptr && tc->mr == bs.mr && tc->nr == bs.nr) {
       bs.kc = tc->kc;
-      bs.mc = options.threads > 1 ? tc->mc_mt : tc->mc;
-      bs.nc = options.threads > 1 ? tc->nc_mt : tc->nc;
+      bs.mc = threads > 1 ? tc->mc_mt : tc->mc;
+      bs.nc = threads > 1 ? tc->nc_mt : tc->nc;
       tune::record_call(tc->source);
-      return bs;
+      return plan;
     }
     tune::record_call(tune::TuneSource::kNone);
   }
@@ -46,69 +40,16 @@ SBlocks resolve_blocks(const SgemmOptions& options, index_t m, index_t n, index_
   bs.kc = options.kc > 0 ? options.kc : 512;
   bs.mc = options.mc > 0 ? options.mc : round_up<index_t>(64, k.mr);
   bs.nc = options.nc > 0 ? options.nc : 4096 / k.nr * k.nr;
-  return bs;
+  return plan;
 }
 
-void scale_panel(float* c, index_t ldc, index_t m, index_t n, float beta) {
-  if (beta == 1.0f) return;
-  for (index_t j = 0; j < n; ++j) {
-    float* col = c + j * ldc;
-    if (beta == 0.0f)
-      std::fill(col, col + m, 0.0f);
-    else
-      for (index_t i = 0; i < m; ++i) col[i] *= beta;
-  }
-}
-
-// beta is fused into the first k-panel's GEBP (kk == 0; later panels
-// accumulate with beta == 1), so no standalone sweep over C runs. Each
-// rank owns a static row range for the whole jj/kk nest, so every C
-// element sees its kk == 0 update first and exactly once.
-void sgemm_colmajor(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, float alpha,
-                    const float* a, index_t lda, const float* b, index_t ldb, float beta,
-                    float* c, index_t ldc, const SgemmOptions& options) {
-  const SBlocks bs = resolve_blocks(options, m, n, k);
-  const SMicrokernel& kernel = best_smicrokernel();
-  const int nthreads = std::max(1, options.threads);
-
-  AlignedBuffer<float> packed_b(static_cast<std::size_t>(
-      detail::packed_b_size_t<float>(std::min(bs.kc, k), std::min(bs.nc, n), bs.nr)));
-  std::vector<AlignedBuffer<float>> packed_a(static_cast<std::size_t>(nthreads));
-  const std::size_t a_elems = static_cast<std::size_t>(
-      detail::packed_a_size_t<float>(std::min(bs.mc, m), std::min(bs.kc, k), bs.mr));
-  for (auto& buf : packed_a) buf = AlignedBuffer<float>(a_elems);
-
-  auto worker = [&](int rank, int parties, Barrier* barrier) {
-    for (index_t jj = 0; jj < n; jj += bs.nc) {
-      const index_t nc = std::min(bs.nc, n - jj);
-      const index_t b_slivers = ceil_div(nc, static_cast<index_t>(bs.nr));
-      for (index_t kk = 0; kk < k; kk += bs.kc) {
-        const index_t kc = std::min(bs.kc, k - kk);
-        const Range bp = partition_range(b_slivers, parties, rank, 1);
-        detail::pack_b_slivers_t(trans_b, b, ldb, kk, jj, kc, nc, bs.nr, bp.begin, bp.end,
-                                 packed_b.data());
-        if (barrier) barrier->arrive_and_wait();
-        const Range rows = partition_range(m, parties, rank, bs.mc);
-        for (index_t ii = rows.begin; ii < rows.end; ii += bs.mc) {
-          const index_t mc = std::min(bs.mc, rows.end - ii);
-          float* pa = packed_a[static_cast<std::size_t>(rank)].data();
-          detail::pack_a_t(trans_a, a, lda, ii, kk, mc, kc, bs.mr, pa);
-          detail::gebp_t<float>(mc, nc, kc, alpha, pa, packed_b.data(),
-                                kk == 0 ? beta : 1.0f, c + ii + jj * ldc, ldc, kernel.fn,
-                                bs.mr, bs.nr);
-        }
-        if (barrier) barrier->arrive_and_wait();
-      }
-    }
-  };
-
-  if (nthreads == 1 || m <= bs.mr) {
-    worker(0, 1, nullptr);
-  } else {
-    ThreadPool pool(nthreads);
-    Barrier barrier(nthreads);
-    pool.run([&](int rank) { worker(rank, nthreads, &barrier); });
-  }
+/// sgemm takes no Context, so each caller thread keeps one, as the C API
+/// does for its dgemm calls: its fork/join pool and packing scratch are
+/// reused by every sgemm call the thread makes.
+const Context& caller_context(int threads) {
+  thread_local Context ctx;
+  if (ctx.threads() != threads) ctx.set_threads(threads);
+  return ctx;
 }
 
 void sref_colmajor(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, float alpha,
@@ -128,24 +69,12 @@ void sref_colmajor(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k
   }
 }
 
-void validate_sgemm(Layout layout, Trans trans_a, Trans trans_b, index_t m, index_t n,
-                    index_t k, index_t lda, index_t ldb, index_t ldc) {
-  AG_CHECK(m >= 0 && n >= 0 && k >= 0);
-  const bool col = layout == Layout::ColMajor;
-  const index_t a_rows = (trans_a == Trans::NoTrans) == col ? m : k;
-  const index_t b_rows = (trans_b == Trans::NoTrans) == col ? k : n;
-  const index_t c_rows = col ? m : n;
-  AG_CHECK(lda >= std::max<index_t>(1, a_rows));
-  AG_CHECK(ldb >= std::max<index_t>(1, b_rows));
-  AG_CHECK(ldc >= std::max<index_t>(1, c_rows));
-}
-
 }  // namespace
 
 void sgemm(Layout layout, Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k,
            float alpha, const float* a, index_t lda, const float* b, index_t ldb, float beta,
            float* c, index_t ldc, const SgemmOptions& options) {
-  validate_sgemm(layout, trans_a, trans_b, m, n, k, lda, ldb, ldc);
+  validate_gemm_args(layout, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
   if (m == 0 || n == 0) return;
   if (layout == Layout::RowMajor) {
     sgemm(Layout::ColMajor, trans_b, trans_a, n, m, k, alpha, b, ldb, a, lda, beta, c, ldc,
@@ -153,16 +82,21 @@ void sgemm(Layout layout, Trans trans_a, Trans trans_b, index_t m, index_t n, in
     return;
   }
   if (k == 0 || alpha == 0.0f) {
-    scale_panel(c, ldc, m, n, beta);
+    detail::scale_panel(c, ldc, m, n, beta);
     return;
   }
-  sgemm_colmajor(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, options);
+  const int threads = std::max(1, options.threads);
+  detail::run_gemm(
+      detail::GemmCall<float>{trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc},
+      caller_context(threads), {}, [&](index_t pm, index_t pn, index_t pk) {
+        return resolve_plan(options, threads, pm, pn, pk);
+      });
 }
 
 void reference_sgemm(Layout layout, Trans trans_a, Trans trans_b, index_t m, index_t n,
                      index_t k, float alpha, const float* a, index_t lda, const float* b,
                      index_t ldb, float beta, float* c, index_t ldc) {
-  validate_sgemm(layout, trans_a, trans_b, m, n, k, lda, ldb, ldc);
+  validate_gemm_args(layout, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc);
   if (m == 0 || n == 0) return;
   if (layout == Layout::RowMajor) {
     reference_sgemm(Layout::ColMajor, trans_b, trans_a, n, m, k, alpha, b, ldb, a, lda, beta,

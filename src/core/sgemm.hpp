@@ -24,6 +24,9 @@ struct SgemmOptions {
   bool tunable = false;
 };
 
+/// Runs dgemm's driver in float. Parallel calls run on a fork/join pool
+/// the calling thread keeps, with its packing scratch, across calls.
+/// Validates its arguments as dgemm does (ag::InvalidArgument).
 void sgemm(Layout layout, Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
            std::int64_t k, float alpha, const float* a, std::int64_t lda, const float* b,
            std::int64_t ldb, float beta, float* c, std::int64_t ldc,

@@ -7,7 +7,7 @@
 #include "common/knobs.hpp"
 #include "common/timer.hpp"
 #include "core/gemm_internal.hpp"
-#include "core/sgemm.hpp"
+#include "kernels/sgemm_kernels.hpp"
 #include "threading/topology.hpp"
 
 namespace ag {
@@ -47,85 +47,77 @@ struct PrefetchGuard {
   }
 };
 
-/// Best-of-reps wall time of `fn` (one warmup rep, two timed), as Gflops.
+/// Best-of-reps wall time of `fn` (one warmup call, two timed reps), as
+/// Gflops. A rep repeats a sub-20 us call enough times to span about
+/// 20 us, so the tiny shapes of the small-path crossover are timed above
+/// clock granularity and per-call jitter.
 template <typename Fn>
 double time_probe(double flops, Fn&& fn) {
+  Timer warmup;
   fn();  // warmup: faults the pages, warms the caches and branch state
+  constexpr double kMinRepSeconds = 20e-6;
+  const int calls = static_cast<int>(
+      std::clamp(kMinRepSeconds / std::max(warmup.seconds(), 1e-9), 1.0, 256.0));
   double best = -1.0;
   for (int rep = 0; rep < 2; ++rep) {
     Timer t;
-    fn();
-    const double s = t.seconds();
+    for (int i = 0; i < calls; ++i) fn();
+    const double s = t.seconds() / calls;
     if (best < 0 || s < best) best = s;
   }
   if (best <= 0) return 0;
   return flops / best * 1e-9;
 }
 
-double run_probe_f32(const tune::ProbeRequest& req) {
-  AlignedBuffer<float> a(static_cast<std::size_t>(req.m * req.k));
-  AlignedBuffer<float> b(static_cast<std::size_t>(req.k * req.n));
-  AlignedBuffer<float> c(static_cast<std::size_t>(req.m * req.n));
-  fill_operand(a.data(), static_cast<std::size_t>(req.m * req.k), 1);
-  fill_operand(b.data(), static_cast<std::size_t>(req.k * req.n), 2);
-  fill_operand(c.data(), static_cast<std::size_t>(req.m * req.n), 3);
-
-  SgemmOptions opt;
-  opt.threads = 1;
-  opt.kc = req.kc;
-  opt.mc = req.mc;
-  opt.nc = req.nc;
-  const double flops = 2.0 * static_cast<double>(req.m) * static_cast<double>(req.n) *
-                       static_cast<double>(req.k);
-  return time_probe(flops, [&] {
-    sgemm(Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, req.m, req.n, req.k, 1.0f,
-          a.data(), req.m, b.data(), req.k, 0.5f, c.data(), req.m, opt);
-  });
-}
-
-double run_probe_f64(const tune::ProbeRequest& req) {
-  AlignedBuffer<double> a(static_cast<std::size_t>(req.m * req.k));
-  AlignedBuffer<double> b(static_cast<std::size_t>(req.k * req.n));
-  AlignedBuffer<double> c(static_cast<std::size_t>(req.m * req.n));
+/// One probe on freshly allocated operands: the no-pack small nest for a
+/// small_path request, else the blocked driver at one rank with the
+/// candidate kernel and blocking, and no instrumentation.
+template <typename T>
+double run_probe_t(const tune::ProbeRequest& req, detail::KernelFnT<T> kernel) {
+  AlignedBuffer<T> a(static_cast<std::size_t>(req.m * req.k));
+  AlignedBuffer<T> b(static_cast<std::size_t>(req.k * req.n));
+  AlignedBuffer<T> c(static_cast<std::size_t>(req.m * req.n));
   fill_operand(a.data(), static_cast<std::size_t>(req.m * req.k), 1);
   fill_operand(b.data(), static_cast<std::size_t>(req.k * req.n), 2);
   fill_operand(c.data(), static_cast<std::size_t>(req.m * req.n), 3);
   const double flops = 2.0 * static_cast<double>(req.m) * static_cast<double>(req.n) *
                        static_cast<double>(req.k);
+  const detail::GemmCall<T> g{Trans::NoTrans, Trans::NoTrans, req.m, req.n, req.k, T(1),
+                              a.data(), req.m, b.data(), req.k, T(0.5), c.data(), req.m};
 
   if (req.small_path) {
     return time_probe(flops, [&] {
-      detail::gemm_small_nest(Trans::NoTrans, Trans::NoTrans, req.m, req.n, req.k, 1.0,
-                              a.data(), req.m, b.data(), req.k, 0.5, c.data(), req.m);
+      detail::gemm_small_nest(g.trans_a, g.trans_b, g.m, g.n, g.k, g.alpha, g.a, g.lda, g.b,
+                              g.ldb, g.beta, g.c, g.ldc);
     });
   }
 
-  if (req.kernel == nullptr) return 0;
-  BlockSizes bs;
-  bs.mr = req.mr;
-  bs.nr = req.nr;
-  bs.kc = req.kc;
-  bs.mc = req.mc;
-  bs.nc = req.nc;
-  bs.validate();  // throws on a malformed candidate -> caught below, 0
+  if (kernel == nullptr) return 0;
+  detail::GemmPlan<T> plan;
+  plan.kernel = kernel;
+  plan.bs.mr = req.mr;
+  plan.bs.nr = req.nr;
+  plan.bs.kc = req.kc;
+  plan.bs.mc = req.mc;
+  plan.bs.nc = req.nc;
+  plan.bs.validate();  // throws on a malformed candidate -> caught below, 0
 
-  GemmScratch scratch;
+  PackBuffers<T> scratch;
   return time_probe(flops, [&] {
-    detail::gemm_blocked_serial(req.m, req.n, req.k, 1.0, a.data(), req.m, b.data(), req.k,
-                                0.5, c.data(), req.m, *req.kernel, bs, scratch);
+    detail::gemm_blocked(g, plan, scratch, /*pool=*/nullptr, /*ranks=*/1, {});
   });
 }
 
-/// The real probe runner the tuner calls (through the injected pointer):
-/// times the uninstrumented serial nest — or the no-pack small nest, or
-/// the f32 path — on freshly allocated operands. Any failure (bad
-/// candidate, allocation) reports 0, which the tuner treats as "skip".
+/// The real probe runner the tuner calls (through the injected pointer).
+/// Any failure (bad candidate, allocation) reports 0, which the tuner
+/// treats as "skip".
 double run_probe(const tune::ProbeRequest& req) noexcept {
   if (req.m <= 0 || req.n <= 0 || req.k <= 0) return 0;
   try {
     PrefetchGuard prefetch(req.prea, req.preb);
-    if (req.precision == tune::Precision::kF32) return run_probe_f32(req);
-    return run_probe_f64(req);
+    if (req.precision == tune::Precision::kF32)
+      return run_probe_t<float>(req, best_smicrokernel().fn);
+    return run_probe_t<double>(req, req.kernel ? req.kernel->fn : nullptr);
   } catch (...) {
     return 0;
   }

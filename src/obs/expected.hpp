@@ -3,11 +3,12 @@
 // these predictions against measured GemmStats; the bench reports print
 // them next to the measured values as a self-check.
 //
-// All counter predictions except pack_b_calls are identical for the
-// serial and parallel drivers (partition_range splits M into the same
-// ceil(m/mc) chunks overall). pack_b_calls counts whole-panel packs,
-// matching the serial driver; the parallel driver records one call per
-// rank that packed a non-empty sliver range of each panel.
+// There is one blocked driver (core/gemm.cpp). All counter predictions
+// except pack_b_calls are identical at every rank count (its block grid
+// splits M into the same ceil(m/mc) chunks overall). pack_b_calls counts
+// whole-panel packs, matching a one-rank run; with several ranks the
+// driver records one call per rank that packed a non-empty sliver range
+// of each panel.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,8 @@
 namespace ag::obs {
 
 /// Counters one column-major dgemm with m,n,k > 0 and alpha != 0 must
-/// record (time fields are left zero). Exact for the serial driver;
-/// exact except pack_b_calls for the parallel driver.
+/// record (time fields are left zero). Exact at one rank; exact except
+/// pack_b_calls with several ranks.
 LayerCounters expected_gemm_counters(std::int64_t m, std::int64_t n, std::int64_t k,
                                      const BlockSizes& bs);
 

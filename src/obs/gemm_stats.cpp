@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <sstream>
+#include <thread>
 
 namespace ag::obs {
 
@@ -97,23 +98,38 @@ std::string LayerCounters::to_json() const {
 
 namespace {
 
-/// Seqlock write section for one ThreadSlot update. The fence after the
-/// odd bump orders it before the (relaxed) field updates; the release
-/// bump at the end orders the updates before the even version a reader
-/// validates against.
+/// Seqlock write section for one ThreadSlot update. The version is taken
+/// by a CAS from even to odd, so writers sharing a slot (every C API
+/// caller records into slot 0) hold it one at a time, and a reader that
+/// sees the same even version before and after its loads really saw no
+/// write in between. The acquire CAS orders this section after the
+/// previous one; the fence orders the odd version before the (relaxed)
+/// field updates; the release store at the end orders the updates before
+/// the even version a reader validates against.
 class SlotWrite {
  public:
   explicit SlotWrite(std::atomic<std::uint64_t>& version) : version_(version) {
-    version_.fetch_add(1, std::memory_order_relaxed);
+    std::uint64_t v = version_.load(std::memory_order_relaxed);
+    for (;;) {
+      if (v & 1) {
+        std::this_thread::yield();
+        v = version_.load(std::memory_order_relaxed);
+      } else if (version_.compare_exchange_weak(v, v + 1, std::memory_order_acquire,
+                                                std::memory_order_relaxed)) {
+        break;
+      }
+    }
+    held_ = v + 1;
     std::atomic_thread_fence(std::memory_order_release);
   }
-  ~SlotWrite() { version_.fetch_add(1, std::memory_order_release); }
+  ~SlotWrite() { version_.store(held_ + 1, std::memory_order_release); }
 
   SlotWrite(const SlotWrite&) = delete;
   SlotWrite& operator=(const SlotWrite&) = delete;
 
  private:
   std::atomic<std::uint64_t>& version_;
+  std::uint64_t held_ = 0;  // the odd version this section published
 };
 
 }  // namespace
@@ -161,13 +177,11 @@ void ThreadSlot::add_barrier_wait(double seconds) {
 
 LayerCounters ThreadSlot::snapshot() const {
   // Seqlock read: retry while a writer is mid-update (odd version) or a
-  // write completed between the two version loads. Bounded so a pathological
-  // recording storm (or two host threads sharing the slot, where parity
-  // alone cannot prove quiescence) degrades to per-field atomicity
-  // instead of livelock.
-  constexpr int kMaxRetries = 1024;
+  // write completed between the two version loads. A write section is a
+  // handful of relaxed adds, so the retry is unbounded: yield and read
+  // again rather than ever return a torn snapshot.
   LayerCounters c;
-  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
+  for (;; std::this_thread::yield()) {
     const std::uint64_t v0 = version.load(std::memory_order_acquire);
     if (v0 & 1) continue;
     c.gemm_calls = gemm_calls.load(std::memory_order_relaxed);
@@ -189,7 +203,6 @@ LayerCounters ThreadSlot::snapshot() const {
     std::atomic_thread_fence(std::memory_order_acquire);
     if (version.load(std::memory_order_relaxed) == v0) return c;
   }
-  return c;
 }
 
 void ThreadSlot::reset() {

@@ -79,12 +79,11 @@ struct LayerCounters {
 ///
 /// Snapshot consistency: every add_* (and reset) brackets its field
 /// updates in a seqlock version — odd while an update is in flight. A
-/// snapshot that observes a version change retries, so it never mixes
-/// fields from before and after one recording (e.g. a call's flops
-/// without its seconds) as long as one thread records into the slot at a
-/// time — the pool's invariant. If two host threads ever share slot 0
-/// concurrently, counts stay exact (atomics) and the snapshot degrades
-/// to per-field atomicity after a bounded number of retries.
+/// writer takes the odd version by CAS, so host threads sharing a slot
+/// (concurrent C API callers all record into slot 0) write one at a time.
+/// A snapshot that observes an odd or changed version retries until it
+/// reads a quiescent slot, so it never mixes fields from before and after
+/// one recording (e.g. a call's flops without its seconds).
 struct alignas(64) ThreadSlot {
   std::atomic<std::uint64_t> gemm_calls{0};
   std::atomic<std::uint64_t> pack_a_calls{0};

@@ -398,9 +398,7 @@ std::string PmuCollector::to_json() const {
   return os.str();
 }
 
-PmuRegion::PmuRegion(PmuCollector* collector, int rank, PmuLayer layer)
-    : collector_(collector), rank_(rank), layer_(layer) {
-  if (!collector_) return;
+void PmuRegion::begin() {
   PmuCollector::RankState& rs = collector_->rank(rank_);
   std::lock_guard lock(rs.mutex);
   // Counter groups attach to the opening thread: (re)open whenever a new
@@ -415,8 +413,7 @@ PmuRegion::PmuRegion(PmuCollector* collector, int rank, PmuLayer layer)
   begin_ = rs.group.read();
 }
 
-PmuRegion::~PmuRegion() {
-  if (!collector_) return;
+void PmuRegion::end() {
   PmuCollector::RankState& rs = collector_->rank(rank_);
   std::lock_guard lock(rs.mutex);
   if (rs.generation != generation_) {

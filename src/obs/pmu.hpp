@@ -214,13 +214,21 @@ class PmuCollector {
 /// constructed with a null collector, so call sites stay branch-free.
 class PmuRegion {
  public:
-  PmuRegion(PmuCollector* collector, int rank, PmuLayer layer);
-  ~PmuRegion();
+  PmuRegion(PmuCollector* collector, int rank, PmuLayer layer)
+      : collector_(collector), rank_(rank), layer_(layer) {
+    if (collector_) begin();
+  }
+  ~PmuRegion() {
+    if (collector_) end();
+  }
 
   PmuRegion(const PmuRegion&) = delete;
   PmuRegion& operator=(const PmuRegion&) = delete;
 
  private:
+  void begin();
+  void end();
+
   PmuCollector* collector_;
   int rank_;
   PmuLayer layer_;

@@ -68,20 +68,6 @@ void Tracer::set_lane_name(int rank, const std::string& name) {
   l.name = name;
 }
 
-Tracer::Region::Region(Tracer* tracer, int rank, const char* name)
-    : tracer_(tracer), rank_(rank), name_(name) {
-  if (tracer_) t0_ = tracer_->now();
-}
-
-Tracer::Region::Region(Tracer* tracer, int rank, const char* name, const BlockArgs& args)
-    : tracer_(tracer), rank_(rank), name_(name), args_(args) {
-  if (tracer_) t0_ = tracer_->now();
-}
-
-Tracer::Region::~Region() {
-  if (tracer_) tracer_->record(rank_, name_, t0_, tracer_->now() - t0_, args_);
-}
-
 std::size_t Tracer::event_count() const {
   std::size_t n = 0;
   for (const auto& l : lanes_) {

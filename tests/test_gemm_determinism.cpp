@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/rng.hpp"
 #include "core/gemm.hpp"
+#include "core/sgemm.hpp"
 #include "scoped_knobs.hpp"
 
 using ag::index_t;
@@ -77,6 +79,41 @@ TEST(GemmDeterminism, SmallFastPathIsDeterministicToo) {
     for (int rep = 0; rep < 5; ++rep) {
       const std::vector<double> got = run_once(threads, m, n, k, a, b, c0);
       ASSERT_EQ(std::memcmp(got.data(), golden.data(), golden.size() * sizeof(double)), 0)
+          << "threads=" << threads << " rep=" << rep;
+    }
+  }
+}
+
+// sgemm runs the same driver, so the same argument holds in float.
+TEST(GemmDeterminism, SgemmBitwiseIdenticalAcrossRunsAndThreadCounts) {
+  // m=200 with mc=32 gives 7 row blocks: 8 threads take the 2-D
+  // column-group fallback.
+  const index_t m = 200, n = 96, k = 80;
+  agtest::ScopedSmallMnk pack_path(0);
+  ag::Xoshiro256 rng(301);
+  const auto fill = [&](index_t count) {
+    std::vector<float> v(static_cast<std::size_t>(count));
+    for (float& x : v) x = static_cast<float>(rng.uniform(-1, 1));
+    return v;
+  };
+  const std::vector<float> a = fill(m * k), b = fill(k * n), c0 = fill(m * n);
+  const auto run = [&](int threads) {
+    ag::SgemmOptions opts;
+    opts.threads = threads;
+    opts.kc = 32;
+    opts.mc = 32;
+    opts.nc = 48;
+    std::vector<float> c = c0;
+    ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, m, n, k, 1.25f,
+              a.data(), m, b.data(), k, 0.5f, c.data(), m, opts);
+    return c;
+  };
+
+  const std::vector<float> golden = run(1);
+  for (int threads : {1, 2, 4, 8}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const std::vector<float> got = run(threads);
+      ASSERT_EQ(std::memcmp(got.data(), golden.data(), golden.size() * sizeof(float)), 0)
           << "threads=" << threads << " rep=" << rep;
     }
   }

@@ -1,16 +1,26 @@
 // Single-precision GEMM tests: float kernels against a scalar rank-kc
 // reference, the full sgemm against reference_sgemm over size sweeps,
-// transposes, alpha/beta, threads, and row-major.
+// transposes, alpha/beta, threads, and row-major, plus argument checks,
+// beta == 0 on every driver path and reuse of the caller's pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <limits>
+#include <set>
+#include <string>
 #include <vector>
+
+#if defined(__linux__)
+#include <dirent.h>
+#endif
 
 #include "common/aligned_buffer.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/sgemm.hpp"
 #include "kernels/sgemm_kernels.hpp"
+#include "scoped_knobs.hpp"
 
 using ag::index_t;
 
@@ -131,6 +141,90 @@ TEST(Sgemm, Validates) {
   EXPECT_THROW(ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, 2, 2, 2,
                          1.0f, x, 1, x, 2, 0.0f, x, 2),
                ag::InvalidArgument);
+  // Null operands throw like dgemm's instead of being dereferenced.
+  EXPECT_THROW(ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, 2, 2, 2,
+                         1.0f, nullptr, 2, x, 2, 0.0f, x, 2),
+               ag::InvalidArgument);
+  EXPECT_THROW(ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, 2, 2, 2,
+                         1.0f, x, 2, nullptr, 2, 0.0f, x, 2),
+               ag::InvalidArgument);
+  EXPECT_THROW(ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, 2, 2, 2,
+                         1.0f, x, 2, x, 2, 0.0f, nullptr, 2),
+               ag::InvalidArgument);
+  EXPECT_THROW(ag::sgemm(ag::Layout::RowMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, 2, 2, 2,
+                         1.0f, nullptr, 2, x, 2, 0.0f, x, 2),
+               ag::InvalidArgument);
 }
+
+// beta == 0 must overwrite C without reading it, so NaN garbage never
+// survives — on the no-pack small nest, the one-rank blocked driver and
+// the parallel driver alike.
+TEST(Sgemm, BetaZeroOverwritesNaNOnEveryPath) {
+  struct Path {
+    const char* name;
+    std::int64_t small_mnk;
+    int threads;
+    index_t m, n, k;
+  };
+  const Path paths[] = {{"small", 32, 1, 20, 18, 12},
+                        {"serial", 0, 1, 70, 50, 40},
+                        {"parallel", 0, 4, 300, 50, 40}};
+  for (const Path& p : paths) {
+    agtest::ScopedSmallMnk small(p.small_mnk);
+    const auto a = random_floats(static_cast<std::size_t>(p.m * p.k), 31);
+    const auto b = random_floats(static_cast<std::size_t>(p.k * p.n), 32);
+    std::vector<float> c(static_cast<std::size_t>(p.m * p.n),
+                         std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> want(c.size(), 0.0f);
+    ag::SgemmOptions opts;
+    opts.threads = p.threads;
+    ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, p.m, p.n, p.k, 1.0f,
+              a.data(), p.m, b.data(), p.k, 0.0f, c.data(), p.m, opts);
+    ag::reference_sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, p.m, p.n,
+                        p.k, 1.0f, a.data(), p.m, b.data(), p.k, 0.0f, want.data(), p.m);
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_FALSE(std::isnan(c[i])) << p.name << " elem " << i;
+      ASSERT_NEAR(c[i], want[i], 1e-3f) << p.name << " elem " << i;
+    }
+  }
+}
+
+#if defined(__linux__)
+// Thread ids of this process's fork/join pool workers ("armgemm-w<rank>").
+std::set<std::string> pool_worker_tids() {
+  std::set<std::string> tids;
+  DIR* task = opendir("/proc/self/task");
+  if (task == nullptr) return tids;
+  while (dirent* e = readdir(task)) {
+    if (e->d_name[0] == '.') continue;
+    std::ifstream comm(std::string("/proc/self/task/") + e->d_name + "/comm");
+    std::string name;
+    if (std::getline(comm, name) && name.rfind("armgemm-w", 0) == 0) tids.insert(e->d_name);
+  }
+  closedir(task);
+  return tids;
+}
+
+// sgemm keeps one pool per caller thread: parallel calls reuse its workers
+// instead of starting and joining new ones every call.
+TEST(Sgemm, ReusesWorkersAcrossCalls) {
+  agtest::ScopedSmallMnk blocked(0);
+  const index_t m = 128, n = 64, k = 32;
+  const auto a = random_floats(static_cast<std::size_t>(m * k), 41);
+  const auto b = random_floats(static_cast<std::size_t>(k * n), 42);
+  std::vector<float> c(static_cast<std::size_t>(m * n), 0.0f);
+  ag::SgemmOptions opts;
+  opts.threads = 4;
+  const auto call = [&] {
+    ag::sgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, m, n, k, 1.0f,
+              a.data(), m, b.data(), k, 0.0f, c.data(), m, opts);
+  };
+  call();
+  const std::set<std::string> first = pool_worker_tids();
+  ASSERT_FALSE(first.empty()) << "a threads=4 sgemm left no pool workers behind";
+  for (int i = 0; i < 200; ++i) call();
+  EXPECT_EQ(pool_worker_tids(), first);
+}
+#endif
 
 }  // namespace
