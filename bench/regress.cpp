@@ -41,6 +41,7 @@
 // Exit codes: 0 ok, 1 efficiency regression (or unmatched points under
 // --unknown=fail), 2 usage/baseline error.
 // tools/bench_diff.py renders the same files side by side.
+#include <algorithm>
 #include <cstdio>
 #include <ctime>
 #include <fstream>
@@ -288,13 +289,22 @@ std::vector<BatchResult> run_batch_points(const std::vector<int>& threads, int r
 // tunable one (the closed-loop tuner resolves kernel + blocking). Gated
 // LIVE — tuned must not lose to default beyond the threshold even without
 // a baseline — and against the baseline's tuned Gflops when present.
+// The two contexts run in interleaved pairs, alternating which goes
+// first, so host drift lands on both sides of a pair; the live gate reads
+// the median of the per-pair ratios.
 struct TuneResult {
   std::int64_t n = 0;  // n x n x n square
   int threads = 1;
-  double default_gflops = 0;  // pinned context
-  double tuned_gflops = 0;    // tunable context
-  double ratio = 0;           // tuned / default
+  double default_gflops = 0;  // pinned context, median over the pairs
+  double tuned_gflops = 0;    // tunable context, median over the pairs
+  double ratio = 0;           // median per-pair tuned / default
 };
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 ? v[h] : 0.5 * (v[h - 1] + v[h]);
+}
 
 TuneResult run_tune_point(std::int64_t n, int threads, int reps, double inject) {
   auto a = ag::random_matrix(n, n, 21);
@@ -306,32 +316,36 @@ TuneResult run_tune_point(std::int64_t n, int threads, int reps, double inject) 
   TuneResult r;
   r.n = n;
   r.threads = threads;
-  const auto best_of = [&](ag::Context& ctx) {
-    const auto call = [&] {
-      ag::dgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, n, n, n, 1.0,
-                a.data(), a.ld(), b.data(), b.ld(), 1.0, c.data(), c.ld(), ctx);
-    };
-    call();  // warm-up (for the tunable context this runs the probes)
-    double best = 1e300;
-    // Floor of 3 timed reps regardless of --reps: this point feeds a
-    // live gate, and one noisy measurement must not fail the run.
-    for (int i = 0; i < std::max(reps, 3); ++i) {
-      ag::Timer t;
-      call();
-      best = std::min(best, t.seconds());
-    }
-    return flops / best * 1e-9;
+  ag::Context pinned(ag::KernelShape{8, 6}, threads);
+  ag::Context tuned(ag::KernelShape{8, 6}, threads);
+  tuned.set_tunable(true);
+  const auto gflops = [&](ag::Context& ctx) {
+    ag::Timer t;
+    ag::dgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, n, n, n, 1.0,
+              a.data(), a.ld(), b.data(), b.ld(), 1.0, c.data(), c.ld(), ctx);
+    return flops / t.seconds() * 1e-9;
   };
-  {
-    ag::Context pinned(ag::KernelShape{8, 6}, threads);
-    r.default_gflops = best_of(pinned);
+  gflops(pinned);  // warm-up
+  gflops(tuned);   // warm-up: runs the tuner's probes
+  // Floor of 7 pairs regardless of --reps: this point feeds a live gate,
+  // and one noisy pair must not fail the run.
+  std::vector<double> def, tun, ratio;
+  for (int i = 0; i < std::max(reps, 7); ++i) {
+    double d, t;
+    if (i % 2 == 0) {
+      d = gflops(pinned);
+      t = gflops(tuned);
+    } else {
+      t = gflops(tuned);
+      d = gflops(pinned);
+    }
+    def.push_back(d);
+    tun.push_back(inject * t);
+    ratio.push_back(inject * t / d);
   }
-  {
-    ag::Context tuned(ag::KernelShape{8, 6}, threads);
-    tuned.set_tunable(true);
-    r.tuned_gflops = inject * best_of(tuned);
-  }
-  r.ratio = r.default_gflops > 0 ? r.tuned_gflops / r.default_gflops : 0;
+  r.default_gflops = median_of(def);
+  r.tuned_gflops = median_of(tun);
+  r.ratio = median_of(ratio);
   return r;
 }
 
@@ -778,10 +792,10 @@ int main(int argc, char** argv) {
   // gating belongs to the baseline diff under --threshold.
   const double live_threshold = std::max(threshold, 0.25);
   for (const TuneResult& t : tune) {
-    const bool bad = t.tuned_gflops < t.default_gflops * (1.0 - live_threshold);
+    const bool bad = t.ratio < 1.0 - live_threshold;
     std::cout << "tune n=" << t.n << " threads=" << t.threads << ": default "
               << ag::Table::fmt(t.default_gflops, 2) << " -> tuned "
-              << ag::Table::fmt(t.tuned_gflops, 2) << " Gflops ("
+              << ag::Table::fmt(t.tuned_gflops, 2) << " Gflops median (per-pair median "
               << ag::Table::fmt(t.ratio, 2) << "x) "
               << (bad ? "TUNED SLOWER THAN DEFAULT" : "ok") << "\n";
     live_tune_failures += bad ? 1 : 0;

@@ -80,9 +80,9 @@ void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t
 template <typename T>
 void gemm_small(const GemmCall<T>& g, const Instrumentation& inst) {
   obs::GemmStats* stats = inst.stats;
-  obs::ThreadSlot* slot = stats ? &stats->slot(0) : nullptr;
-  obs::Tracer::Region region(stats ? stats->tracer() : nullptr, 0, "small_gemm");
-  obs::PmuRegion hw(stats ? stats->pmu() : nullptr, 0, obs::PmuLayer::kSmall);
+  obs::ThreadSlot* slot = stats ? &stats->slot(inst.lane) : nullptr;
+  obs::Tracer::Region region(stats ? stats->tracer() : nullptr, inst.lane, "small_gemm");
+  obs::PmuRegion hw(stats ? stats->pmu() : nullptr, inst.lane, obs::PmuLayer::kSmall);
   // The no-pack nest is all compute: the whole call is kernel time.
   obs::PhaseScope phase(inst.phases ? inst.phases->slot(obs::Phase::kKernel) : nullptr);
   Timer t;
@@ -152,7 +152,8 @@ void gebp_layer(index_t mc, index_t nc, index_t kc, T alpha, const T* packed_a,
 // the critical path (the classic schedule needed two: packed-before-
 // compute and computed-before-repack). One rank packs each panel into a
 // single buffer right before computing it, with no pool and no barrier:
-// the serial jj -> kk -> ii nest. Within a panel, layer-3 work is claimed
+// the serial jj -> kk -> ii nest (or takes each panel from a PanelSource,
+// as batch tickets do). Within a panel, layer-3 work is claimed
 // dynamically from a per-panel atomic ticket counter over the
 // PanelSchedule block grid, which falls back to a 2-D (m x n) split when
 // there are fewer mc row blocks than ranks. beta rides into GEBP with the
@@ -175,7 +176,8 @@ void gebp_layer(index_t mc, index_t nc, index_t kc, T alpha, const T* packed_a,
 // cache-sized mc, again without touching the grid.
 template <typename T>
 void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>& scratch,
-                  ThreadPool* pool, int ranks, const Instrumentation& inst) {
+                  ThreadPool* pool, int ranks, const Instrumentation& inst,
+                  const PanelSource<T>& panel_source) {
   const BlockSizes& bs = plan.bs;
   obs::GemmStats* const stats = inst.stats;
   obs::Tracer* const tracer = stats ? stats->tracer() : nullptr;
@@ -263,7 +265,8 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
   Barrier barrier(ranks);
 
   const auto run_rank = [&](int rank) {
-    obs::ThreadSlot* slot = stats ? &stats->slot(rank) : nullptr;
+    const int lane = inst.lane + rank;
+    obs::ThreadSlot* slot = stats ? &stats->slot(lane) : nullptr;
     double barrier_wait = 0;
     double* const wait_acc = (slot || inst.barrier_telemetry) ? &barrier_wait : nullptr;
     obs::CallPhases* const my_ph =
@@ -275,38 +278,48 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
     // LITTLE-class rank re-tiles along m to its own cache-sized mc).
     const index_t my_mc = rank_mc.empty() ? bs.mc : rank_mc[static_cast<std::size_t>(rank)];
 
-    const auto pack_panel = [&](const Panel& panel, index_t p) {
+    const auto pack_panel = [&](const Panel& panel, T* dst) {
       const index_t slivers = ceil_div(panel.nc, static_cast<index_t>(bs.nr));
       const Range bp = partition_range(slivers, ranks, rank, 1);
-      obs::Tracer::Region region(tracer, rank, "pack_b", {-1, panel.jc, panel.pc});
-      obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kPackB);
+      obs::Tracer::Region region(tracer, lane, "pack_b", {-1, panel.jc, panel.pc});
+      obs::PmuRegion hw(pmu, lane, obs::PmuLayer::kPackB);
       obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kPackB) : nullptr);
       pack_b_layer(g.trans_b, g.b, g.ldb, panel.kk, panel.jj, panel.kc, panel.nc, bs.nr,
-                   bp.begin, bp.end, bbuf[p & 1], slot);
+                   bp.begin, bp.end, dst, slot);
     };
     const auto sync = [&] {
-      obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kBarrier);
+      obs::PmuRegion hw(pmu, lane, obs::PmuLayer::kBarrier);
       barrier.arrive_and_wait(wait_acc);
     };
 
     // Pipelined prologue: panel 0 must be fully packed before anyone
     // computes.
     if (ranks > 1) {
-      pack_panel(panel_at(0), 0);
+      pack_panel(panel_at(0), bbuf[0]);
       sync();
     }
     for (index_t p = 0; p < npanels; ++p) {
       const Panel panel = panel_at(p);
+      const T* panel_b = bbuf[p & 1];
       // Overlap: pack the next panel before computing this one, so
       // another rank's leftover compute hides our pack time (and vice
-      // versa). A lone rank packs the panel it is about to compute.
-      if (ranks == 1)
-        pack_panel(panel, p);
-      else if (p + 1 < npanels)
-        pack_panel(panel_at(p + 1), p + 1);
+      // versa). A lone rank gets the panel it is about to compute from
+      // its source, or packs it.
+      if (ranks == 1) {
+        const auto pack = [&](T* dst) { pack_panel(panel, dst); };
+        const T* fetched =
+            panel_source ? panel_source(panel.kk, panel.jj, panel.kc, panel.nc,
+                                        packed_b_size_t<T>(panel.kc, panel.nc, bs.nr), pack)
+                         : nullptr;
+        if (fetched)
+          panel_b = fetched;
+        else
+          pack(bbuf[0]);
+      } else if (p + 1 < npanels) {
+        pack_panel(panel_at(p + 1), bbuf[(p + 1) & 1]);
+      }
 
       const PanelSchedule sched(g.m, panel.nc, bs.mc, bs.nr, ranks);
-      const T* const panel_b = bbuf[p & 1];
       index_t next = 0;  // a lone rank's next ticket
 
       // Next ticket of panel p for this rank, or -1 when the panel is
@@ -352,16 +365,16 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
           const index_t sub_ii = blk.ii + sub;
           const index_t sub_mc = std::min(my_mc, blk.mc - sub);
           if (sub_ii != packed_ii || sub_mc != packed_mc) {
-            obs::Tracer::Region region(tracer, rank, "pack_a", {ic, panel.jc, panel.pc});
-            obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kPackA);
+            obs::Tracer::Region region(tracer, lane, "pack_a", {ic, panel.jc, panel.pc});
+            obs::PmuRegion hw(pmu, lane, obs::PmuLayer::kPackA);
             obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kPackA) : nullptr);
             pack_a_layer(g.trans_a, g.a, g.lda, sub_ii, panel.kk, sub_mc, panel.kc, bs.mr,
                          my_packed_a, slot);
             packed_ii = sub_ii;
             packed_mc = sub_mc;
           }
-          obs::Tracer::Region region(tracer, rank, "gebp", {ic, panel.jc, panel.pc});
-          obs::PmuRegion hw(pmu, rank, obs::PmuLayer::kGebp);
+          obs::Tracer::Region region(tracer, lane, "gebp", {ic, panel.jc, panel.pc});
+          obs::PmuRegion hw(pmu, lane, obs::PmuLayer::kGebp);
           obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kKernel) : nullptr);
           gebp_layer(sub_mc, blk.nb, panel.kc, g.alpha, my_packed_a,
                      panel_b + blk.sliver0 * panel.kc * bs.nr,
@@ -398,7 +411,7 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
                                 index_t, const T*, index_t, T, T*, index_t);                \
   template void gemm_small(const GemmCall<T>&, const Instrumentation&);                     \
   template void gemm_blocked(const GemmCall<T>&, const GemmPlan<T>&, PackBuffers<T>&,       \
-                             ThreadPool*, int, const Instrumentation&);
+                             ThreadPool*, int, const Instrumentation&, const PanelSource<T>&);
 AG_INSTANTIATE_DRIVER(double)
 AG_INSTANTIATE_DRIVER(float)
 #undef AG_INSTANTIATE_DRIVER

@@ -10,9 +10,7 @@
 #include "common/check.hpp"
 #include "common/knobs.hpp"
 #include "common/math_util.hpp"
-#include "core/gebp.hpp"
 #include "core/gemm_internal.hpp"
-#include "core/packing.hpp"
 #include "core/panel_cache.hpp"
 #include "core/tuning.hpp"
 #include "obs/gemm_stats.hpp"
@@ -48,8 +46,7 @@ struct EntryState {
   // Per-entry execution configuration (kBlocked only): the context's
   // kernel + blocking, or the autotuner's pick for this entry's
   // shape class when the context is tunable.
-  const Microkernel* kernel = nullptr;
-  BlockSizes bs;
+  detail::GemmPlan<double> plan;
   int tickets = 0;
   int shape_class = -1;  // batch ShapeClass index, for cache attribution
   std::atomic<index_t> remaining{0};
@@ -72,99 +69,9 @@ struct Ticket {
   index_t row0, rows;  // row range (kBlocked only)
 };
 
-/// Panel-cache outcomes of one ticket (span args + entry accumulation).
-struct TicketCacheCounts {
-  std::uint64_t hits = 0, misses = 0;
-};
-
-/// Serial blocked nest over one entry's [row0, row0 + rows) C rows,
-/// sharing packed B panels through the cache. Loop order and beta
-/// placement match the one-rank blocked driver, so each C element of the
-/// range sees the exact accumulation order of a serial run.
-TicketCacheCounts run_blocked_rows(const GemmBatchEntry& e, index_t row0, index_t rows,
-                                   const Context& ctx, const Microkernel& kernel,
-                                   const BlockSizes& bs, std::uint64_t epoch,
-                                   int shape_class, int node, obs::CallPhases* phases,
-                                   obs::Tracer* tracer, int lane) {
-  TicketCacheCounts counts;
-  PanelCache& cache = PanelCache::instance();
-
-  Context::ScratchLease lease = ctx.acquire_scratch();
-  PackBuffers<double>& scratch = lease->f64;
-  scratch.reserve(
-      static_cast<std::size_t>(
-          packed_b_size(std::min(bs.kc, e.k), std::min(bs.nc, e.n), bs.nr)),
-      static_cast<std::size_t>(
-          packed_a_size(std::min(bs.mc, rows), std::min(bs.kc, e.k), bs.mr)),
-      1, /*double_buffer=*/false);
-  double* const packed_a = scratch.packed_a[0].data();
-
-  for (index_t jj = 0; jj < e.n; jj += bs.nc) {
-    const index_t nc = std::min(bs.nc, e.n - jj);
-    for (index_t kk = 0; kk < e.k; kk += bs.kc) {
-      const index_t kc = std::min(bs.kc, e.k - kk);
-      const index_t b_elems = packed_b_size(kc, nc, bs.nr);
-
-      PanelKey key;
-      key.b = e.b;
-      key.ldb = e.ldb;
-      key.trans = e.trans_b;
-      key.kk = kk;
-      key.jj = jj;
-      key.kc = kc;
-      key.nc = nc;
-      key.nr = bs.nr;
-      // NUMA replication: panels past the ARMGEMM_PANEL_REPLICATE_KB
-      // threshold are keyed by the consuming node, so each node's first
-      // requester packs (first-touches) a node-local copy. Small panels
-      // stay shared — one copy fits in LLC and replication would only
-      // dilute the cache budget.
-      if (node > 0 && static_cast<std::int64_t>(b_elems) *
-                              static_cast<std::int64_t>(sizeof(double)) >=
-                          panel_replicate_kb() * 1024)
-        key.node = node;
-      key.epoch = epoch;
-      const index_t jc = jj / bs.nc;
-      const index_t pc = kk / bs.kc;
-      PanelCache::Outcome outcome = PanelCache::Outcome::kBypass;
-      std::shared_ptr<const PackedPanel> shared = cache.get_or_pack(
-          key, b_elems,
-          [&](double* dst) {
-            obs::Tracer::Region region(tracer, lane, "pack_b", {-1, jc, pc});
-            obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kPackB) : nullptr);
-            pack_b(e.trans_b, e.b, e.ldb, kk, jj, kc, nc, bs.nr, dst);
-          },
-          shape_class, &outcome,
-          phases ? phases->slot(obs::Phase::kCacheStall) : nullptr);
-      if (outcome == PanelCache::Outcome::kHit) ++counts.hits;
-      if (outcome == PanelCache::Outcome::kMiss) ++counts.misses;
-      const double* panel_b;
-      if (shared) {
-        panel_b = shared->data();
-      } else {
-        // Cache off or full: pack privately (bitwise-identical panel).
-        obs::Tracer::Region region(tracer, lane, "pack_b", {-1, jc, pc});
-        obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kPackB) : nullptr);
-        pack_b(e.trans_b, e.b, e.ldb, kk, jj, kc, nc, bs.nr, scratch.packed_b[0].data());
-        panel_b = scratch.packed_b[0].data();
-      }
-
-      for (index_t ii = row0; ii < row0 + rows; ii += bs.mc) {
-        const index_t mc = std::min(bs.mc, row0 + rows - ii);
-        const index_t ic = ii / bs.mc;
-        {
-          obs::Tracer::Region region(tracer, lane, "pack_a", {ic, jc, pc});
-          obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kPackA) : nullptr);
-          pack_a(e.trans_a, e.a, e.lda, ii, kk, mc, kc, bs.mr, packed_a);
-        }
-        obs::Tracer::Region region(tracer, lane, "gebp", {ic, jc, pc});
-        obs::PhaseScope phase(phases ? phases->slot(obs::Phase::kKernel) : nullptr);
-        gebp(mc, nc, kc, e.alpha, packed_a, panel_b, kk == 0 ? e.beta : 1.0,
-             e.c + ii + jj * e.ldc, e.ldc, kernel);
-      }
-    }
-  }
-  return counts;
+detail::GemmCall<double> entry_call(const GemmBatchEntry& e) {
+  return {e.trans_a, e.trans_b, e.m, e.n, e.k, e.alpha, e.a, e.lda, e.b, e.ldb, e.beta, e.c,
+          e.ldc};
 }
 
 struct BatchSource final : TaskSource {
@@ -175,9 +82,63 @@ struct BatchSource final : TaskSource {
   bool phases = false;  // phase attribution on for this submission
   std::vector<Ticket> tickets;
 
-  /// Timeline lane for a runner: lane 0 is the submitting/helping caller,
-  /// pool worker r lands on lane r + 1 (dgemm_batch names them).
+  /// Lane of a runner's trace spans, stats slot and PMU rank: lane 0 is
+  /// the submitting/helping caller, pool worker r lands on lane r + 1
+  /// (dgemm_batch names them).
   static int trace_lane(int runner_rank) { return runner_rank + 1; }
+
+  /// One blocked ticket: the one-rank driver over the entry's C rows
+  /// [row0, row0 + rows). row0 sits on an mc boundary, so the slice's
+  /// block grid, kc order and output bits are those of the whole entry.
+  /// B panels come through the panel cache; when it is off or full the
+  /// driver packs them privately (bitwise-identical panels).
+  void run_blocked(const EntryState& st, const Ticket& tk, int runner_rank,
+                   const detail::Instrumentation& inst, std::uint64_t* hits,
+                   std::uint64_t* misses) const {
+    const GemmBatchEntry& e = st.e;
+    detail::GemmCall<double> g = entry_call(e);
+    g.m = tk.rows;
+    g.a += e.trans_a == Trans::NoTrans ? tk.row0 : tk.row0 * e.lda;
+    g.c += tk.row0;
+    // NUMA node of this ticket's runner: pool workers map through their
+    // rank, helping/submitting callers (rank -1) through the cpu they
+    // happen to run on. Node 0 disables replication keys.
+    int node = 0;
+    const Topology& topo = Topology::get();
+    if (topo.num_nodes() > 1)
+      node = runner_rank >= 0 ? topo.node_of_rank(runner_rank) : topo.current_node();
+
+    std::shared_ptr<const PackedPanel> held;  // keeps the panel in use alive
+    const auto fetch = [&](index_t kk, index_t jj, index_t kc, index_t nc, index_t elems,
+                           const std::function<void(double*)>& pack) -> const double* {
+      PanelKey key;
+      key.b = e.b;
+      key.ldb = e.ldb;
+      key.trans = e.trans_b;
+      key.kk = kk;
+      key.jj = jj;
+      key.kc = kc;
+      key.nc = nc;
+      key.nr = st.plan.bs.nr;
+      // NUMA replication: panels past the ARMGEMM_PANEL_REPLICATE_KB
+      // threshold are keyed by the consuming node, so each node's first
+      // requester packs (first-touches) a node-local copy. Small panels
+      // stay shared — one copy fits in LLC and replication would only
+      // dilute the cache budget.
+      if (node > 0 && elems * static_cast<index_t>(sizeof(double)) >= panel_replicate_kb() * 1024)
+        key.node = node;
+      key.epoch = epoch;
+      PanelCache::Outcome outcome = PanelCache::Outcome::kBypass;
+      held = PanelCache::instance().get_or_pack(
+          key, elems, pack, st.shape_class, &outcome,
+          inst.phases ? inst.phases->slot(obs::Phase::kCacheStall) : nullptr);
+      if (outcome == PanelCache::Outcome::kHit) ++*hits;
+      if (outcome == PanelCache::Outcome::kMiss) ++*misses;
+      return held ? held->data() : nullptr;
+    };
+    Context::ScratchLease lease = ctx->acquire_scratch();
+    detail::gemm_blocked<double>(g, st.plan, lease->f64, nullptr, 1, inst, fetch);
+  }
 
   void run_ticket(std::int64_t t, const TicketInfo& info) override {
     const Ticket& tk = tickets[static_cast<std::size_t>(t)];
@@ -196,35 +157,22 @@ struct BatchSource final : TaskSource {
                         static_cast<double>(info.queue_depth));
     }
     const GemmBatchEntry& e = st.e;
-    TicketCacheCounts cache;
+    std::uint64_t hits = 0, misses = 0;
     obs::CallPhases local_phases;
     obs::CallPhases* const ph = phases ? &local_phases : nullptr;
+    const detail::Instrumentation inst{ctx->stats(), ph, false, trace_lane(info.runner_rank)};
     switch (st.kind) {
       case EntryKind::kScale: {
         obs::PhaseScope phase(ph ? ph->slot(obs::Phase::kEpilogue) : nullptr);
         detail::scale_panel(e.c, e.ldc, e.m, e.n, e.beta);
         break;
       }
-      case EntryKind::kSmall: {
-        obs::PhaseScope phase(ph ? ph->slot(obs::Phase::kKernel) : nullptr);
-        detail::gemm_small_nest(e.trans_a, e.trans_b, e.m, e.n, e.k, e.alpha, e.a, e.lda,
-                                e.b, e.ldb, e.beta, e.c, e.ldc);
+      case EntryKind::kSmall:
+        detail::gemm_small(entry_call(e), inst);
         break;
-      }
-      case EntryKind::kBlocked: {
-        // NUMA node of this ticket's runner: pool workers map through
-        // their rank, helping/submitting callers (rank -1) through the
-        // cpu they happen to run on. Node 0 disables replication keys.
-        int node = 0;
-        const Topology& topo = Topology::get();
-        if (topo.num_nodes() > 1)
-          node = info.runner_rank >= 0 ? topo.node_of_rank(info.runner_rank)
-                                       : topo.current_node();
-        cache = run_blocked_rows(e, tk.row0, tk.rows, *ctx, *st.kernel, st.bs, epoch,
-                                 st.shape_class, node, ph, tracer,
-                                 trace_lane(info.runner_rank));
+      case EntryKind::kBlocked:
+        run_blocked(st, tk, info.runner_rank, inst, &hits, &misses);
         break;
-      }
     }
     if (ph) {
       for (int p = 0; p < obs::kPhaseCount; ++p) {
@@ -234,8 +182,8 @@ struct BatchSource final : TaskSource {
               static_cast<std::uint64_t>(s * 1e9), std::memory_order_relaxed);
       }
     }
-    if (cache.hits) st.cache_hits.fetch_add(cache.hits, std::memory_order_relaxed);
-    if (cache.misses) st.cache_misses.fetch_add(cache.misses, std::memory_order_relaxed);
+    if (hits) st.cache_hits.fetch_add(hits, std::memory_order_relaxed);
+    if (misses) st.cache_misses.fetch_add(misses, std::memory_order_relaxed);
     if (tracer) {
       const char* name = st.kind == EntryKind::kScale   ? "ticket/scale"
                          : st.kind == EntryKind::kSmall ? "ticket/small"
@@ -245,8 +193,8 @@ struct BatchSource final : TaskSource {
           .with("wait_us",
                 static_cast<std::int64_t>(info.queue_wait_seconds * 1e6))
           .with("stolen", info.stolen ? 1 : 0)
-          .with("cache_hits", static_cast<std::int64_t>(cache.hits))
-          .with("cache_misses", static_cast<std::int64_t>(cache.misses));
+          .with("cache_hits", static_cast<std::int64_t>(hits))
+          .with("cache_misses", static_cast<std::int64_t>(misses));
       if (info.shard >= 0) args.with("shard", info.shard);
       tracer->record(trace_lane(info.runner_rank), name, span_t0,
                      tracer->now() - span_t0, args);
@@ -324,9 +272,8 @@ void dgemm_batch(Layout layout, const GemmBatchEntry* entries, index_t count,
       // with different tuned blockings. A pinned context resolves to its
       // own configuration for every entry.
       const ExecConfig cfg = resolve_exec_config(ctx, e.m, e.n, e.k);
-      st.kernel = cfg.kernel;
-      st.bs = cfg.bs;
-      st.tickets = static_cast<int>(blocked_tickets(e.m, st.bs.mc));
+      st.plan = {cfg.kernel->fn, cfg.bs, {}};
+      st.tickets = static_cast<int>(blocked_tickets(e.m, st.plan.bs.mc));
     }
     // Cache hits/misses are attributed to the batch shape class (same
     // class telemetry_record_batch_entry files the latency under).
@@ -363,7 +310,7 @@ void dgemm_batch(Layout layout, const GemmBatchEntry* entries, index_t count,
       continue;
     }
     for (int s = 0; s < st.tickets; ++s) {
-      const Range r = partition_range(st.e.m, st.tickets, s, st.bs.mc);
+      const Range r = partition_range(st.e.m, st.tickets, s, st.plan.bs.mc);
       if (r.size() == 0) continue;  // cap > blocks cannot happen, but be safe
       src.tickets.push_back({&st, s, r.begin, r.size()});
     }

@@ -16,10 +16,11 @@
 //
 // Determinism: the ticket decomposition is a pure function of each
 // entry's shape and the context block sizes — never of the worker count —
-// and every ticket computes its disjoint C rows with the serial
-// jj -> kk -> ii loop order (beta applied at kk == 0). Each C element is
-// therefore accumulated in one fixed order regardless of pool size or
-// scheduling, giving bitwise-identical results at any thread count.
+// and every ticket runs the one-rank dgemm driver (core/gemm.cpp) over its
+// disjoint, mc-aligned C rows: the serial jj -> kk -> ii loop order, beta
+// applied at kk == 0. Each C element is therefore accumulated in one fixed
+// order regardless of pool size or scheduling — the order of a one-thread
+// dgemm — giving bitwise-identical results at any thread count.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,13 @@
-// The GEMM driver shared by dgemm (core/gemm.cpp), sgemm (core/sgemm.cpp)
-// and the autotuner's probes (core/tuning.cpp), templated on the element
-// type like the packing and GEBP it drives; batch tickets
-// (core/gemm_batch.cpp) reuse its small nest and beta-only epilogue. Not
-// part of the public surface.
+// The GEMM driver shared by dgemm (core/gemm.cpp), sgemm (core/sgemm.cpp),
+// the autotuner's probes (core/tuning.cpp) and batch tickets
+// (core/gemm_batch.cpp), templated on the element type like the packing
+// and GEBP it drives. A batch ticket runs the small path or the blocked
+// driver at one rank over its row slice, fetching B panels through the
+// panel cache. Not part of the public surface.
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "blas/gemm_types.hpp"
@@ -61,7 +63,21 @@ struct Instrumentation {
   obs::GemmStats* stats = nullptr;    // per-rank counters, tracer, PMU
   obs::CallPhases* phases = nullptr;  // phase timeline of this call
   bool barrier_telemetry = false;     // per-rank barrier waits to telemetry
+  /// Tracer lane, stats slot and PMU rank of rank 0 (rank r uses
+  /// lane + r). A batch ticket records on its scheduler lane.
+  int lane = 0;
 };
+
+/// Where the lone rank of gemm_blocked gets the packed kc x nc panel of
+/// op(B) at (kk, jj), `elems` elements long: it returns the panel, calling
+/// `pack(dst)` (the driver's instrumented packer) if it has to fill one,
+/// or nullptr to have the driver pack into its own scratch. The panel must
+/// stay valid until the next request. Batch tickets share panels through
+/// the PanelCache with one.
+template <typename T>
+using PanelSource =
+    std::function<const T*(index_t kk, index_t jj, index_t kc, index_t nc, index_t elems,
+                           const std::function<void(T*)>& pack)>;
 
 /// How run_gemm executed one call; feeds the serving-telemetry record.
 struct RunInfo {
@@ -78,8 +94,7 @@ void scale_panel(T* c, index_t ldc, index_t m, index_t n, T beta);
 /// The no-pack small-matrix axpy nest (C := alpha op(A) op(B) + beta C,
 /// column-major), without any instrumentation. Deterministic (j, l, i)
 /// accumulation order; beta applied per column before its accumulation.
-/// Batch tickets call this directly because per-rank stats slots are not
-/// meaningful for tickets that run on arbitrary pool threads.
+/// The tuner's crossover probe times it directly.
 template <typename T>
 void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
                      const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c,
@@ -91,10 +106,12 @@ void gemm_small(const GemmCall<T>& g, const Instrumentation& inst);
 
 /// The Figure 9 blocked driver on `ranks` ranks: rank 0 is the caller and
 /// ranks > 1 run on `pool`. At one rank there is no pool, no barrier and
-/// no pack-ahead double buffer, so the loop is the plain serial nest.
+/// no pack-ahead double buffer, so the loop is the plain serial nest, and
+/// a non-empty `panel_source` supplies its B panels.
 template <typename T>
 void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>& scratch,
-                  ThreadPool* pool, int ranks, const Instrumentation& inst);
+                  ThreadPool* pool, int ranks, const Instrumentation& inst,
+                  const PanelSource<T>& panel_source = {});
 
 /// Runs one column-major call with m, n, k > 0 and alpha != 0: the no-pack
 /// nest when use_small_gemm says so, else the blocked driver on up to

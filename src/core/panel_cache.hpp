@@ -122,9 +122,6 @@ class PanelCache {
   /// invalidation point. Returns the new epoch for use in keys.
   std::uint64_t begin_epoch();
 
-  /// Synonym for begin_epoch() when the intent is "B may have changed".
-  void invalidate() { begin_epoch(); }
-
   std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Returns the shared panel for `key`, packing it via `pack(dst)` (dst

@@ -1,18 +1,11 @@
 #include "obs/gemm_stats.hpp"
 
-#include <chrono>
 #include <sstream>
 #include <thread>
 
 namespace ag::obs {
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void json_field(std::ostream& os, const char* key, double v, bool& first) {
   if (!first) os << ",";
@@ -265,14 +258,6 @@ std::string GemmStats::to_json() const {
   }
   os << "]}";
   return os.str();
-}
-
-ScopedSeconds::ScopedSeconds(std::atomic<double>* acc) : acc_(acc) {
-  if (acc_) t0_ = now_seconds();
-}
-
-ScopedSeconds::~ScopedSeconds() {
-  if (acc_) atomic_add(*acc_, now_seconds() - t0_);
 }
 
 }  // namespace ag::obs

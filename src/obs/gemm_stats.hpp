@@ -160,21 +160,6 @@ class GemmStats {
   PmuCollector* pmu_ = nullptr;
 };
 
-/// Accumulates the elapsed lifetime of the object into an atomic seconds
-/// counter; no-op when constructed with nullptr.
-class ScopedSeconds {
- public:
-  explicit ScopedSeconds(std::atomic<double>* acc);
-  ~ScopedSeconds();
-
-  ScopedSeconds(const ScopedSeconds&) = delete;
-  ScopedSeconds& operator=(const ScopedSeconds&) = delete;
-
- private:
-  std::atomic<double>* acc_;
-  double t0_ = 0;
-};
-
 /// Relaxed add for atomic doubles (CAS loop; fetch_add(double) is C++20
 /// but not yet universally lock-free-lowered).
 void atomic_add(std::atomic<double>& acc, double v);

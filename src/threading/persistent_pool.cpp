@@ -117,22 +117,23 @@ void PersistentPool::wake_workers() {
 }
 
 bool PersistentPool::try_pop(const StealOrder& order, bool allow_remote, Item* out,
-                             PopInfo* pop, SchedCounters* sc) {
+                             PopInfo* pop, std::uint64_t* failed_steals) {
   const int limit = allow_remote ? static_cast<int>(order.shards.size())
                                  : order.same_node;
   for (int i = 0; i < limit; ++i) {
+    // Nothing queued anywhere: stop before taking a shard lock, so idle
+    // sweeps record no failed steals. execute() counts an item into
+    // queued_ before pushing it, so a shard holding an item implies
+    // queued_ > 0; and it raises queued_ before its wake_workers() epoch
+    // bump, so a worker that skips here still sees the next submission.
+    if (queued_.load(std::memory_order_relaxed) == 0) return false;
     const int shard = order.shards[static_cast<std::size_t>(i)];
     Shard& s = shards_[static_cast<std::size_t>(shard)];
     std::lock_guard lock(s.mutex);
     if (s.items.empty()) {
       // A foreign probe that comes up empty is a failed steal; the home
       // shard being empty is just an idle scan.
-      if constexpr (obs::stats_compiled_in) {
-        if (sc != nullptr && i != 0) {
-          sc->steal_attempts.fetch_add(1, std::memory_order_relaxed);
-          sc->steal_failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+      if (i != 0) ++*failed_steals;
       continue;
     }
     if (i == 0) {
@@ -141,10 +142,6 @@ bool PersistentPool::try_pop(const StealOrder& order, bool allow_remote, Item* o
       *out = s.items.front();
       s.items.pop_front();
     } else {
-      if constexpr (obs::stats_compiled_in) {
-        if (sc != nullptr)
-          sc->steal_attempts.fetch_add(1, std::memory_order_relaxed);
-      }
       *out = s.items.back();
       s.items.pop_back();
     }
@@ -235,11 +232,11 @@ void PersistentPool::execute(TaskSource& source, std::int64_t n_tickets) {
     }
     Shard& s = shards_[static_cast<std::size_t>(
         submit_cursor_.fetch_add(1, std::memory_order_relaxed) % kShards)];
+    queued_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard lock(s.mutex);
       s.items.push_back({&sub, t, submit_t});
     }
-    queued_.fetch_add(1, std::memory_order_relaxed);
     ++enqueued;
   }
   if (enqueued > 0 && target_.load(std::memory_order_acquire) > 0) wake_workers();
@@ -284,10 +281,11 @@ void PersistentPool::execute(TaskSource& source, std::int64_t n_tickets) {
   const Topology& topo = Topology::get();
   const StealOrder order = build_steal_order(topo, 0, topo.current_node());
   SpinWait spinner;
+  std::uint64_t failed_steals = 0;
   while (sub.remaining.load(std::memory_order_acquire) != 0) {
     Item item;
     PopInfo pop;
-    if (try_pop(order, /*allow_remote=*/true, &item, &pop, &caller_counters_)) {
+    if (try_pop(order, /*allow_remote=*/true, &item, &pop, &failed_steals)) {
       run_item(item, pop, /*runner_rank=*/-1, &caller_counters_);
       spinner = SpinWait();
       continue;
@@ -301,6 +299,9 @@ void PersistentPool::execute(TaskSource& source, std::int64_t n_tickets) {
       });
     }
   }
+
+  if constexpr (obs::stats_compiled_in)
+    caller_counters_.steal_failures.fetch_add(failed_steals, std::memory_order_relaxed);
 
   if (sub.failed.load(std::memory_order_acquire)) {
     std::exception_ptr err;
@@ -335,13 +336,21 @@ void PersistentPool::worker_loop(int rank) {
   PopInfo pop;
   // Idle time accrues from the end of one ticket to the start of the
   // next (scan + spin + block); busy time is measured inside run_item.
+  // The idle period's counters (its time, blocks and failed steals) are
+  // published when it ends, so an idle worker records nothing after the
+  // last submission completes.
   std::uint64_t idle_start = 0;
+  std::uint64_t idle_blocks = 0, failed_steals = 0;
   if constexpr (obs::stats_compiled_in) idle_start = now_ns();
   const auto note_idle_end = [&] {
     if constexpr (obs::stats_compiled_in) {
       const std::uint64_t t = now_ns();
       sc.idle_ns.fetch_add(t - idle_start, std::memory_order_relaxed);
+      if (idle_blocks) sc.blocks.fetch_add(idle_blocks, std::memory_order_relaxed);
+      if (failed_steals)
+        sc.steal_failures.fetch_add(failed_steals, std::memory_order_relaxed);
     }
+    idle_blocks = failed_steals = 0;
   };
   const auto note_idle_begin = [&] {
     if constexpr (obs::stats_compiled_in) idle_start = now_ns();
@@ -361,7 +370,7 @@ void PersistentPool::worker_loop(int rank) {
     // on a single-node host where the split is vacuous.
     const bool allow_remote = topo->num_nodes() <= 1 ||
                               failed_local_sweeps >= steal_threshold();
-    if (try_pop(order, allow_remote, &item, &pop, &sc)) {
+    if (try_pop(order, allow_remote, &item, &pop, &failed_steals)) {
       failed_local_sweeps = 0;
       note_idle_end();
       run_item(item, pop, rank, &sc);
@@ -375,7 +384,7 @@ void PersistentPool::worker_loop(int rank) {
     // re-check is always a full scan: a worker must never sleep while
     // any shard — local or remote — still holds work.
     const std::uint64_t seen = work_epoch_.load(std::memory_order_acquire);
-    if (try_pop(order, /*allow_remote=*/true, &item, &pop, &sc)) {
+    if (try_pop(order, /*allow_remote=*/true, &item, &pop, &failed_steals)) {
       failed_local_sweeps = 0;
       note_idle_end();
       run_item(item, pop, rank, &sc);
@@ -395,8 +404,7 @@ void PersistentPool::worker_loop(int rank) {
       }
     }
     if (!woken) {
-      if constexpr (obs::stats_compiled_in)
-        sc.blocks.fetch_add(1, std::memory_order_relaxed);
+      ++idle_blocks;
       std::unique_lock lock(work_mutex_);
       work_cv_.wait(lock, wake);
     }
@@ -419,8 +427,10 @@ obs::SchedulerStats PersistentPool::stats() const {
     w.steals_local = sc.stolen_same_node.load(std::memory_order_relaxed);
     w.steals_remote = sc.stolen_cross_node.load(std::memory_order_relaxed);
     w.tickets_inline = sc.inline_run.load(std::memory_order_relaxed);
-    w.steal_attempts = sc.steal_attempts.load(std::memory_order_relaxed);
     w.steal_failures = sc.steal_failures.load(std::memory_order_relaxed);
+    // Every foreign probe either steals or fails, so the attempts are
+    // their sum by construction.
+    w.steal_attempts = w.tickets_stolen + w.steal_failures;
     w.blocks = sc.blocks.load(std::memory_order_relaxed);
     w.busy_seconds =
         static_cast<double>(sc.busy_ns.load(std::memory_order_relaxed)) * 1e-9;
@@ -446,7 +456,6 @@ void PersistentPool::reset_stats() {
     sc.stolen_same_node.store(0, std::memory_order_relaxed);
     sc.stolen_cross_node.store(0, std::memory_order_relaxed);
     sc.inline_run.store(0, std::memory_order_relaxed);
-    sc.steal_attempts.store(0, std::memory_order_relaxed);
     sc.steal_failures.store(0, std::memory_order_relaxed);
     sc.blocks.store(0, std::memory_order_relaxed);
     sc.busy_ns.store(0, std::memory_order_relaxed);

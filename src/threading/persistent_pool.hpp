@@ -182,7 +182,6 @@ class PersistentPool {
     std::atomic<std::uint64_t> stolen_same_node{0};
     std::atomic<std::uint64_t> stolen_cross_node{0};
     std::atomic<std::uint64_t> inline_run{0};
-    std::atomic<std::uint64_t> steal_attempts{0};
     std::atomic<std::uint64_t> steal_failures{0};
     std::atomic<std::uint64_t> blocks{0};
     std::atomic<std::uint64_t> busy_ns{0};
@@ -195,10 +194,11 @@ class PersistentPool {
   /// rank s (the worker whose home shard it is).
   static StealOrder build_steal_order(const Topology& topo, int home, int node);
   /// Scans `order` (the full order when allow_remote, else only the
-  /// same-node prefix) and pops one item. Probing a non-home shard is a
-  /// steal attempt; coming up empty there is a failed steal.
+  /// same-node prefix) and pops one item; returns false at once while
+  /// nothing is queued. Probing a non-home shard is a steal attempt;
+  /// each one that comes up empty adds to `*failed_steals`.
   bool try_pop(const StealOrder& order, bool allow_remote, Item* out, PopInfo* pop,
-               SchedCounters* sc);
+               std::uint64_t* failed_steals);
   void run_item(const Item& item, const PopInfo& pop, int runner_rank, SchedCounters* sc);
   void finish_ticket(Submission& sub);
   void wake_workers();

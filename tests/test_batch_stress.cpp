@@ -16,6 +16,7 @@
 #include "blas/reference_gemm.hpp"
 #include "common/matrix.hpp"
 #include "core/context.hpp"
+#include "core/gemm.hpp"
 #include "core/gemm_batch.hpp"
 #include "core/panel_cache.hpp"
 #include "scoped_knobs.hpp"
@@ -36,21 +37,21 @@ ag::BlockSizes pinned_blocks() {
   return bs;
 }
 
-// One three-entry ragged batch into fresh copies of the c0s; returns the
-// concatenated raw result bytes of every entry.
-std::vector<double> run_batch_once(int threads, const std::vector<Matrix<double>>& as,
-                                   const std::vector<Matrix<double>>& bs_in,
-                                   const std::vector<Matrix<double>>& c0s) {
-  ag::Context ctx(ag::KernelShape{8, 6}, threads);
-  ctx.set_block_sizes(pinned_blocks());
-  std::vector<Matrix<double>> cs;
+// Batch entries writing `cs`: entry i accumulates op(as[i]) op(bs_in[i])
+// into cs[i], transposing both operands when trans[i] is set (entries
+// past the end of `trans` transpose neither).
+std::vector<ag::GemmBatchEntry> make_entries(const std::vector<Matrix<double>>& as,
+                                             const std::vector<Matrix<double>>& bs_in,
+                                             const std::vector<bool>& trans,
+                                             std::vector<Matrix<double>>& cs) {
   std::vector<ag::GemmBatchEntry> entries;
-  for (std::size_t i = 0; i < as.size(); ++i) cs.emplace_back(c0s[i]);
   for (std::size_t i = 0; i < as.size(); ++i) {
     ag::GemmBatchEntry e;
-    e.m = c0s[i].rows();
-    e.n = c0s[i].cols();
-    e.k = as[i].cols();
+    const bool t = i < trans.size() && trans[i];
+    e.trans_a = e.trans_b = t ? ag::Trans::Trans : ag::Trans::NoTrans;
+    e.m = cs[i].rows();
+    e.n = cs[i].cols();
+    e.k = t ? as[i].rows() : as[i].cols();
     e.alpha = 1.25;
     e.beta = 0.5;
     e.a = as[i].data();
@@ -61,8 +62,11 @@ std::vector<double> run_batch_once(int threads, const std::vector<Matrix<double>
     e.ldc = cs[i].ld();
     entries.push_back(e);
   }
-  ag::dgemm_batch(ag::Layout::ColMajor, entries.data(),
-                  static_cast<index_t>(entries.size()), ctx);
+  return entries;
+}
+
+// Concatenated raw result bytes of every C.
+std::vector<double> result_bytes(const std::vector<Matrix<double>>& cs) {
   std::vector<double> out;
   for (const Matrix<double>& c : cs)
     for (index_t j = 0; j < c.cols(); ++j)
@@ -70,25 +74,66 @@ std::vector<double> run_batch_once(int threads, const std::vector<Matrix<double>
   return out;
 }
 
+// One ragged batch into fresh copies of the c0s; returns the concatenated
+// raw result bytes of every entry.
+std::vector<double> run_batch_once(int threads, const std::vector<Matrix<double>>& as,
+                                   const std::vector<Matrix<double>>& bs_in,
+                                   const std::vector<Matrix<double>>& c0s,
+                                   const std::vector<bool>& trans = {}) {
+  ag::Context ctx(ag::KernelShape{8, 6}, threads);
+  ctx.set_block_sizes(pinned_blocks());
+  std::vector<Matrix<double>> cs(c0s.begin(), c0s.end());
+  const std::vector<ag::GemmBatchEntry> entries = make_entries(as, bs_in, trans, cs);
+  ag::dgemm_batch(ag::Layout::ColMajor, entries.data(),
+                  static_cast<index_t>(entries.size()), ctx);
+  return result_bytes(cs);
+}
+
+// The same entries, each through dgemm on a one-thread context with the
+// same pinned blocks.
+std::vector<double> run_dgemm_once(const std::vector<Matrix<double>>& as,
+                                   const std::vector<Matrix<double>>& bs_in,
+                                   const std::vector<Matrix<double>>& c0s,
+                                   const std::vector<bool>& trans) {
+  ag::Context ctx(ag::KernelShape{8, 6}, 1);
+  ctx.set_block_sizes(pinned_blocks());
+  std::vector<Matrix<double>> cs(c0s.begin(), c0s.end());
+  for (const ag::GemmBatchEntry& e : make_entries(as, bs_in, trans, cs))
+    ag::dgemm(ag::Layout::ColMajor, e.trans_a, e.trans_b, e.m, e.n, e.k, e.alpha, e.a, e.lda,
+              e.b, e.ldb, e.beta, e.c, e.ldc, ctx);
+  return result_bytes(cs);
+}
+
 TEST(BatchStress, BitwiseDeterministicAcrossRunsAndThreadCounts) {
   // m=200 with mc=32 gives 7 row blocks (capped at 8 tickets); the other
-  // entries land on 2 tickets and the small path respectively, so one
-  // batch covers every ticket kind.
+  // entries land on 2 tickets and 1 ticket. The last entry transposes both
+  // operands over 3 row blocks, so a ticket's transposed A offset is
+  // pinned too.
   agtest::ScopedSmallMnk pack_path(0);
   std::vector<Matrix<double>> as, bs_in, c0s;
-  const index_t shapes[3][3] = {{200, 96, 80}, {64, 48, 40}, {24, 18, 16}};
-  for (int i = 0; i < 3; ++i) {
+  const index_t shapes[4][3] = {{200, 96, 80}, {64, 48, 40}, {24, 18, 16}, {88, 30, 50}};
+  const std::vector<bool> trans = {false, false, false, true};
+  for (int i = 0; i < 4; ++i) {
     const std::uint64_t seed = 9000 + 10 * static_cast<std::uint64_t>(i);
-    as.push_back(ag::random_matrix(shapes[i][0], shapes[i][2], seed));
-    bs_in.push_back(ag::random_matrix(shapes[i][2], shapes[i][1], seed + 1));
-    c0s.push_back(ag::random_matrix(shapes[i][0], shapes[i][1], seed + 2));
+    const index_t m = shapes[i][0], n = shapes[i][1], k = shapes[i][2];
+    as.push_back(trans[i] ? ag::random_matrix(k, m, seed) : ag::random_matrix(m, k, seed));
+    bs_in.push_back(trans[i] ? ag::random_matrix(n, k, seed + 1)
+                             : ag::random_matrix(k, n, seed + 1));
+    c0s.push_back(ag::random_matrix(m, n, seed + 2));
   }
 
-  const std::vector<double> golden = run_batch_once(1, as, bs_in, c0s);
+  const std::vector<double> golden = run_batch_once(1, as, bs_in, c0s, trans);
   const std::size_t bytes = golden.size() * sizeof(double);
+  // Each entry's tickets run the one-rank dgemm driver over row slices
+  // that start on mc boundaries, so the batch reproduces one-thread dgemm
+  // bit for bit.
+  const std::vector<double> serial = run_dgemm_once(as, bs_in, c0s, trans);
+  ASSERT_EQ(serial.size(), golden.size());
+  ASSERT_EQ(std::memcmp(serial.data(), golden.data(), bytes), 0)
+      << "batch differs from one-thread dgemm";
   for (int threads : {1, 2, 4, 8}) {
     for (int rep = 0; rep < 20; ++rep) {
-      const std::vector<double> got = run_batch_once(threads, as, bs_in, c0s);
+      const std::vector<double> got = run_batch_once(threads, as, bs_in, c0s, trans);
       ASSERT_EQ(std::memcmp(got.data(), golden.data(), bytes), 0)
           << "threads=" << threads << " rep=" << rep;
     }

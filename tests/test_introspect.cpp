@@ -30,6 +30,7 @@
 #include "common/knobs.hpp"
 #include "common/matrix.hpp"
 #include "core/context.hpp"
+#include "core/gemm.hpp"
 #include "core/gemm_batch.hpp"
 #include "core/panel_cache.hpp"
 #include "obs/gemm_stats.hpp"
@@ -302,7 +303,11 @@ TEST(BatchIntrospect, TracerRecordsTicketSpansAcrossLanes) {
   stats.set_tracer(&tracer);
 
   // Heavy enough entries, twice over, that the persistent-pool workers
-  // reliably claim tickets alongside the helping caller.
+  // usually claim tickets alongside the helping caller. On a loaded host
+  // a worker may not be scheduled before the caller drains whole calls
+  // alone, so keep submitting, up to a bound, until a second lane has run
+  // a ticket (every lane that runs a blocked ticket records into its own
+  // stats slot).
   const index_t s = 96;
   const std::int64_t count = 32;
   auto a = ag::random_matrix(s, s * count, 710);
@@ -310,7 +315,7 @@ TEST(BatchIntrospect, TracerRecordsTicketSpansAcrossLanes) {
   auto c = ag::random_matrix(s, s * count, 712);
   Context ctx(ag::KernelShape{8, 6}, 4);
   ctx.set_stats(&stats);
-  for (int call = 0; call < 2; ++call) {
+  for (int call = 0; call < 2 || (call < 50 && stats.per_thread().size() < 2); ++call) {
     ag::dgemm_strided_batch(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, s, s,
                             s, 1.0, a.data(), s, s * s, b.data(), b.ld(), 0, 1.0, c.data(), s,
                             s * s, count, ctx);
@@ -355,6 +360,51 @@ TEST(BatchIntrospect, TracerRecordsTicketSpansAcrossLanes) {
   // several tickets), spread over more than one scheduler lane.
   EXPECT_GE(ticket_spans, static_cast<std::uint64_t>(2 * count));
   EXPECT_GE(lanes.size(), 2u) << "spans should land on more than one lane at 4 threads";
+}
+
+TEST(BatchIntrospect, TicketsRecordLayerStatsLikeOneThreadDgemm) {
+  if (!obs::stats_compiled_in)
+    GTEST_SKIP() << "-DARMGEMM_STATS=OFF: Context::stats() is compiled to nullptr";
+  agtest::ScopedPanelCacheMb cache_on(64);
+  ag::BlockSizes bs;
+  bs.mr = 8;
+  bs.nr = 6;
+  bs.kc = 32;
+  bs.mc = 32;
+  bs.nc = 48;
+  // Several row tickets and B panels per entry, one B shared by all.
+  const index_t s = 96;
+  const std::int64_t count = 6;
+  auto a = ag::random_matrix(s, s * count, 720);
+  auto b = ag::random_matrix(s, s, 721);
+  auto c = ag::random_matrix(s, s * count, 722);
+
+  obs::GemmStats batch_stats;
+  Context batch_ctx(ag::KernelShape{8, 6}, 4);
+  batch_ctx.set_block_sizes(bs);
+  batch_ctx.set_stats(&batch_stats);
+  ag::dgemm_strided_batch(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, s, s, s,
+                          1.0, a.data(), s, s * s, b.data(), b.ld(), 0, 1.0, c.data(), s, s * s,
+                          count, batch_ctx);
+  batch_ctx.set_stats(nullptr);
+
+  obs::GemmStats loop_stats;
+  Context loop_ctx(ag::KernelShape{8, 6}, 1);
+  loop_ctx.set_block_sizes(bs);
+  loop_ctx.set_stats(&loop_stats);
+  for (std::int64_t i = 0; i < count; ++i)
+    ag::dgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, s, s, s, 1.0,
+              a.data() + i * s * s, s, b.data(), b.ld(), 1.0, c.data() + i * s * s, s, loop_ctx);
+  loop_ctx.set_stats(nullptr);
+
+  const obs::LayerCounters got = batch_stats.totals();
+  const obs::LayerCounters want = loop_stats.totals();
+  EXPECT_GT(want.gebp_calls, 0u);
+  EXPECT_EQ(got.gebp_calls, want.gebp_calls);
+  EXPECT_EQ(got.kernel_calls, want.kernel_calls);
+  EXPECT_EQ(got.pack_a_calls, want.pack_a_calls);
+  // Tickets served from the panel cache pack no B.
+  EXPECT_LE(got.pack_b_calls, want.pack_b_calls);
 }
 
 // ---- panel cache ---------------------------------------------------------
