@@ -127,15 +127,17 @@ int inject_slow(ag::Context& ctx, bool to_disk) {
   run_square(ctx, 48, 150);
   ag::set_slow_call_factor(3.0);
   // 96^3 calls (same shape class, decade 5) through a pathologically
-  // blocked context: kc=mc=8, nc=6 repacks both operands constantly, so
-  // the calls land far beyond 3 x p99 regardless of how warm the machine
-  // is. First detection captures; the next must hit the rate limit. Two
-  // calls suffice on a plain build; sanitizer jitter can inflate the
-  // warm p99 with multi-ms outliers, so retry (bounded well short of
-  // the 64-record refresh that would fold these calls into the p99).
+  // blocked context: kc=1, mc=8, nc=6 repacks both operands constantly
+  // and runs one rank-1 update per kernel call, so the calls land far
+  // beyond 3 x p99 even when scheduler outliers inflate the warm window's
+  // p99 (kc=8 did not always). First detection captures; the next must
+  // hit the rate limit. Two calls suffice on a plain build; sanitizer
+  // jitter can inflate the warm p99 with multi-ms outliers, so retry
+  // (bounded well short of the 64-record refresh that would fold these
+  // calls into the p99).
   ag::Context slow_ctx(ag::KernelShape{8, 6}, 1);
   ag::BlockSizes tiny;
-  tiny.kc = 8;
+  tiny.kc = 1;
   tiny.mc = 8;
   tiny.nc = 6;
   slow_ctx.set_block_sizes(tiny);

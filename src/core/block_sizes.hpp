@@ -40,4 +40,9 @@ BlockSizes paper_block_sizes(KernelShape shape, int threads);
 /// the analytic solver). Scales kc/mc to typical 32K L1 / 256K-1M L2.
 BlockSizes default_block_sizes(KernelShape shape, int threads);
 
+/// sgemm's untuned blocking for an mr x nr float kernel, at any thread
+/// count: kc 512, mc 64 rounded up to a multiple of mr, nc 4096 rounded
+/// down to a multiple of nr. Also the tuner's first f32 candidate.
+BlockSizes default_sgemm_block_sizes(KernelShape shape);
+
 }  // namespace ag

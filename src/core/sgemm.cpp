@@ -4,7 +4,6 @@
 
 #include "blas/reference_gemm.hpp"
 #include "common/knobs.hpp"
-#include "common/math_util.hpp"
 #include "core/context.hpp"
 #include "core/gemm_internal.hpp"
 #include "core/tuning.hpp"
@@ -20,8 +19,7 @@ detail::GemmPlan<float> resolve_plan(const SgemmOptions& options, int threads, i
   detail::GemmPlan<float> plan;
   plan.kernel = k.fn;
   BlockSizes& bs = plan.bs;
-  bs.mr = k.mr;
-  bs.nr = k.nr;
+  bs = default_sgemm_block_sizes(KernelShape{k.mr, k.nr});
   if (options.tunable && options.kc == 0 && options.mc == 0 && options.nc == 0 &&
       tune_mode() != kTuneModeOff) {
     ensure_tune_probe_runner();
@@ -35,11 +33,9 @@ detail::GemmPlan<float> resolve_plan(const SgemmOptions& options, int threads, i
     }
     tune::record_call(tune::TuneSource::kNone);
   }
-  // Floats are half the size of doubles: the same cache budgets admit
-  // twice the kc depth of the double-precision defaults.
-  bs.kc = options.kc > 0 ? options.kc : 512;
-  bs.mc = options.mc > 0 ? options.mc : round_up<index_t>(64, k.mr);
-  bs.nc = options.nc > 0 ? options.nc : 4096 / k.nr * k.nr;
+  if (options.kc > 0) bs.kc = options.kc;
+  if (options.mc > 0) bs.mc = options.mc;
+  if (options.nc > 0) bs.nc = options.nc;
   return plan;
 }
 

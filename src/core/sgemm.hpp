@@ -15,7 +15,7 @@ namespace ag {
 
 struct SgemmOptions {
   int threads = 1;
-  /// Cache blocks; zero fields pick host defaults scaled for float.
+  /// Cache blocks; zero fields take default_sgemm_block_sizes().
   std::int64_t kc = 0, mc = 0, nc = 0;
   /// Opts the call into the closed-loop autotuner: when set (and kc/mc/nc
   /// are all zero and ARMGEMM_TUNE is not off) the f32 shape-class key's

@@ -244,10 +244,13 @@ void avx2_microkernel_4x4(index_t kc, double alpha, const double* a, const doubl
 void avx2_microkernel_12x4(index_t kc, double alpha, const double* a, const double* b,
                            double beta, double* c, index_t ldc) {
   // 12x4 uses 12 accumulators like 8x6 but favours taller A panels; included
-  // as an extension shape for the native benchmarks.
-  __m256d acc[3][4];
-  for (auto& row : acc)
-    for (auto& v : row) v = _mm256_setzero_pd();
+  // as an extension shape for the native benchmarks. accHJ holds rows
+  // 4h..4h+3 of column j; as in 8x6 they are named values, not an indexed
+  // array, so the tile stays in registers for the whole k-loop.
+  __m256d acc00 = _mm256_setzero_pd(), acc10 = _mm256_setzero_pd(), acc20 = _mm256_setzero_pd();
+  __m256d acc01 = _mm256_setzero_pd(), acc11 = _mm256_setzero_pd(), acc21 = _mm256_setzero_pd();
+  __m256d acc02 = _mm256_setzero_pd(), acc12 = _mm256_setzero_pd(), acc22 = _mm256_setzero_pd();
+  __m256d acc03 = _mm256_setzero_pd(), acc13 = _mm256_setzero_pd(), acc23 = _mm256_setzero_pd();
 
   const index_t prea = prea_elems();
   const index_t preb = preb_elems();
@@ -259,41 +262,61 @@ void avx2_microkernel_12x4(index_t kc, double alpha, const double* a, const doub
     const __m256d a0 = _mm256_load_pd(a);
     const __m256d a1 = _mm256_load_pd(a + 4);
     const __m256d a2 = _mm256_load_pd(a + 8);
-    for (int j = 0; j < 4; ++j) {
-      const __m256d bj = _mm256_broadcast_sd(b + j);
-      acc[0][j] = _mm256_fmadd_pd(a0, bj, acc[0][j]);
-      acc[1][j] = _mm256_fmadd_pd(a1, bj, acc[1][j]);
-      acc[2][j] = _mm256_fmadd_pd(a2, bj, acc[2][j]);
-    }
+    __m256d bj;
+    bj = _mm256_broadcast_sd(b + 0);
+    acc00 = _mm256_fmadd_pd(a0, bj, acc00);
+    acc10 = _mm256_fmadd_pd(a1, bj, acc10);
+    acc20 = _mm256_fmadd_pd(a2, bj, acc20);
+    bj = _mm256_broadcast_sd(b + 1);
+    acc01 = _mm256_fmadd_pd(a0, bj, acc01);
+    acc11 = _mm256_fmadd_pd(a1, bj, acc11);
+    acc21 = _mm256_fmadd_pd(a2, bj, acc21);
+    bj = _mm256_broadcast_sd(b + 2);
+    acc02 = _mm256_fmadd_pd(a0, bj, acc02);
+    acc12 = _mm256_fmadd_pd(a1, bj, acc12);
+    acc22 = _mm256_fmadd_pd(a2, bj, acc22);
+    bj = _mm256_broadcast_sd(b + 3);
+    acc03 = _mm256_fmadd_pd(a0, bj, acc03);
+    acc13 = _mm256_fmadd_pd(a1, bj, acc13);
+    acc23 = _mm256_fmadd_pd(a2, bj, acc23);
     a += 12;
     b += 4;
   }
 
   const __m256d va = _mm256_set1_pd(alpha);
   if (beta == 0.0) {
-    for (int j = 0; j < 4; ++j) {
-      double* cj = c + j * ldc;
-      for (int h = 0; h < 3; ++h)
-        _mm256_storeu_pd(cj + 4 * h, _mm256_mul_pd(va, acc[h][j]));
-    }
+    auto store = [&](double* cj, __m256d v0, __m256d v1, __m256d v2) {
+      _mm256_storeu_pd(cj, _mm256_mul_pd(va, v0));
+      _mm256_storeu_pd(cj + 4, _mm256_mul_pd(va, v1));
+      _mm256_storeu_pd(cj + 8, _mm256_mul_pd(va, v2));
+    };
+    store(c + 0 * ldc, acc00, acc10, acc20);
+    store(c + 1 * ldc, acc01, acc11, acc21);
+    store(c + 2 * ldc, acc02, acc12, acc22);
+    store(c + 3 * ldc, acc03, acc13, acc23);
   } else if (beta == 1.0) {
-    for (int j = 0; j < 4; ++j) {
-      double* cj = c + j * ldc;
-      for (int h = 0; h < 3; ++h) {
-        _mm256_storeu_pd(cj + 4 * h,
-                         _mm256_fmadd_pd(va, acc[h][j], _mm256_loadu_pd(cj + 4 * h)));
-      }
-    }
+    auto update = [&](double* cj, __m256d v0, __m256d v1, __m256d v2) {
+      _mm256_storeu_pd(cj, _mm256_fmadd_pd(va, v0, _mm256_loadu_pd(cj)));
+      _mm256_storeu_pd(cj + 4, _mm256_fmadd_pd(va, v1, _mm256_loadu_pd(cj + 4)));
+      _mm256_storeu_pd(cj + 8, _mm256_fmadd_pd(va, v2, _mm256_loadu_pd(cj + 8)));
+    };
+    update(c + 0 * ldc, acc00, acc10, acc20);
+    update(c + 1 * ldc, acc01, acc11, acc21);
+    update(c + 2 * ldc, acc02, acc12, acc22);
+    update(c + 3 * ldc, acc03, acc13, acc23);
   } else {
     const __m256d vb = _mm256_set1_pd(beta);
-    for (int j = 0; j < 4; ++j) {
-      double* cj = c + j * ldc;
-      for (int h = 0; h < 3; ++h) {
-        _mm256_storeu_pd(cj + 4 * h,
-                         _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj + 4 * h),
-                                         _mm256_mul_pd(va, acc[h][j])));
-      }
-    }
+    auto scale = [&](double* cj, __m256d v0, __m256d v1, __m256d v2) {
+      _mm256_storeu_pd(cj, _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj), _mm256_mul_pd(va, v0)));
+      _mm256_storeu_pd(cj + 4,
+                       _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj + 4), _mm256_mul_pd(va, v1)));
+      _mm256_storeu_pd(cj + 8,
+                       _mm256_fmadd_pd(vb, _mm256_loadu_pd(cj + 8), _mm256_mul_pd(va, v2)));
+    };
+    scale(c + 0 * ldc, acc00, acc10, acc20);
+    scale(c + 1 * ldc, acc01, acc11, acc21);
+    scale(c + 2 * ldc, acc02, acc12, acc22);
+    scale(c + 3 * ldc, acc03, acc13, acc23);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/math_util.hpp"
 
 namespace ag {
 
@@ -73,6 +74,20 @@ BlockSizes default_block_sizes(KernelShape shape, int threads) {
     bs.mc = std::max<index_t>(shape.mr, bs.mc / 2 / shape.mr * shape.mr);
     bs.nc = std::max<index_t>(shape.nr, bs.nc / 2 / shape.nr * shape.nr);
   }
+  bs.validate();
+  return bs;
+}
+
+BlockSizes default_sgemm_block_sizes(KernelShape shape) {
+  BlockSizes bs;
+  bs.mr = shape.mr;
+  bs.nr = shape.nr;
+  // The same kc as the double-precision default for nr = 6, so a float
+  // kc x nr sliver of B takes half the L1 bytes of a double one. At
+  // mr = 16, mc = 64 gives a 128 KB packed A block.
+  bs.kc = 512;
+  bs.mc = round_up<index_t>(64, shape.mr);
+  bs.nc = 4096 / shape.nr * shape.nr;
   bs.validate();
   return bs;
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/knobs.hpp"
-#include "common/math_util.hpp"
 #include "kernels/sgemm_kernels.hpp"
 #include "model/cache_blocking.hpp"
 #include "model/machine.hpp"
@@ -305,13 +304,8 @@ std::vector<Candidate> refine(const Candidate& base) {
 std::vector<Candidate> propose_f32() {
   std::vector<Candidate> cands;
   const SMicrokernel& kern = best_smicrokernel();
-  BlockSizes base;
-  base.mr = kern.mr;
-  base.nr = kern.nr;
-  base.kc = 512;  // sgemm's float-scaled defaults (resolve_blocks)
-  base.mc = round_up<index_t>(64, kern.mr);
-  base.nc = 4096 / kern.nr * kern.nr;
-  Candidate c{nullptr, base};
+  // Start from sgemm's own untuned blocking.
+  Candidate c{nullptr, default_sgemm_block_sizes(KernelShape{kern.mr, kern.nr})};
   if (normalize_candidate(&c.bs)) cands.push_back(c);
   for (Candidate& r : refine(c)) cands.push_back(r);
   return cands;

@@ -7,7 +7,7 @@
 // Injection recipes mirror bench/forensics_inject.cpp: drift by swapping
 // the injected perf model mid-run (a different same-class shape dodges
 // the per-thread expected-Gflops memo), slow calls by a pathologically
-// blocked context (kc=mc=8, nc=6) against a warm class p99.
+// blocked context (kc=1, mc=8, nc=6) against a warm class p99.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -45,12 +45,16 @@ void run_square(ag::Context& ctx, std::int64_t s, int calls, unsigned seed = 11)
               a.data(), a.ld(), b.data(), b.ld(), 0.0, c.data(), c.ld(), ctx);
 }
 
-/// Serial context whose tiny blocking makes any call ~10-30x slower than
-/// the default path: the deterministic "slow call" for threshold tests.
+/// Serial context whose degenerate blocking (a rank-1 update per GEBP
+/// call) makes a 96^3 call several hundred times slower than a warm 48^3
+/// call: the deterministic "slow call" for threshold tests. On a 4-core
+/// AVX2 VM it took about 5 ms; with kc = 8 it took 0.75 ms, which two
+/// quarter-millisecond scheduler outliers in the warm window could lift
+/// 3 x p99 above.
 ag::Context pathological_context() {
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
   ag::BlockSizes tiny;
-  tiny.kc = 8;
+  tiny.kc = 1;
   tiny.mc = 8;
   tiny.nc = 6;
   ctx.set_block_sizes(tiny);

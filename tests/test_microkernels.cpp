@@ -1,9 +1,11 @@
 // Register-kernel tests: every registered microkernel (scalar and SIMD)
-// computes C += alpha * A_sliver * B_sliver exactly like a reference
-// rank-kc accumulation, for various kc values, alphas and ldc strides.
+// computes C = beta * C + alpha * A_sliver * B_sliver like a reference
+// rank-kc accumulation, for various kc values, alphas, betas (each
+// epilogue branch) and ldc strides.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
@@ -19,9 +21,11 @@ using ag::Microkernel;
 
 namespace {
 
-// Reference rank-kc update on packed slivers.
-void reference_update(int mr, int nr, index_t kc, double alpha, const double* a,
+// Reference rank-kc update on packed slivers; beta == 0 never reads C.
+void reference_update(int mr, int nr, index_t kc, double alpha, double beta, const double* a,
                       const double* b, double* c, index_t ldc) {
+  for (int j = 0; j < nr; ++j)
+    for (int i = 0; i < mr; ++i) c[i + j * ldc] = beta == 0.0 ? 0.0 : beta * c[i + j * ldc];
   for (index_t p = 0; p < kc; ++p)
     for (int j = 0; j < nr; ++j)
       for (int i = 0; i < mr; ++i)
@@ -35,7 +39,8 @@ struct KernelCase {
   index_t ldc_extra;
 };
 
-void run_case(const Microkernel& k, index_t kc, double alpha, index_t ldc_extra) {
+void run_case(const Microkernel& k, index_t kc, double alpha, index_t ldc_extra,
+              double beta = 1.0) {
   const int mr = k.shape.mr, nr = k.shape.nr;
   const index_t ldc = mr + ldc_extra;
   ag::Xoshiro256 rng(99);
@@ -44,22 +49,33 @@ void run_case(const Microkernel& k, index_t kc, double alpha, index_t ldc_extra)
   for (std::size_t i = 0; i < a.size(); ++i) a[i] = rng.uniform(-1, 1);
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.uniform(-1, 1);
   std::vector<double> c1(static_cast<std::size_t>(ldc * nr));
-  for (auto& v : c1) v = rng.uniform(-1, 1);
+  // beta == 0 must overwrite the tile without reading it: seed NaN, which
+  // any read would carry into the result.
+  for (auto& v : c1)
+    v = beta == 0.0 ? std::numeric_limits<double>::quiet_NaN() : rng.uniform(-1, 1);
   std::vector<double> c2 = c1;
 
-  k.fn(kc, alpha, a.data(), b.data(), 1.0, c1.data(), ldc);
-  reference_update(mr, nr, kc, alpha, a.data(), b.data(), c2.data(), ldc);
+  k.fn(kc, alpha, a.data(), b.data(), beta, c1.data(), ldc);
+  reference_update(mr, nr, kc, alpha, beta, a.data(), b.data(), c2.data(), ldc);
 
   const double tol = 1e-13 * static_cast<double>(kc ? kc : 1);
-  for (std::size_t i = 0; i < c1.size(); ++i)
-    ASSERT_NEAR(c1[i], c2[i], tol) << k.name << " kc=" << kc << " elem " << i;
+  for (std::size_t i = 0; i < c1.size(); ++i) {
+    // Padding rows past mr keep their seed, NaN included.
+    if (std::isnan(c2[i]))
+      ASSERT_TRUE(std::isnan(c1[i])) << k.name << " wrote padding elem " << i;
+    else
+      ASSERT_NEAR(c1[i], c2[i], tol)
+          << k.name << " kc=" << kc << " beta=" << beta << " ldc=" << ldc << " elem " << i;
+  }
 }
 
 class AllKernels : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllKernels, MatchesReferenceVariousKc) {
   const Microkernel& k = ag::microkernel_by_name(GetParam());
-  for (index_t kc : {1, 2, 3, 7, 64, 257}) run_case(k, kc, 1.0, 0);
+  for (index_t kc : {1, 2, 3, 7, 64, 257})
+    for (double beta : {0.0, 1.0, -0.5})
+      for (index_t extra : {0, 5}) run_case(k, kc, 1.0, extra, beta);
 }
 
 TEST_P(AllKernels, AlphaScaling) {

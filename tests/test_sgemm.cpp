@@ -36,24 +36,44 @@ std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
 TEST(SKernels, AllMatchScalarReference) {
   for (const auto& k : ag::all_smicrokernels()) {
     const int mr = k.mr, nr = k.nr;
-    const index_t kc = 173;
-    ag::AlignedBuffer<float> a(static_cast<std::size_t>(mr * kc));
-    ag::AlignedBuffer<float> b(static_cast<std::size_t>(nr * kc));
-    ag::Xoshiro256 rng(3);
-    for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<float>(rng.uniform(-1, 1));
-    for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>(rng.uniform(-1, 1));
-    std::vector<float> c1(static_cast<std::size_t>(mr * nr), 0.5f), c2 = c1;
-    k.fn(kc, 2.0f, a.data(), b.data(), 1.0f, c1.data(), mr);
-    for (index_t p = 0; p < kc; ++p)
-      for (int j = 0; j < nr; ++j)
-        for (int i = 0; i < mr; ++i)
-          c2[static_cast<std::size_t>(i + j * mr)] +=
-              2.0f * a[static_cast<std::size_t>(p * mr + i)] *
-              b[static_cast<std::size_t>(p * nr + j)];
-    // Note c2 applies alpha per-term; kernel applies it once at the end —
-    // same result up to float rounding.
-    for (std::size_t i = 0; i < c1.size(); ++i)
-      ASSERT_NEAR(c1[i], c2[i], 1e-3f) << k.name << " elem " << i;
+    for (const index_t kc : {1, 7, 173}) {
+      ag::AlignedBuffer<float> a(static_cast<std::size_t>(mr * kc));
+      ag::AlignedBuffer<float> b(static_cast<std::size_t>(nr * kc));
+      ag::Xoshiro256 rng(3);
+      for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<float>(rng.uniform(-1, 1));
+      for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<float>(rng.uniform(-1, 1));
+      for (const float beta : {0.0f, 1.0f, -0.5f}) {
+        for (const index_t ldc : {index_t{mr}, index_t{mr + 5}}) {
+          // beta == 0 must overwrite the tile without reading it: a NaN
+          // seed would survive any read.
+          const float seed = beta == 0.0f ? std::numeric_limits<float>::quiet_NaN() : 0.5f;
+          std::vector<float> c1(static_cast<std::size_t>(ldc * nr), seed), c2 = c1;
+          k.fn(kc, 2.0f, a.data(), b.data(), beta, c1.data(), ldc);
+          for (int j = 0; j < nr; ++j)
+            for (int i = 0; i < mr; ++i) {
+              float& cij = c2[static_cast<std::size_t>(i + j * ldc)];
+              cij = beta == 0.0f ? 0.0f : beta * cij;
+            }
+          for (index_t p = 0; p < kc; ++p)
+            for (int j = 0; j < nr; ++j)
+              for (int i = 0; i < mr; ++i)
+                c2[static_cast<std::size_t>(i + j * ldc)] +=
+                    2.0f * a[static_cast<std::size_t>(p * mr + i)] *
+                    b[static_cast<std::size_t>(p * nr + j)];
+          // Note c2 applies alpha per-term; kernel applies it once at the
+          // end — same result up to float rounding. Padding rows past mr
+          // keep their seed, NaN included.
+          for (std::size_t i = 0; i < c1.size(); ++i) {
+            if (std::isnan(c2[i]))
+              ASSERT_TRUE(std::isnan(c1[i])) << k.name << " wrote padding elem " << i;
+            else
+              ASSERT_NEAR(c1[i], c2[i], 1e-3f)
+                  << k.name << " kc=" << kc << " beta=" << beta << " ldc=" << ldc << " elem "
+                  << i;
+          }
+        }
+      }
+    }
   }
 }
 
