@@ -47,8 +47,8 @@ void run_native(const ag::CliArgs& args, std::int64_t size) {
         cfg.prefetch ? static_cast<std::int64_t>(1024 * cfg.scale) : 0;
     const std::int64_t preb =
         cfg.prefetch ? static_cast<std::int64_t>(24576 * cfg.scale) : 0;
-    ag::set_prefetch_a_bytes(prea);
-    ag::set_prefetch_b_bytes(preb);
+    ag::set_knob(ag::Knob::kPrea, prea);
+    ag::set_knob(ag::Knob::kPreb, preb);
     double best = 0;
     for (int r = 0; r < reps; ++r) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -62,8 +62,8 @@ void run_native(const ag::CliArgs& args, std::int64_t size) {
     t.add_row({cfg.name, cfg.prefetch ? std::to_string(prea) : "-",
                cfg.prefetch ? std::to_string(preb) : "-", ag::Table::fmt(best, 2)});
   }
-  ag::set_prefetch_a_bytes(prev_prea);
-  ag::set_prefetch_b_bytes(prev_preb);
+  ag::set_knob(ag::Knob::kPrea, prev_prea);
+  ag::set_knob(ag::Knob::kPreb, prev_preb);
   agbench::emit(args, t);
 
   std::cout << "\nNative mode: distances feed the ARMGEMM_PREA/ARMGEMM_PREB knobs the\n"

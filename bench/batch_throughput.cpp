@@ -72,14 +72,14 @@ int main(int argc, char** argv) {
   ag::CliArgs args(argc, argv);
   const int reps = static_cast<int>(args.get_int("reps", 10));
   const std::int64_t cache_mb = args.get_int("cache-mb", ag::panel_cache_mb());
-  ag::set_panel_cache_mb(cache_mb);
+  ag::set_knob(ag::Knob::kPanelCacheMb, cache_mb);
   const std::string metrics_out = args.get("metrics-out", "");
   const std::string trace_out = args.get("trace-out", "");
 
   if (!metrics_out.empty()) {
     // Telemetry on for the whole sweep: inject the model (no calibration
     // stall) and suppress knob-path dumps; we write explicitly at the end.
-    ag::set_metrics_path("");
+    ag::set_knob(ag::Knob::kMetricsPath, "");
     ag::obs::telemetry_set_model(10.0, ag::model::CostParams{1e-10, 1e-9, 0.125}, 1.0);
     ag::obs::telemetry_enable();
   }

@@ -85,7 +85,7 @@ int inject_drift(ag::Context& ctx, bool to_disk) {
   // a tight threshold would mistake for the injected drift. The model
   // swap below shifts the ratio ~100x, so 5.0 vs 0.25 cleanly separates
   // noise from signal.
-  ag::set_drift_threshold(5.0);
+  ag::set_knob(ag::Knob::kDriftThreshold, 5.0);
   // Prime caches, then reset: cold-start calls are slow enough that the
   // fast EWMA racing ahead of the reference during warm-up would trip
   // the detector before the model swap gets its chance.
@@ -98,7 +98,7 @@ int inject_drift(ag::Context& ctx, bool to_disk) {
   // Sabotage: mu x100 collapses the expected Gflops. 80^3 shares the
   // shape class but not the per-thread memo slot, so the new model is
   // priced on the very next call.
-  ag::set_drift_threshold(0.25);
+  ag::set_knob(ag::Knob::kDriftThreshold, 0.25);
   ag::obs::telemetry_set_model(10.0, ag::model::CostParams{1e-8, 1e-9, 0.125}, 1.0);
   for (int i = 0; i < 200 && ag::obs::telemetry_anomaly_count() == 0; ++i)
     run_square(ctx, 80, 1);
@@ -115,8 +115,8 @@ int inject_drift(ag::Context& ctx, bool to_disk) {
 
 int inject_slow(ag::Context& ctx, bool to_disk) {
   reset_clean();
-  ag::set_drift_threshold(1000.0);  // keep drift out of this experiment
-  ag::set_slow_call_factor(0.0);    // no triggers while warming
+  ag::set_knob(ag::Knob::kDriftThreshold, 1000.0);  // keep drift out of this experiment
+  ag::set_knob(ag::Knob::kSlowCallFactor, 0.0);     // no triggers while warming
   // Prime caches and page tables, then reset so the recorded window is
   // all-warm: cold-start outliers would otherwise inflate the class p99
   // past what the slow leg can exceed.
@@ -125,7 +125,7 @@ int inject_slow(ag::Context& ctx, bool to_disk) {
   // 150 calls of 48^3 (square, decade 5): the rolling p99 refreshes at
   // records 64 and 128, so it reflects the warm shape by the slow leg.
   run_square(ctx, 48, 150);
-  ag::set_slow_call_factor(3.0);
+  ag::set_knob(ag::Knob::kSlowCallFactor, 3.0);
   // 96^3 calls (same shape class, decade 5) through a pathologically
   // blocked context: kc=1, mc=8, nc=6 repacks both operands constantly
   // and runs one rank-1 update per kernel call, so the calls land far
@@ -143,7 +143,7 @@ int inject_slow(ag::Context& ctx, bool to_disk) {
   slow_ctx.set_block_sizes(tiny);
   for (int i = 0; i < 12 && ag::obs::forensics_stats().slow_calls < 2; ++i)
     run_square(slow_ctx, 96, 1);
-  ag::set_slow_call_factor(0.0);
+  ag::set_knob(ag::Knob::kSlowCallFactor, 0.0);
   const ag::obs::ForensicsStats s = ag::obs::forensics_stats();
   if (s.slow_calls < 2) return fail("slow-call threshold never hit twice", s);
   if (s.captures[static_cast<int>(ag::obs::ForensicsReason::kSlowCall)] != 1)
@@ -218,9 +218,9 @@ int main(int argc, char** argv) {
     pos = dir.find('/', pos + 1);
     ::mkdir(dir.substr(0, pos).c_str(), 0755);
   }
-  ag::set_metrics_path("");  // no drift-triggered metric dumps mid-run
-  ag::set_forensics_dir(dir);
-  ag::set_forensics_interval_s(interval);
+  ag::set_knob(ag::Knob::kMetricsPath, "");  // no drift-triggered metric dumps mid-run
+  ag::set_knob(ag::Knob::kForensicsDir, dir);
+  ag::set_knob(ag::Knob::kForensicsInterval, interval);
   const bool to_disk = !dir.empty();
 
   ag::Context ctx(ag::KernelShape{8, 6}, 1);

@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
 
   // Deterministic setup: no calibration stall, no file dumps, and a
   // bounded flight ring, so the timed region is pure recording cost.
-  ag::set_metrics_path("");
+  ag::set_knob(ag::Knob::kMetricsPath, "");
   ag::obs::telemetry_set_model(10.0, ag::model::CostParams{1e-10, 1e-9, 0.125}, 1.0);
   ag::obs::telemetry_enable();
   ag::obs::telemetry_reset();
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
   if (phases_mode) ag::obs::telemetry_enable();
   const auto set_leg = [&](bool leg_on) {
     if (phases_mode)
-      ag::set_phase_attribution_enabled(leg_on);
+      ag::set_knob(ag::Knob::kPhases, leg_on);
     else if (leg_on)
       ag::obs::telemetry_enable();
     else
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     }
   }
   ag::obs::telemetry_disable();
-  if (phases_mode) ag::set_phase_attribution_enabled(true);  // restore default
+  if (phases_mode) ag::set_knob(ag::Knob::kPhases, true);  // restore default
 
   const double off_best = *std::min_element(off.begin(), off.end());
   const double on_best = *std::min_element(on.begin(), on.end());

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "blas3/blas3.hpp"
@@ -38,6 +40,17 @@ ag::obs::GemmStats& global_stats() {
 ag::obs::PmuCollector& global_pmu() {
   static ag::obs::PmuCollector pmu;
   return pmu;
+}
+
+/// The snprintf contract of the C API's text getters: writes at most
+/// len-1 bytes of `text` plus a NUL and returns the full length.
+long long copy_text(const std::string& text, char* buf, size_t len) {
+  if (buf && len > 0) {
+    const size_t copy = std::min(len - 1, text.size());
+    std::memcpy(buf, text.data(), copy);
+    buf[copy] = '\0';
+  }
+  return static_cast<long long>(text.size());
 }
 
 ag::Layout to_layout(CBLAS_ORDER o) {
@@ -188,70 +201,16 @@ void armgemm_set_num_threads(int threads) {
 
 int armgemm_get_num_threads(void) { return g_threads.load(); }
 
-void armgemm_set_spin_us(long long us) { ag::set_spin_wait_us(us); }
-
-long long armgemm_get_spin_us(void) { return ag::spin_wait_us(); }
-
-void armgemm_set_small_mnk(long long t) { ag::set_small_gemm_mnk(t); }
-
-long long armgemm_get_small_mnk(void) { return ag::small_gemm_mnk(); }
-
-void armgemm_set_prea_bytes(long long bytes) { ag::set_prefetch_a_bytes(bytes); }
-
-long long armgemm_get_prea_bytes(void) { return ag::prefetch_a_bytes(); }
-
-void armgemm_set_preb_bytes(long long bytes) { ag::set_prefetch_b_bytes(bytes); }
-
-long long armgemm_get_preb_bytes(void) { return ag::prefetch_b_bytes(); }
-
-void armgemm_set_queue_depth(long long depth) { ag::set_queue_depth(depth); }
-
-long long armgemm_get_queue_depth(void) { return ag::queue_depth(); }
-
-void armgemm_set_panel_cache_mb(long long mb) { ag::set_panel_cache_mb(mb); }
-
-long long armgemm_get_panel_cache_mb(void) { return ag::panel_cache_mb(); }
-
-void armgemm_set_cpu_classes(const char* spec) {
-  ag::set_cpu_classes_spec(spec ? spec : "");
+int armgemm_config_set(const char* name, const char* value) {
+  const std::optional<ag::Knob> knob = name ? ag::find_knob(name) : std::nullopt;
+  if (!knob || !value) return -1;
+  return ag::set_knob(*knob, std::string(value)) ? 0 : -1;
 }
 
-long long armgemm_get_cpu_classes(char* buf, size_t len) {
-  const std::string spec = ag::cpu_classes_spec();
-  if (buf && len > 0) {
-    const size_t copy = std::min(len - 1, spec.size());
-    std::memcpy(buf, spec.data(), copy);
-    buf[copy] = '\0';
-  }
-  return static_cast<long long>(spec.size());
-}
-
-void armgemm_set_numa_nodes(long long nodes) { ag::set_numa_nodes_override(nodes); }
-
-long long armgemm_get_numa_nodes(void) { return ag::numa_nodes_override(); }
-
-void armgemm_set_affinity(int enabled) { ag::set_affinity_enabled(enabled != 0); }
-
-int armgemm_get_affinity(void) { return ag::affinity_enabled() ? 1 : 0; }
-
-void armgemm_set_panel_replicate_kb(long long kb) { ag::set_panel_replicate_kb(kb); }
-
-long long armgemm_get_panel_replicate_kb(void) { return ag::panel_replicate_kb(); }
-
-void armgemm_set_weighted_schedule(int enabled) {
-  ag::set_weighted_schedule_enabled(enabled != 0);
-}
-
-int armgemm_get_weighted_schedule(void) {
-  return ag::weighted_schedule_enabled() ? 1 : 0;
-}
-
-void armgemm_set_cross_node_steal(long long sweeps) {
-  ag::set_cross_node_steal_threshold(sweeps);
-}
-
-long long armgemm_get_cross_node_steal(void) {
-  return ag::cross_node_steal_threshold();
+long long armgemm_config_get(const char* name, char* buf, size_t len) {
+  const std::optional<ag::Knob> knob = name ? ag::find_knob(name) : std::nullopt;
+  if (!knob) return -1;
+  return copy_text(ag::knob_text(*knob), buf, len);
 }
 
 void armgemm_topology_refresh(void) { ag::Topology::refresh(); }
@@ -409,42 +368,19 @@ int armgemm_telemetry_drift_ewma(int shape_kind, double* fast_ewma,
 }
 
 long long armgemm_metrics_render(int format, char* buf, size_t len) {
-  std::string text;
-  if (format == 0) {
-    text = ag::obs::telemetry_render_prometheus();
-  } else if (format == 1) {
-    text = ag::obs::telemetry_render_json();
-  } else {
-    return -1;
-  }
-  if (buf && len > 0) {
-    const size_t copy = std::min(len - 1, text.size());
-    std::memcpy(buf, text.data(), copy);
-    buf[copy] = '\0';
-  }
-  return static_cast<long long>(text.size());
+  if (format == 0) return copy_text(ag::obs::telemetry_render_prometheus(), buf, len);
+  if (format == 1) return copy_text(ag::obs::telemetry_render_json(), buf, len);
+  return -1;
 }
 
 int armgemm_metrics_write(const char* path) {
   return ag::obs::telemetry_write_metrics(path ? path : "");
 }
 
-void armgemm_set_metrics_path(const char* path) {
-  ag::set_metrics_path(path ? path : "");
-}
-
 int armgemm_flight_dump(const char* path) {
   if (!path) return -1;
   return ag::obs::telemetry_dump_flight(path);
 }
-
-void armgemm_set_flight_depth(long long depth) { ag::set_flight_depth(depth); }
-
-long long armgemm_get_flight_depth(void) { return ag::flight_depth(); }
-
-void armgemm_set_drift_threshold(double threshold) { ag::set_drift_threshold(threshold); }
-
-double armgemm_get_drift_threshold(void) { return ag::drift_threshold(); }
 
 int armgemm_scheduler_stats_get(armgemm_scheduler_stats* out) {
   if (!out) return 0;
@@ -473,46 +409,6 @@ int armgemm_scheduler_stats_get(armgemm_scheduler_stats* out) {
   out->steal_imbalance = s.steal_imbalance();
   return 1;
 }
-
-void armgemm_set_tune_mode(const char* mode) {
-  if (!mode) return;
-  const std::string m(mode);
-  if (m == "off" || m == "0")
-    ag::set_tune_mode(ag::kTuneModeOff);
-  else if (m == "analytic")
-    ag::set_tune_mode(ag::kTuneModeAnalytic);
-  else
-    ag::set_tune_mode(ag::kTuneModeOn);
-}
-
-const char* armgemm_get_tune_mode(void) {
-  switch (ag::tune_mode()) {
-    case ag::kTuneModeOff:
-      return "off";
-    case ag::kTuneModeAnalytic:
-      return "analytic";
-    default:
-      return "on";
-  }
-}
-
-void armgemm_set_tune_cache_path(const char* path) {
-  ag::set_tune_cache_path(path ? path : "");
-}
-
-long long armgemm_get_tune_cache_path(char* buf, size_t len) {
-  const std::string path = ag::tune_cache_path();
-  if (buf && len > 0) {
-    const size_t copy = std::min(len - 1, path.size());
-    std::memcpy(buf, path.data(), copy);
-    buf[copy] = '\0';
-  }
-  return static_cast<long long>(path.size());
-}
-
-void armgemm_set_tune_budget_ms(long long ms) { ag::set_tune_budget_ms(ms); }
-
-long long armgemm_get_tune_budget_ms(void) { return ag::tune_budget_ms(); }
 
 void armgemm_tune_force_retune(void) { ag::tune::force_retune(); }
 
@@ -612,38 +508,6 @@ int armgemm_topology_stats_get(armgemm_topology_stats* out) {
   return 1;
 }
 
-void armgemm_set_phase_attribution(int enabled) {
-  ag::set_phase_attribution_enabled(enabled != 0);
-}
-
-int armgemm_get_phase_attribution(void) {
-  return ag::phase_attribution_enabled() ? 1 : 0;
-}
-
-void armgemm_set_slow_call_factor(double factor) { ag::set_slow_call_factor(factor); }
-
-double armgemm_get_slow_call_factor(void) { return ag::slow_call_factor(); }
-
-void armgemm_set_forensics_dir(const char* dir) {
-  ag::set_forensics_dir(dir ? dir : "");
-}
-
-long long armgemm_get_forensics_dir(char* buf, size_t len) {
-  const std::string dir = ag::forensics_dir();
-  if (buf && len > 0) {
-    const size_t copy = std::min(len - 1, dir.size());
-    std::memcpy(buf, dir.data(), copy);
-    buf[copy] = '\0';
-  }
-  return static_cast<long long>(dir.size());
-}
-
-void armgemm_set_forensics_interval(double seconds) {
-  ag::set_forensics_interval_s(seconds);
-}
-
-double armgemm_get_forensics_interval(void) { return ag::forensics_interval_s(); }
-
 int armgemm_forensics_capture(void) { return ag::obs::telemetry_forensics_capture(); }
 
 void armgemm_forensics_stats_get(armgemm_forensics_stats* out) {
@@ -670,13 +534,7 @@ void armgemm_forensics_stats_get(armgemm_forensics_stats* out) {
 }
 
 long long armgemm_forensics_last_bundle(char* buf, size_t len) {
-  const std::string bundle = ag::obs::forensics_last_bundle_json();
-  if (buf && len > 0) {
-    const size_t copy = std::min(len - 1, bundle.size());
-    std::memcpy(buf, bundle.data(), copy);
-    buf[copy] = '\0';
-  }
-  return static_cast<long long>(bundle.size());
+  return copy_text(ag::obs::forensics_last_bundle_json(), buf, len);
 }
 
 void armgemm_telemetry_phases(int shape_kind, armgemm_phase_summary* out) {

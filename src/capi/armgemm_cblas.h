@@ -83,83 +83,31 @@ int armgemm_get_num_threads(void);
 
 /* ---- Runtime knobs (process-wide) ----
  *
- * Spin window of the hybrid barriers / fork-join edges, in microseconds:
- * waiters busy-poll this long (exponential cpu_relax backoff) before
- * blocking on the OS. 0 blocks immediately. Defaults to the
- * ARMGEMM_SPIN_US environment variable, else 50. */
-void armgemm_set_spin_us(long long us);
-long long armgemm_get_spin_us(void);
-
-/* Small-matrix fast-path threshold T: problems with m*n*k <= T^3 skip
- * packing and the blocked loop nest entirely. 0 disables the fast path.
- * Defaults to the ARMGEMM_SMALL_MNK environment variable, else 6. */
-void armgemm_set_small_mnk(long long t);
-long long armgemm_get_small_mnk(void);
-
-/* Register-kernel software-prefetch distances, in bytes ahead of the
- * packed A / packed B streams (paper Section IV-B; defaults from the
- * ARMGEMM_PREA / ARMGEMM_PREB environment variables, else 1024 / 24576).
- * 0 disables that stream's prefetch. */
-void armgemm_set_prea_bytes(long long bytes);
-long long armgemm_get_prea_bytes(void);
-void armgemm_set_preb_bytes(long long bytes);
-long long armgemm_get_preb_bytes(void);
-
-/* Admission limit of the persistent batch pool's work queue, in tickets:
- * submissions beyond this many outstanding run inline on the submitting
- * caller (backpressure) instead of enqueueing. Defaults to the
- * ARMGEMM_QUEUE_DEPTH environment variable, else 1024. */
-void armgemm_set_queue_depth(long long depth);
-long long armgemm_get_queue_depth(void);
-
-/* Capacity of the keyed packed-B panel cache shared by same-B batch
- * entries, in MiB. 0 disables caching (every ticket packs privately).
- * Defaults to the ARMGEMM_PANEL_CACHE_MB environment variable, else 64. */
-void armgemm_set_panel_cache_mb(long long mb);
-long long armgemm_get_panel_cache_mb(void);
-
-/* ---- Topology knobs ----
+ * Every ARMGEMM_* environment variable in README "Runtime knobs" is also
+ * settable and readable at run time, keyed by its name.
  *
- * CPU core-class override: "<count>x<weight>[,<count>x<weight>...]",
- * fastest class first, e.g. "4x2.0,4x1.0" emulates a big.LITTLE host on
- * symmetric hardware. "" returns to sysfs discovery. The setter takes
- * effect at armgemm_topology_refresh(). Defaults to ARMGEMM_CPU_CLASSES.
- * The getter follows the snprintf contract (full length returned, at
- * most len-1 bytes + NUL written). */
-void armgemm_set_cpu_classes(const char* spec);
-long long armgemm_get_cpu_classes(char* buf, size_t len);
+ * armgemm_config_set parses `value` as the environment is parsed: a
+ * base-10 integer, a finite decimal, or for the on/off knobs 1/0, on/off,
+ * true/false or yes/no in any case (ARMGEMM_TUNE also takes "analytic");
+ * the path and spec knobs take the text itself, "" meaning unset. Numbers
+ * outside a knob's range are clamped into it. Returns 0, or -1 and
+ * changes nothing for a NULL or unknown name, a NULL value, or text that
+ * is not a value of the knob's type.
+ *
+ * armgemm_config_get writes the current value as armgemm_config_set
+ * accepts it, following the snprintf contract: returns the full length
+ * and writes at most len-1 bytes plus a NUL (call with len 0 to size).
+ * Returns -1 for a NULL or unknown name.
+ *
+ * ARMGEMM_CPU_CLASSES and ARMGEMM_NUMA_NODES take effect at
+ * armgemm_topology_refresh(); ARMGEMM_FLIGHT_DEPTH applies to flight
+ * rings created or reset afterwards. */
+int armgemm_config_set(const char* name, const char* value);
+long long armgemm_config_get(const char* name, char* buf, size_t len);
 
-/* NUMA node-count override (0 = discover from sysfs). Takes effect at
- * armgemm_topology_refresh(). Defaults to ARMGEMM_NUMA_NODES. */
-void armgemm_set_numa_nodes(long long nodes);
-long long armgemm_get_numa_nodes(void);
-
-/* Pin pool workers to their topology CPUs (pthread_setaffinity_np).
- * Off by default; defaults to ARMGEMM_AFFINITY. */
-void armgemm_set_affinity(int enabled);
-int armgemm_get_affinity(void);
-
-/* Packed-B panel size, in KiB, above which the panel cache keeps one
- * replica per NUMA node instead of a single shared copy. Defaults to
- * ARMGEMM_PANEL_REPLICATE_KB, else 1024. */
-void armgemm_set_panel_replicate_kb(long long kb);
-long long armgemm_get_panel_replicate_kb(void);
-
-/* Heterogeneity-weighted ticket partitioning on/off (default on; only
- * engages when the topology is asymmetric). Bitwise results never change
- * with this knob — only which rank computes which tickets. Defaults to
- * ARMGEMM_WEIGHTED_SCHEDULE. */
-void armgemm_set_weighted_schedule(int enabled);
-int armgemm_get_weighted_schedule(void);
-
-/* Consecutive failed same-node steal sweeps a pool worker tolerates
- * before probing cross-node shards. Defaults to
- * ARMGEMM_CROSS_NODE_STEAL, else 2. */
-void armgemm_set_cross_node_steal(long long sweeps);
-long long armgemm_get_cross_node_steal(void);
-
-/* Rebuilds the topology snapshot (re-reads sysfs and the class/node
- * overrides above). Cheap; safe concurrently with running calls. */
+/* Rebuilds the topology snapshot (re-reads sysfs and the
+ * ARMGEMM_CPU_CLASSES / ARMGEMM_NUMA_NODES overrides). Cheap; safe
+ * concurrently with running calls. */
 void armgemm_topology_refresh(void);
 
 /* ---- Per-layer instrumentation (process-wide, off by default) ----
@@ -249,7 +197,7 @@ void armgemm_telemetry_disable(void);
 int armgemm_telemetry_enabled(void);
 
 /* Zeroes every histogram, flight ring, drift state and anomaly record;
- * flight rings take the current flight-depth knob. */
+ * flight rings take the current ARMGEMM_FLIGHT_DEPTH. */
 void armgemm_telemetry_reset(void);
 
 /* Injects the expected-efficiency model instead of calibrating:
@@ -295,23 +243,9 @@ long long armgemm_metrics_render(int format, char* buf, size_t len);
  * on success, -1 when no path is configured or I/O fails. */
 int armgemm_metrics_write(const char* path);
 
-/* Overrides the ARMGEMM_METRICS_PATH knob ("" disables file dumps). */
-void armgemm_set_metrics_path(const char* path);
-
 /* Writes just the merged flight-recorder array (recent calls, oldest
  * first) to `path` as JSON. Returns 0 on success, -1 on failure. */
 int armgemm_flight_dump(const char* path);
-
-/* Flight-recorder ring depth per recording thread (applies to rings
- * created or reset afterwards). Defaults to ARMGEMM_FLIGHT_DEPTH, else
- * 256; 0 disables the recorder. */
-void armgemm_set_flight_depth(long long depth);
-long long armgemm_get_flight_depth(void);
-
-/* Relative divergence |fast/reference - 1| of the drift EWMAs that flags
- * an anomaly. Defaults to ARMGEMM_DRIFT_THRESHOLD, else 0.25. */
-void armgemm_set_drift_threshold(double threshold);
-double armgemm_get_drift_threshold(void);
 
 /* ---- Serving-runtime introspection (scheduler + panel cache) ----
  *
@@ -401,31 +335,13 @@ int armgemm_topology_stats_get(armgemm_topology_stats* out);
  * tuned configurations automatically; contexts configured through the
  * explicit C++ API are pins the tuner never overrides. */
 
-/* Tuner mode: "off" (paper/host defaults, bit-for-bit the untuned
- * behavior), "analytic" (model proposals, no probes), or "on" (the
- * default). Defaults to the ARMGEMM_TUNE environment variable. */
-void armgemm_set_tune_mode(const char* mode);
-const char* armgemm_get_tune_mode(void);
-
-/* Persistent tuning-cache path (NULL or "" disables persistence).
- * Defaults to ARMGEMM_TUNE_CACHE. The getter follows the snprintf
- * contract: returns the full length, writes at most len-1 bytes + NUL. */
-void armgemm_set_tune_cache_path(const char* path);
-long long armgemm_get_tune_cache_path(char* buf, size_t len);
-
-/* Process-wide wall-clock budget for measured probes, in milliseconds;
- * once spent, resolution stays analytic. Defaults to
- * ARMGEMM_TUNE_BUDGET_MS, else 120. */
-void armgemm_set_tune_budget_ms(long long ms);
-long long armgemm_get_tune_budget_ms(void);
-
 /* Drops every resolved key and the in-memory cache image; each key
  * re-tunes on its next call (probe budget permitting). The cache file is
  * untouched until the next save. */
 void armgemm_tune_force_retune(void);
 
 /* Writes the resolved tuning state to `path` (NULL or "" uses the
- * tune-cache-path knob). Atomic .tmp+rename. Returns 0 on success, -1
+ * ARMGEMM_TUNE_CACHE knob). Atomic .tmp+rename. Returns 0 on success, -1
  * when no path is configured or the write fails. */
 int armgemm_tune_save(const char* path);
 
@@ -483,30 +399,6 @@ int armgemm_tune_resolve(int precision, long long m, long long n, long long k,
  * rate-limited to one per forensics-interval seconds. Under
  * -DARMGEMM_STATS=OFF every capture entry point returns -1 and no bundle
  * is ever produced. */
-
-/* Phase attribution on/off (defaults to ARMGEMM_PHASES, else on). Only
- * consulted while telemetry is recording. */
-void armgemm_set_phase_attribution(int enabled);
-int armgemm_get_phase_attribution(void);
-
-/* A call slower than factor x its shape class's rolling p99 latency
- * triggers a forensics capture. Defaults to ARMGEMM_SLOW_CALL_FACTOR,
- * else 8. <= 0 disables slow-call detection. */
-void armgemm_set_slow_call_factor(double factor);
-double armgemm_get_slow_call_factor(void);
-
-/* Directory bundles are written into (NULL or "" keeps bundles in memory
- * only). Defaults to ARMGEMM_FORENSICS_DIR. The getter follows the
- * snprintf contract: returns the full length, writes at most len-1 bytes
- * plus a NUL. */
-void armgemm_set_forensics_dir(const char* dir);
-long long armgemm_get_forensics_dir(char* buf, size_t len);
-
-/* Minimum seconds between automatic captures (drift / slow-call); manual
- * captures bypass it. Defaults to ARMGEMM_FORENSICS_INTERVAL, else 60.
- * 0 = unlimited. */
-void armgemm_set_forensics_interval(double seconds);
-double armgemm_get_forensics_interval(void);
 
 /* Captures a bundle right now (reason "manual"), using the most recent
  * flight record as the subject call. Returns 0 on capture, -1 in a

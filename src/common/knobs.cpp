@@ -1,23 +1,95 @@
 #include "common/knobs.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 
 namespace ag {
 
-namespace detail {
 namespace {
 
-// One stderr line per rejected variable. Callers parse each variable at
-// most once per process (magic-static knob initialization), so the
-// warning is naturally one-time; the message names the default actually
-// used so an operator can fix the deployment without reading source.
+using enum KnobType;
+
+// The knob table. Defaults are text, so the defaults, the environment and
+// set_knob all go through one parser.
+constexpr KnobRow kRows[kKnobCount] = {
+    // env                           type       default  min  open   tune group
+    {"ARMGEMM_SPIN_US",              kInt,      "50",     0, false, 0},
+    // Measured crossover on the dev host: with the per-context packing
+    // scratch reused across calls, the blocked path beats the no-pack
+    // axpy nest from about 8x8x8 up; the fast path wins clearly at 6^3
+    // and below.
+    {"ARMGEMM_SMALL_MNK",            kInt,      "6",      0, false, 1},
+    // Paper Table III / Figure 8: the tuned prfm distances of the 8x6
+    // kernel. The tuner probes the two together, so they pin together.
+    {"ARMGEMM_PREA",                 kInt,      "1024",   0, false, 2},
+    {"ARMGEMM_PREB",                 kInt,      "24576",  0, false, 2},
+    {"ARMGEMM_TELEMETRY",            kOnOff,    "0",      0, false, 0},
+    {"ARMGEMM_METRICS_PATH",         kText,     "",       0, false, 0},
+    {"ARMGEMM_FLIGHT_DEPTH",         kInt,      "256",    0, false, 0},
+    {"ARMGEMM_DRIFT_THRESHOLD",      kDouble,   "0.25",   0, true,  0},
+    // The queue depth bounds memory held by outstanding tickets, not
+    // parallelism: a batch of small entries enqueues one ticket per
+    // entry, so 1024 covers the serving sweet spot while still shedding
+    // load (inline execution) under pathological fan-in.
+    {"ARMGEMM_QUEUE_DEPTH",          kInt,      "1024",   1, false, 0},
+    // Packed-B panels of the default blocking are kc*nc*8 bytes (a few
+    // MiB); 64 MiB holds the panels of a few dozen distinct B operands.
+    {"ARMGEMM_PANEL_CACHE_MB",       kInt,      "64",     0, false, 0},
+    {"ARMGEMM_TUNE",                 kTuneMode, "on",     0, false, 0},
+    {"ARMGEMM_TUNE_CACHE",           kText,     "",       0, false, 0},
+    // Enough wall time for one key's candidate neighborhood at the capped
+    // probe sizes on a mid-range host, small enough that a cold first
+    // call stays interactive.
+    {"ARMGEMM_TUNE_BUDGET_MS",       kInt,      "120",    0, false, 0},
+    // The phase clock reads are a few ns per call and only taken while
+    // telemetry is already recording.
+    {"ARMGEMM_PHASES",               kOnOff,    "1",      0, false, 0},
+    // 8x the class p99 is far outside scheduler jitter but still catches
+    // a call that hit a cold cache, a stolen core, or a pathological
+    // stall.
+    {"ARMGEMM_SLOW_CALL_FACTOR",     kDouble,   "8",      0, false, 0},
+    {"ARMGEMM_FORENSICS_DIR",        kText,     "",       0, false, 0},
+    // One bundle a minute bounds forensics I/O even when a whole class
+    // goes bad at once.
+    {"ARMGEMM_FORENSICS_INTERVAL",   kDouble,   "60",     0, false, 0},
+    {"ARMGEMM_CPU_CLASSES",          kText,     "",       0, false, 0},
+    {"ARMGEMM_NUMA_NODES",           kInt,      "0",      0, false, 0},
+    // A library must not fight the host's scheduler unless the operator
+    // opted in.
+    {"ARMGEMM_AFFINITY",             kOnOff,    "0",      0, false, 0},
+    // A replica costs one extra pack and its resident bytes per node;
+    // panels under ~1 MiB travel the interconnect cheaply enough that the
+    // copy is not worth the cache capacity.
+    {"ARMGEMM_PANEL_REPLICATE_KB",   kInt,      "1024",   0, false, 0},
+    {"ARMGEMM_WEIGHTED_SCHEDULE",    kOnOff,    "1",      0, false, 0},
+    // Two full same-node sweeps tolerate transient emptiness before a
+    // worker pays the interconnect for a remote ticket.
+    {"ARMGEMM_CROSS_NODE_STEAL",     kInt,      "2",      0, false, 0},
+    {"ARMGEMM_PMU",                  kOnOff,    "1",      0, false, 0},
+};
+
+constexpr int kTuneGroups = 3;
+static_assert(std::ranges::all_of(kRows, [](const KnobRow& r) {
+  return r.tune_group < kTuneGroups && (r.type == kDouble || !r.open_min);
+}));
+
+constexpr const char* kTuneModeNames[] = {"off", "analytic", "on"};
+
+constexpr std::size_t index(Knob k) { return static_cast<std::size_t>(k); }
+
+std::uint64_t double_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// One stderr line per rejected variable. The table parses each variable
+// once per process, so the warning is naturally one-time; the message
+// names the default actually used so an operator can fix the deployment
+// without reading source.
 void warn_rejected(const char* name, const char* raw, const char* why,
                    const char* fallback_text) {
   std::fprintf(stderr, "armgemm: ignoring %s='%s' (%s); using default %s\n",
@@ -34,321 +106,299 @@ bool only_trailing_space(const char* end) {
   return true;
 }
 
-}  // namespace
-
-std::int64_t parse_env_int64(const char* name, const char* raw,
-                             std::int64_t fallback) {
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char fb[32];
-  std::snprintf(fb, sizeof fb, "%lld", static_cast<long long>(fallback));
+// The number parsers return why `text` is not a number of their type, or
+// nullptr once `out` holds it.
+const char* parse_int(const char* text, std::int64_t& out) {
   char* end = nullptr;
   errno = 0;
-  const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || !only_trailing_space(end)) {
-    warn_rejected(name, raw, "not an integer", fb);
-    return fallback;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || !only_trailing_space(end)) return "not an integer";
+  if (errno == ERANGE) return "out of range";
+  out = v;
+  return nullptr;
+}
+
+const char* parse_double(const char* text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || !only_trailing_space(end)) return "not a number";
+  if (errno == ERANGE || !std::isfinite(v)) return "out of range";
+  out = v;
+  return nullptr;
+}
+
+std::string_view trim(std::string_view s) {
+  const auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
+  while (!s.empty() && space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && space(s.back())) s.remove_suffix(1);
+  return s;
+}
+
+bool iequals(std::string_view a, std::string_view b) {
+  return std::ranges::equal(a, b, [](char x, char y) {
+    return std::tolower(static_cast<unsigned char>(x)) ==
+           std::tolower(static_cast<unsigned char>(y));
+  });
+}
+
+// The value of an on/off or ARMGEMM_TUNE row that `text` spells.
+std::optional<std::int64_t> parse_switch(KnobType type, std::string_view text) {
+  if (const std::optional<bool> on = detail::parse_on_off(text)) {
+    if (!*on) return 0;
+    return type == kTuneMode ? kTuneModeOn : 1;
   }
-  if (errno == ERANGE) {
-    warn_rejected(name, raw, "out of range", fb);
-    return fallback;
+  if (type == kTuneMode && iequals(trim(text), "analytic"))
+    return kTuneModeAnalytic;
+  return std::nullopt;
+}
+
+// `text` as a number of a numeric or on/off row's type.
+std::optional<KnobValue> parse_number(KnobType type, const std::string& text) {
+  if (type == kInt) {
+    std::int64_t v = 0;
+    if (parse_int(text.c_str(), v) != nullptr) return std::nullopt;
+    return v;
   }
-  if (v < 0) {
-    warn_rejected(name, raw, "negative", fb);
-    return fallback;
+  if (type == kDouble) {
+    double v = 0;
+    if (parse_double(text.c_str(), v) != nullptr) return std::nullopt;
+    return v;
   }
-  return static_cast<std::int64_t>(v);
+  if (const std::optional<std::int64_t> v = parse_switch(type, text)) return *v;
+  return std::nullopt;
+}
+
+std::uint64_t default_bits(const KnobRow& r);
+
+// The bits a numeric or on/off row stores for `v` set from code: clamped
+// into the row's range. nullopt when `v` is not a value of the row's type.
+std::optional<std::uint64_t> code_bits(const KnobRow& r, const KnobValue& v) {
+  if (const auto* text = std::get_if<std::string>(&v)) {
+    const std::optional<KnobValue> number = parse_number(r.type, *text);
+    return number ? code_bits(r, *number) : std::nullopt;
+  }
+  if (r.type == kDouble) {
+    const double d = std::holds_alternative<double>(v)
+                         ? std::get<double>(v)
+                         : static_cast<double>(std::get<std::int64_t>(v));
+    const double min = static_cast<double>(r.min);
+    if (r.open_min) return d > min ? double_bits(d) : default_bits(r);
+    return double_bits(d >= min ? d : min);  // NaN stores min
+  }
+  const auto* i = std::get_if<std::int64_t>(&v);
+  if (i == nullptr) return std::nullopt;
+  if (r.type == kOnOff) return *i != 0 ? 1 : 0;
+  if (r.type == kTuneMode)
+    return *i >= kTuneModeOff && *i <= kTuneModeOn ? static_cast<std::uint64_t>(*i)
+                                                   : default_bits(r);
+  return static_cast<std::uint64_t>(std::max(*i, r.min));
+}
+
+std::uint64_t default_bits(const KnobRow& r) { return *code_bits(r, std::string(r.fallback)); }
+
+// Bits for the environment text `raw` of a numeric or on/off row.
+std::uint64_t env_bits(const KnobRow& r, const char* raw) {
+  const std::uint64_t fallback = default_bits(r);
+  if (r.type == kInt)
+    return static_cast<std::uint64_t>(
+        detail::parse_env_int64(r.env, raw, static_cast<std::int64_t>(fallback), r.min));
+  if (r.type == kDouble)
+    return double_bits(detail::parse_env_double(r.env, raw, std::bit_cast<double>(fallback),
+                                                /*allow_zero=*/!r.open_min));
+  if (raw == nullptr || raw[0] == '\0') return fallback;
+  if (const std::optional<std::int64_t> v = parse_switch(r.type, raw))
+    return static_cast<std::uint64_t>(*v);
+  warn_rejected(r.env, raw, r.type == kOnOff ? "not on/off" : "not on/off/analytic",
+                r.fallback);
+  return fallback;
+}
+
+// The path and spec rows. Reads are rare (dump, capture, cache and
+// topology build time), so a mutex is simpler than a lock-free string
+// scheme.
+struct TextStore {
+  std::mutex mutex;
+  std::string value[kKnobCount];  // text rows only
+};
+
+TextStore& text_store() {
+  static TextStore* store = new TextStore;  // leaky: threads running at exit read it
+  return *store;
+}
+
+// Pinned flag per tune group (group 0 is never pinned).
+std::atomic<bool> g_pinned[kTuneGroups];
+
+bool load_environment() {
+  TextStore& texts = text_store();
+  std::lock_guard lock(texts.mutex);
+  bool telemetry_set = false;
+  for (int i = 0; i < kKnobCount; ++i) {
+    const KnobRow& r = kRows[i];
+    const char* raw = std::getenv(r.env);
+    const bool present = raw != nullptr && raw[0] != '\0';
+    if (r.type == kText)
+      texts.value[i] = present ? raw : "";
+    else
+      detail::g_knob_bits[i].store(env_bits(r, raw), std::memory_order_relaxed);
+    // An environment value is an explicit choice, even one the parser
+    // rejected: the tuner leaves its group alone.
+    if (present && r.tune_group != 0)
+      g_pinned[r.tune_group].store(true, std::memory_order_relaxed);
+    if (present && static_cast<Knob>(i) == Knob::kTelemetry) telemetry_set = true;
+  }
+  // Setting a metrics path without ARMGEMM_TELEMETRY asks for the
+  // exposition running from the first call.
+  if (!telemetry_set && !texts.value[index(Knob::kMetricsPath)].empty())
+    detail::g_knob_bits[index(Knob::kTelemetry)].store(1, std::memory_order_relaxed);
+  return true;
+}
+
+void ensure_loaded() {
+  static const bool loaded = load_environment();
+  (void)loaded;
+}
+
+// telemetry_active() reads its row without ensure_loaded(), so the
+// environment is loaded before main as well as at first use.
+[[maybe_unused]] const bool g_loaded_at_startup = (ensure_loaded(), true);
+
+std::int64_t int_knob(Knob k) { return static_cast<std::int64_t>(detail::knob_bits(k)); }
+double double_knob(Knob k) { return std::bit_cast<double>(detail::knob_bits(k)); }
+bool on_knob(Knob k) { return detail::knob_bits(k) != 0; }
+
+}  // namespace
+
+namespace detail {
+
+constinit std::atomic<std::uint64_t> g_knob_bits[kKnobCount] = {};
+
+std::uint64_t knob_bits(Knob k) {
+  ensure_loaded();
+  return g_knob_bits[index(k)].load(std::memory_order_relaxed);
+}
+
+std::int64_t parse_env_int64(const char* name, const char* raw, std::int64_t fallback,
+                             std::int64_t min) {
+  if (raw == nullptr || raw[0] == '\0') return fallback;
+  std::int64_t v = 0;
+  const char* why = parse_int(raw, v);
+  char below[40];
+  if (why == nullptr && v < min) {
+    std::snprintf(below, sizeof below, "less than %lld", static_cast<long long>(min));
+    why = v < 0 ? "negative" : below;
+  }
+  if (why == nullptr) return v;
+  char fb[32];
+  std::snprintf(fb, sizeof fb, "%lld", static_cast<long long>(fallback));
+  warn_rejected(name, raw, why, fb);
+  return fallback;
 }
 
 double parse_env_double(const char* name, const char* raw, double fallback,
                         bool allow_zero) {
   if (raw == nullptr || raw[0] == '\0') return fallback;
+  double v = 0;
+  const char* why = parse_double(raw, v);
+  if (why == nullptr && (v < 0 || (v == 0 && !allow_zero)))
+    why = allow_zero ? "negative" : "not positive";
+  if (why == nullptr) return v;
   char fb[32];
   std::snprintf(fb, sizeof fb, "%g", fallback);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(raw, &end);
-  if (end == raw || !only_trailing_space(end)) {
-    warn_rejected(name, raw, "not a number", fb);
-    return fallback;
-  }
-  if (errno == ERANGE || !std::isfinite(v)) {
-    warn_rejected(name, raw, "out of range", fb);
-    return fallback;
-  }
-  if (v < 0 || (v == 0 && !allow_zero)) {
-    warn_rejected(name, raw, allow_zero ? "negative" : "not positive", fb);
-    return fallback;
-  }
-  return v;
+  warn_rejected(name, raw, why, fb);
+  return fallback;
+}
+
+std::optional<bool> parse_on_off(std::string_view text) {
+  text = trim(text);
+  for (const char* on : {"1", "on", "true", "yes"})
+    if (iequals(text, on)) return true;
+  for (const char* off : {"0", "off", "false", "no"})
+    if (iequals(text, off)) return false;
+  return std::nullopt;
 }
 
 }  // namespace detail
 
-namespace {
+const KnobRow& knob_row(Knob k) { return kRows[index(k)]; }
 
-constexpr std::int64_t kDefaultSpinUs = 50;
-// Measured crossover on the dev host: with the per-context packing
-// scratch reused across calls, the blocked path beats the no-pack axpy
-// nest from about 8x8x8 up; the fast path wins clearly at 6^3 and below.
-// Conservative default — raise via ARMGEMM_SMALL_MNK on machines where
-// packing is relatively more expensive.
-constexpr std::int64_t kDefaultSmallMnk = 6;
-
-std::int64_t env_int64(const char* name, std::int64_t fallback) {
-  return detail::parse_env_int64(name, std::getenv(name), fallback);
+std::optional<Knob> find_knob(std::string_view env) {
+  for (int i = 0; i < kKnobCount; ++i)
+    if (env == kRows[i].env) return static_cast<Knob>(i);
+  return std::nullopt;
 }
 
-std::atomic<std::int64_t>& spin_us_knob() {
-  static std::atomic<std::int64_t> v{env_int64("ARMGEMM_SPIN_US", kDefaultSpinUs)};
-  return v;
-}
-
-bool env_present(const char* name) {
-  const char* raw = std::getenv(name);
-  return raw != nullptr && raw[0] != '\0';
-}
-
-std::atomic<std::int64_t>& small_mnk_knob() {
-  static std::atomic<std::int64_t> v{env_int64("ARMGEMM_SMALL_MNK", kDefaultSmallMnk)};
-  return v;
-}
-
-// "Pinned" knobs are ones the process (env or setter) chose explicitly;
-// the autotuner never overrides a pinned knob.
-std::atomic<bool>& small_mnk_pinned_flag() {
-  static std::atomic<bool> v{env_present("ARMGEMM_SMALL_MNK")};
-  return v;
-}
-
-std::atomic<bool>& prefetch_pinned_flag() {
-  static std::atomic<bool> v{env_present("ARMGEMM_PREA") || env_present("ARMGEMM_PREB")};
-  return v;
-}
-
-// Paper Table III / Figure 8: the tuned prfm distances of the 8x6 kernel.
-constexpr std::int64_t kDefaultPreaBytes = 1024;
-constexpr std::int64_t kDefaultPrebBytes = 24576;
-
-std::atomic<std::int64_t>& prea_knob() {
-  static std::atomic<std::int64_t> v{env_int64("ARMGEMM_PREA", kDefaultPreaBytes)};
-  return v;
-}
-
-std::atomic<std::int64_t>& preb_knob() {
-  static std::atomic<std::int64_t> v{env_int64("ARMGEMM_PREB", kDefaultPrebBytes)};
-  return v;
-}
-
-// The queue depth bounds memory held by outstanding tickets, not
-// parallelism: a batch of small entries enqueues one ticket per entry, so
-// 1024 comfortably covers the serving sweet spot while still shedding
-// load (inline execution) under pathological fan-in.
-constexpr std::int64_t kDefaultQueueDepth = 1024;
-// Packed-B panels of the default blocking are kc*nc*8 bytes (a few MiB);
-// 64 MiB holds the panels of a few dozen distinct B operands per batch.
-constexpr std::int64_t kDefaultPanelCacheMb = 64;
-
-std::atomic<std::int64_t>& queue_depth_knob() {
-  static std::atomic<std::int64_t> v{env_int64("ARMGEMM_QUEUE_DEPTH", kDefaultQueueDepth)};
-  return v;
-}
-
-std::atomic<std::int64_t>& panel_cache_mb_knob() {
-  static std::atomic<std::int64_t> v{
-      env_int64("ARMGEMM_PANEL_CACHE_MB", kDefaultPanelCacheMb)};
-  return v;
-}
-
-constexpr std::int64_t kDefaultFlightDepth = 256;
-constexpr double kDefaultDriftThreshold = 0.25;
-
-double env_double(const char* name, double fallback, bool allow_zero = false) {
-  return detail::parse_env_double(name, std::getenv(name), fallback, allow_zero);
-}
-
-std::atomic<std::int64_t>& flight_depth_knob() {
-  static std::atomic<std::int64_t> v{env_int64("ARMGEMM_FLIGHT_DEPTH", kDefaultFlightDepth)};
-  return v;
-}
-
-std::atomic<double>& drift_threshold_knob() {
-  static std::atomic<double> v{env_double("ARMGEMM_DRIFT_THRESHOLD", kDefaultDriftThreshold)};
-  return v;
-}
-
-// Phase attribution defaults on: the clock reads are a few ns per call
-// and only taken while telemetry is already recording.
-std::atomic<bool>& phases_knob() {
-  static std::atomic<bool> v{env_int64("ARMGEMM_PHASES", 1) != 0};
-  return v;
-}
-
-// 8x the class p99 is far outside scheduler jitter but still catches a
-// call that hit a cold cache, a stolen core, or a pathological stall.
-constexpr double kDefaultSlowCallFactor = 8.0;
-// One bundle a minute bounds forensics I/O even when a whole class goes
-// bad at once.
-constexpr double kDefaultForensicsIntervalS = 60.0;
-
-std::atomic<double>& slow_call_factor_knob() {
-  static std::atomic<double> v{env_double("ARMGEMM_SLOW_CALL_FACTOR",
-                                          kDefaultSlowCallFactor,
-                                          /*allow_zero=*/true)};
-  return v;
-}
-
-std::atomic<double>& forensics_interval_knob() {
-  static std::atomic<double> v{env_double("ARMGEMM_FORENSICS_INTERVAL",
-                                          kDefaultForensicsIntervalS,
-                                          /*allow_zero=*/true)};
-  return v;
-}
-
-// The only string-valued knob; reads are rare (dump time), so a mutex is
-// simpler than a lock-free string scheme.
-struct MetricsPathKnob {
-  std::mutex mutex;
-  std::string path;
-};
-
-MetricsPathKnob& metrics_path_knob() {
-  static MetricsPathKnob* k = [] {
-    auto* fresh = new MetricsPathKnob;  // leaky: read at process-exit dump time
-    const char* raw = std::getenv("ARMGEMM_METRICS_PATH");
-    if (raw) fresh->path = raw;
-    return fresh;
-  }();
-  return *k;
-}
-
-int parse_tune_mode(const char* raw) {
-  if (raw == nullptr || raw[0] == '\0') return kTuneModeOn;
-  if (std::strcmp(raw, "off") == 0 || std::strcmp(raw, "0") == 0) return kTuneModeOff;
-  if (std::strcmp(raw, "analytic") == 0) return kTuneModeAnalytic;
-  return kTuneModeOn;  // "on", "1", and anything unrecognized
-}
-
-std::atomic<int>& tune_mode_knob() {
-  static std::atomic<int> v{parse_tune_mode(std::getenv("ARMGEMM_TUNE"))};
-  return v;
-}
-
-// Probe budget: enough wall time for one key's candidate neighborhood at
-// the capped probe sizes on a mid-range host, small enough that a cold
-// first call stays interactive.
-constexpr std::int64_t kDefaultTuneBudgetMs = 120;
-
-std::atomic<std::int64_t>& tune_budget_ms_knob() {
-  static std::atomic<std::int64_t> v{
-      env_int64("ARMGEMM_TUNE_BUDGET_MS", kDefaultTuneBudgetMs)};
-  return v;
-}
-
-// Same rare-read mutex-string pattern as the metrics path.
-MetricsPathKnob& forensics_dir_knob() {
-  static MetricsPathKnob* k = [] {
-    auto* fresh = new MetricsPathKnob;  // leaky: read at capture time
-    const char* raw = std::getenv("ARMGEMM_FORENSICS_DIR");
-    if (raw) fresh->path = raw;
-    return fresh;
-  }();
-  return *k;
-}
-
-// Same rare-read mutex-string pattern as the metrics path.
-MetricsPathKnob& tune_cache_path_knob() {
-  static MetricsPathKnob* k = [] {
-    auto* fresh = new MetricsPathKnob;  // leaky: read at first-resolve time
-    const char* raw = std::getenv("ARMGEMM_TUNE_CACHE");
-    if (raw) fresh->path = raw;
-    return fresh;
-  }();
-  return *k;
-}
-
-// Same rare-read mutex-string pattern as the metrics path; consumed only
-// when the topology snapshot is (re)built.
-MetricsPathKnob& cpu_classes_knob() {
-  static MetricsPathKnob* k = [] {
-    auto* fresh = new MetricsPathKnob;  // leaky: read at topology-build time
-    const char* raw = std::getenv("ARMGEMM_CPU_CLASSES");
-    if (raw) fresh->path = raw;
-    return fresh;
-  }();
-  return *k;
-}
-
-std::atomic<std::int64_t>& numa_nodes_knob() {
-  static std::atomic<std::int64_t> v{env_int64("ARMGEMM_NUMA_NODES", 0)};
-  return v;
-}
-
-// Pinning defaults off: a library must not fight the host's scheduler
-// unless the operator opted in.
-std::atomic<bool>& affinity_knob() {
-  static std::atomic<bool> v{env_int64("ARMGEMM_AFFINITY", 0) != 0};
-  return v;
-}
-
-// A replica costs one extra pack + its resident bytes per node; panels
-// under ~1 MiB travel the interconnect cheaply enough that the copy is
-// not worth the cache capacity.
-constexpr std::int64_t kDefaultPanelReplicateKb = 1024;
-
-std::atomic<std::int64_t>& panel_replicate_kb_knob() {
-  static std::atomic<std::int64_t> v{
-      env_int64("ARMGEMM_PANEL_REPLICATE_KB", kDefaultPanelReplicateKb)};
-  return v;
-}
-
-std::atomic<bool>& weighted_schedule_knob() {
-  static std::atomic<bool> v{env_int64("ARMGEMM_WEIGHTED_SCHEDULE", 1) != 0};
-  return v;
-}
-
-// Two full same-node sweeps tolerate transient emptiness before a worker
-// pays the interconnect for a remote ticket.
-constexpr std::int64_t kDefaultCrossNodeSteal = 2;
-
-std::atomic<std::int64_t>& cross_node_steal_knob() {
-  static std::atomic<std::int64_t> v{
-      env_int64("ARMGEMM_CROSS_NODE_STEAL", kDefaultCrossNodeSteal)};
-  return v;
-}
-
-}  // namespace
-
-std::int64_t spin_wait_us() { return spin_us_knob().load(std::memory_order_relaxed); }
-
-void set_spin_wait_us(std::int64_t us) {
-  spin_us_knob().store(us < 0 ? 0 : us, std::memory_order_relaxed);
-}
-
-std::int64_t small_gemm_mnk() { return small_mnk_knob().load(std::memory_order_relaxed); }
-
-void set_small_gemm_mnk(std::int64_t t) {
-  small_mnk_pinned_flag().store(true, std::memory_order_relaxed);
-  small_mnk_knob().store(t < 0 ? 0 : t, std::memory_order_relaxed);
-}
-
-bool small_gemm_mnk_pinned() {
-  return small_mnk_pinned_flag().load(std::memory_order_relaxed);
-}
-
-bool prefetch_pinned() { return prefetch_pinned_flag().load(std::memory_order_relaxed); }
-
-bool tuner_apply_small_gemm_mnk(std::int64_t t) {
-  if (small_gemm_mnk_pinned()) return false;
-  small_mnk_knob().store(t < 0 ? 0 : t, std::memory_order_relaxed);
+bool set_knob(Knob k, const KnobValue& v) {
+  ensure_loaded();
+  const KnobRow& r = knob_row(k);
+  if (r.type == kText) {
+    const auto* text = std::get_if<std::string>(&v);
+    if (text == nullptr) return false;
+    TextStore& texts = text_store();
+    std::lock_guard lock(texts.mutex);
+    texts.value[index(k)] = *text;
+    return true;
+  }
+  const std::optional<std::uint64_t> bits = code_bits(r, v);
+  if (!bits) return false;
+  if (r.tune_group != 0) g_pinned[r.tune_group].store(true, std::memory_order_relaxed);
+  detail::g_knob_bits[index(k)].store(*bits, std::memory_order_relaxed);
   return true;
 }
 
-bool tuner_apply_prefetch(std::int64_t prea_bytes, std::int64_t preb_bytes) {
-  if (prefetch_pinned()) return false;
-  prea_knob().store(prea_bytes < 0 ? 0 : prea_bytes, std::memory_order_relaxed);
-  preb_knob().store(preb_bytes < 0 ? 0 : preb_bytes, std::memory_order_relaxed);
+std::string knob_text(Knob k) {
+  const KnobRow& r = knob_row(k);
+  if (r.type == kText) {
+    ensure_loaded();
+    TextStore& texts = text_store();
+    std::lock_guard lock(texts.mutex);
+    return texts.value[index(k)];
+  }
+  const std::uint64_t bits = detail::knob_bits(k);
+  if (r.type == kTuneMode) return kTuneModeNames[bits];
+  char buf[32];
+  const std::to_chars_result end =
+      r.type == kDouble ? std::to_chars(buf, buf + sizeof buf, std::bit_cast<double>(bits))
+                        : std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(bits));
+  return std::string(buf, end.ptr);
+}
+
+bool knob_pinned(Knob k) {
+  ensure_loaded();
+  const std::uint8_t group = knob_row(k).tune_group;
+  return group != 0 && g_pinned[group].load(std::memory_order_relaxed);
+}
+
+bool tuner_apply(Knob k, std::int64_t v) {
+  const KnobRow& r = knob_row(k);
+  if (r.tune_group == 0 || knob_pinned(k)) return false;
+  detail::g_knob_bits[index(k)].store(*code_bits(r, v), std::memory_order_relaxed);
   return true;
 }
+
+std::int64_t spin_wait_us() { return int_knob(Knob::kSpinUs); }
+std::int64_t small_gemm_mnk() { return int_knob(Knob::kSmallMnk); }
+std::int64_t prefetch_a_bytes() { return int_knob(Knob::kPrea); }
+std::int64_t prefetch_b_bytes() { return int_knob(Knob::kPreb); }
+std::int64_t queue_depth() { return int_knob(Knob::kQueueDepth); }
+std::int64_t panel_cache_mb() { return int_knob(Knob::kPanelCacheMb); }
+std::string metrics_path() { return knob_text(Knob::kMetricsPath); }
+std::int64_t flight_depth() { return int_knob(Knob::kFlightDepth); }
+double drift_threshold() { return double_knob(Knob::kDriftThreshold); }
+bool phase_attribution_enabled() { return on_knob(Knob::kPhases); }
+double slow_call_factor() { return double_knob(Knob::kSlowCallFactor); }
+std::string forensics_dir() { return knob_text(Knob::kForensicsDir); }
+double forensics_interval_s() { return double_knob(Knob::kForensicsInterval); }
+int tune_mode() { return static_cast<int>(int_knob(Knob::kTune)); }
+std::string tune_cache_path() { return knob_text(Knob::kTuneCache); }
+std::int64_t tune_budget_ms() { return int_knob(Knob::kTuneBudgetMs); }
+std::string cpu_classes_spec() { return knob_text(Knob::kCpuClasses); }
+std::int64_t numa_nodes_override() { return int_knob(Knob::kNumaNodes); }
+bool affinity_enabled() { return on_knob(Knob::kAffinity); }
+std::int64_t panel_replicate_kb() { return int_knob(Knob::kPanelReplicateKb); }
+bool weighted_schedule_enabled() { return on_knob(Knob::kWeightedSchedule); }
+std::int64_t cross_node_steal_threshold() { return int_knob(Knob::kCrossNodeSteal); }
 
 bool use_small_gemm(std::int64_t m, std::int64_t n, std::int64_t k) {
   const std::int64_t t = small_gemm_mnk();
@@ -361,178 +411,6 @@ bool use_small_gemm(std::int64_t m, std::int64_t n, std::int64_t k) {
   if (n > t3 / m) return false;  // m*n > t3 implies the product does too
   const std::int64_t mn = m * n;
   return k <= t3 / mn;  // exact: k > floor(t3/mn) <=> k*mn > t3
-}
-
-std::int64_t prefetch_a_bytes() { return prea_knob().load(std::memory_order_relaxed); }
-
-void set_prefetch_a_bytes(std::int64_t bytes) {
-  prefetch_pinned_flag().store(true, std::memory_order_relaxed);
-  prea_knob().store(bytes < 0 ? 0 : bytes, std::memory_order_relaxed);
-}
-
-std::int64_t prefetch_b_bytes() { return preb_knob().load(std::memory_order_relaxed); }
-
-void set_prefetch_b_bytes(std::int64_t bytes) {
-  prefetch_pinned_flag().store(true, std::memory_order_relaxed);
-  preb_knob().store(bytes < 0 ? 0 : bytes, std::memory_order_relaxed);
-}
-
-std::int64_t queue_depth() { return queue_depth_knob().load(std::memory_order_relaxed); }
-
-void set_queue_depth(std::int64_t depth) {
-  queue_depth_knob().store(depth < 1 ? 1 : depth, std::memory_order_relaxed);
-}
-
-std::int64_t panel_cache_mb() {
-  return panel_cache_mb_knob().load(std::memory_order_relaxed);
-}
-
-void set_panel_cache_mb(std::int64_t mb) {
-  panel_cache_mb_knob().store(mb < 0 ? 0 : mb, std::memory_order_relaxed);
-}
-
-std::string metrics_path() {
-  MetricsPathKnob& k = metrics_path_knob();
-  std::lock_guard lock(k.mutex);
-  return k.path;
-}
-
-void set_metrics_path(const std::string& path) {
-  MetricsPathKnob& k = metrics_path_knob();
-  std::lock_guard lock(k.mutex);
-  k.path = path;
-}
-
-std::int64_t flight_depth() {
-  return flight_depth_knob().load(std::memory_order_relaxed);
-}
-
-void set_flight_depth(std::int64_t depth) {
-  flight_depth_knob().store(depth < 0 ? 0 : depth, std::memory_order_relaxed);
-}
-
-double drift_threshold() {
-  return drift_threshold_knob().load(std::memory_order_relaxed);
-}
-
-void set_drift_threshold(double threshold) {
-  drift_threshold_knob().store(threshold > 0 ? threshold : kDefaultDriftThreshold,
-                               std::memory_order_relaxed);
-}
-
-bool phase_attribution_enabled() {
-  return phases_knob().load(std::memory_order_relaxed);
-}
-
-void set_phase_attribution_enabled(bool enabled) {
-  phases_knob().store(enabled, std::memory_order_relaxed);
-}
-
-double slow_call_factor() {
-  return slow_call_factor_knob().load(std::memory_order_relaxed);
-}
-
-void set_slow_call_factor(double factor) {
-  slow_call_factor_knob().store(factor > 0 ? factor : 0.0,
-                                std::memory_order_relaxed);
-}
-
-std::string forensics_dir() {
-  MetricsPathKnob& k = forensics_dir_knob();
-  std::lock_guard lock(k.mutex);
-  return k.path;
-}
-
-void set_forensics_dir(const std::string& dir) {
-  MetricsPathKnob& k = forensics_dir_knob();
-  std::lock_guard lock(k.mutex);
-  k.path = dir;
-}
-
-double forensics_interval_s() {
-  return forensics_interval_knob().load(std::memory_order_relaxed);
-}
-
-void set_forensics_interval_s(double seconds) {
-  forensics_interval_knob().store(seconds > 0 ? seconds : 0.0,
-                                  std::memory_order_relaxed);
-}
-
-int tune_mode() { return tune_mode_knob().load(std::memory_order_relaxed); }
-
-void set_tune_mode(int mode) {
-  if (mode < kTuneModeOff || mode > kTuneModeOn) mode = kTuneModeOn;
-  tune_mode_knob().store(mode, std::memory_order_relaxed);
-}
-
-std::string tune_cache_path() {
-  MetricsPathKnob& k = tune_cache_path_knob();
-  std::lock_guard lock(k.mutex);
-  return k.path;
-}
-
-void set_tune_cache_path(const std::string& path) {
-  MetricsPathKnob& k = tune_cache_path_knob();
-  std::lock_guard lock(k.mutex);
-  k.path = path;
-}
-
-std::int64_t tune_budget_ms() {
-  return tune_budget_ms_knob().load(std::memory_order_relaxed);
-}
-
-void set_tune_budget_ms(std::int64_t ms) {
-  tune_budget_ms_knob().store(ms < 0 ? 0 : ms, std::memory_order_relaxed);
-}
-
-std::string cpu_classes_spec() {
-  MetricsPathKnob& k = cpu_classes_knob();
-  std::lock_guard lock(k.mutex);
-  return k.path;
-}
-
-void set_cpu_classes_spec(const std::string& spec) {
-  MetricsPathKnob& k = cpu_classes_knob();
-  std::lock_guard lock(k.mutex);
-  k.path = spec;
-}
-
-std::int64_t numa_nodes_override() {
-  return numa_nodes_knob().load(std::memory_order_relaxed);
-}
-
-void set_numa_nodes_override(std::int64_t nodes) {
-  numa_nodes_knob().store(nodes < 0 ? 0 : nodes, std::memory_order_relaxed);
-}
-
-bool affinity_enabled() { return affinity_knob().load(std::memory_order_relaxed); }
-
-void set_affinity_enabled(bool enabled) {
-  affinity_knob().store(enabled, std::memory_order_relaxed);
-}
-
-std::int64_t panel_replicate_kb() {
-  return panel_replicate_kb_knob().load(std::memory_order_relaxed);
-}
-
-void set_panel_replicate_kb(std::int64_t kb) {
-  panel_replicate_kb_knob().store(kb < 0 ? 0 : kb, std::memory_order_relaxed);
-}
-
-bool weighted_schedule_enabled() {
-  return weighted_schedule_knob().load(std::memory_order_relaxed);
-}
-
-void set_weighted_schedule_enabled(bool enabled) {
-  weighted_schedule_knob().store(enabled, std::memory_order_relaxed);
-}
-
-std::int64_t cross_node_steal_threshold() {
-  return cross_node_steal_knob().load(std::memory_order_relaxed);
-}
-
-void set_cross_node_steal_threshold(std::int64_t sweeps) {
-  cross_node_steal_knob().store(sweeps < 0 ? 0 : sweeps, std::memory_order_relaxed);
 }
 
 }  // namespace ag

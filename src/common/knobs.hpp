@@ -1,257 +1,210 @@
-// Process-wide runtime knobs for the parallel GEMM runtime.
+// Process-wide runtime settings. Each ARMGEMM_* environment variable is
+// one row of the knob table in knobs.cpp; README "Runtime knobs"
+// documents the rows and tests/test_knobs.cpp holds the two together.
 //
-// Two tunables the runtime overhaul exposes (README "Runtime knobs"):
-//
-//   ARMGEMM_SPIN_US    - microseconds a rank spins (with cpu_relax backoff)
-//                        at a barrier / fork-join edge before blocking on
-//                        the OS. 0 disables spinning entirely.
-//   ARMGEMM_SMALL_MNK  - threshold T of the no-pack small-matrix fast
-//                        path: problems with m*n*k <= T^3 skip packing and
-//                        the blocked loop nest. 0 disables the fast path.
-//
-// The memory-traffic work adds the paper's kernel prefetch distances
-// (Section IV-B, Table III):
-//
-//   ARMGEMM_PREA       - bytes the register kernels prefetch ahead of the
-//                        packed-A stream each k-step (paper default 1024).
-//                        0 disables the A-stream prefetch.
-//   ARMGEMM_PREB       - bytes prefetched ahead of the packed-B stream
-//                        (paper default 24576). 0 disables.
-//
-// The serving-telemetry layer (obs/telemetry) adds three more:
-//
-// The batched-GEMM serving runtime adds two queueing knobs:
-//
-//   ARMGEMM_QUEUE_DEPTH     - admission limit of the persistent batch
-//                             pool's cross-call work queue: tickets beyond
-//                             this many outstanding run inline on the
-//                             submitting caller (backpressure) instead of
-//                             being enqueued.
-//   ARMGEMM_PANEL_CACHE_MB  - capacity of the keyed packed-B panel cache
-//                             shared by same-B batch entries, in MiB.
-//                             0 disables caching (every ticket packs
-//                             privately).
-//
-//   ARMGEMM_METRICS_PATH    - file the Prometheus text exposition is
-//                             written to (plus <path>.json); empty
-//                             disables file dumps.
-//   ARMGEMM_FLIGHT_DEPTH    - per-thread flight-recorder ring depth
-//                             (records retained per lane); 0 disables.
-//   ARMGEMM_DRIFT_THRESHOLD - relative divergence |fast/reference - 1| of
-//                             the measured-vs-expected efficiency EWMAs
-//                             that flags a model-drift anomaly.
-//
-// The phase-attribution / forensics layer (obs/phase, obs/forensics)
-// adds four:
-//
-//   ARMGEMM_PHASES            - 1 (default) records the per-call phase
-//                               timeline (queue_wait/pack/kernel/barrier/
-//                               cache_stall/epilogue) whenever telemetry
-//                               is active; 0 disables just the phase
-//                               clock reads.
-//   ARMGEMM_SLOW_CALL_FACTOR  - a call slower than this multiple of its
-//                               shape class's p99 latency triggers a
-//                               forensics capture; 0 disables the
-//                               slow-call trigger (default 8).
-//   ARMGEMM_FORENSICS_DIR     - directory forensics bundles are written
-//                               to (atomic tmp+rename); empty disables
-//                               bundle files (the in-memory last-capture
-//                               summary stays live).
-//   ARMGEMM_FORENSICS_INTERVAL- minimum seconds between automatic
-//                               captures (rate limit; manual captures
-//                               bypass it); 0 disables the limit
-//                               (default 60).
-//
-// The topology-aware execution layer (threading/topology) adds five:
-//
-//   ARMGEMM_CPU_CLASSES   - core-class override for sim/CI and emulation:
-//                           comma-separated "<count>x<weight>" groups
-//                           (e.g. "4x2.0,4x1.0" = 4 big cores at relative
-//                           throughput 2 plus 4 LITTLE at 1). Empty uses
-//                           sysfs discovery (cpu_capacity / max_freq).
-//   ARMGEMM_NUMA_NODES    - NUMA node-count override (cores split into
-//                           contiguous equal groups); 0 = discover from
-//                           /sys/devices/system/node.
-//   ARMGEMM_AFFINITY      - 1 pins persistent-pool workers to their
-//                           topology CPU with pthread_setaffinity_np so
-//                           the core-class map stays truthful under OS
-//                           migration. Off by default.
-//   ARMGEMM_PANEL_REPLICATE_KB - packed-B panels at least this large get
-//                           one replica per NUMA node in the panel cache
-//                           (first-touch packed by a consuming-node
-//                           thread). 0 disables replication.
-//   ARMGEMM_WEIGHTED_SCHEDULE - 1 (default) sizes per-rank ticket spans
-//                           by core-class throughput weight on asymmetric
-//                           topologies; 0 keeps the unweighted
-//                           first-come-first-served claim order.
-//   ARMGEMM_CROSS_NODE_STEAL - empty same-node scan sweeps a pool worker
-//                           tolerates before it starts stealing tickets
-//                           from cross-node shards. 0 = always steal
-//                           anywhere.
-//
-// The closed-loop autotuner (src/tune) adds three:
-//
-//   ARMGEMM_TUNE           - "on" (default): analytic proposal + measured
-//                            probes; "analytic": model only, no probes;
-//                            "off"/"0": tuner disabled, paper/host
-//                            defaults exactly as before.
-//   ARMGEMM_TUNE_CACHE     - path of the persistent per-host tuning
-//                            cache (versioned JSON, written atomically);
-//                            empty disables persistence.
-//   ARMGEMM_TUNE_BUDGET_MS - process-wide wall-clock budget for measured
-//                            probes; once spent, resolution falls back
-//                            to the analytic proposal.
-//
-// Each knob reads its environment variable once at first use; the setters
-// override the value process-wide afterwards (exposed through the C API as
-// armgemm_set_spin_us / armgemm_set_small_mnk / armgemm_set_flight_depth /
-// armgemm_set_drift_threshold). The small-matrix predicate lives in
-// src/common because both the core driver and obs/expected (the blocking
-// arithmetic model) must agree on which path a given shape takes.
+// The table is the only code that reads the environment. It loads once,
+// during static initialization or at the first use before that, so other
+// translation units may read knobs from their own static initializers.
+// The environment, set_knob and armgemm_config_set share one parser.
+// Environment text that is not a value of its row's type, or lies outside
+// the row's range, warns once on stderr and leaves the default; a value
+// set from code is clamped into the range instead.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 
 namespace ag {
 
-namespace detail {
+/// One row per environment variable, in README order.
+enum class Knob : int {
+  kSpinUs,
+  kSmallMnk,
+  kPrea,
+  kPreb,
+  kTelemetry,
+  kMetricsPath,
+  kFlightDepth,
+  kDriftThreshold,
+  kQueueDepth,
+  kPanelCacheMb,
+  kTune,
+  kTuneCache,
+  kTuneBudgetMs,
+  kPhases,
+  kSlowCallFactor,
+  kForensicsDir,
+  kForensicsInterval,
+  kCpuClasses,
+  kNumaNodes,
+  kAffinity,
+  kPanelReplicateKb,
+  kWeightedSchedule,
+  kCrossNodeSteal,
+  kPmu,
+  kCount
+};
 
-/// Parse `raw` (the value of environment variable `name`) as a
-/// non-negative integer. nullptr / "" returns `fallback` silently;
-/// malformed text, trailing garbage, values out of int64 range, or
-/// negative values return `fallback` and print one stderr warning
-/// naming the variable, the rejected text, and the default used.
-/// Exposed for the knob unit tests; production callers go through the
-/// knob accessors, which parse each variable exactly once per process.
-std::int64_t parse_env_int64(const char* name, const char* raw,
-                             std::int64_t fallback);
+constexpr int kKnobCount = static_cast<int>(Knob::kCount);
 
-/// Same contract for floating-point knobs. `allow_zero` admits exactly
-/// 0 (knobs where 0 means "disabled"); otherwise the value must be
-/// strictly positive. NaN, infinities, overflow, and trailing garbage
-/// all fall back with the warning.
-double parse_env_double(const char* name, const char* raw, double fallback,
-                        bool allow_zero = false);
+enum class KnobType : std::uint8_t {
+  kInt,       // a base-10 integer
+  kDouble,    // a finite decimal
+  kOnOff,     // 1/0, on/off, true/false or yes/no, in any case
+  kTuneMode,  // an on/off spelling, or "analytic"
+  kText,      // a path or spec; "" means unset
+};
 
-}  // namespace detail
+struct KnobRow {
+  const char* env;       // the environment variable, also the C API name
+  KnobType type;
+  const char* fallback;  // the default, written as knob_text() writes it
+  std::int64_t min;      // the smallest value in range (numeric rows)
+  bool open_min;         // decimal rows: the value must exceed min, and
+                         // code values that do not store the default
+  std::uint8_t tune_group;  // nonzero: the autotuner may write the row
+                            // until an explicit value pins its group
+};
+
+const KnobRow& knob_row(Knob k);
+
+/// The row whose environment variable is `env`, e.g. "ARMGEMM_PREA".
+std::optional<Knob> find_knob(std::string_view env);
+
+/// A value for set_knob: a number for the numeric and on/off rows (an
+/// integer for every row but the decimal ones), or text. Text is parsed
+/// as the environment is; for the path and spec rows it is the value.
+using KnobValue = std::variant<std::int64_t, double, std::string>;
+
+/// The one setter. Stores `v` process-wide, clamped into the row's range
+/// (on/off rows store any nonzero integer as on; ARMGEMM_TUNE stores an
+/// integer outside 0..2 as its default). Setting a row of a tune group
+/// pins the group against the autotuner. Returns false, changing
+/// nothing, when `v` is not a value of the row's type.
+bool set_knob(Knob k, const KnobValue& v);
+
+/// The current value as text that set_knob and the environment accept:
+/// integers in base 10, decimals in their shortest exact form, on/off
+/// rows as 1 or 0, ARMGEMM_TUNE as off, analytic or on.
+std::string knob_text(Knob k);
+
+/// True once the environment or set_knob chose a value for the row's
+/// tune group (ARMGEMM_SMALL_MNK alone; ARMGEMM_PREA with ARMGEMM_PREB).
+bool knob_pinned(Knob k);
+
+/// The autotuner's write: stores `v` (clamped) without pinning and
+/// returns true, or returns false and changes nothing when the row has no
+/// tune group or its group is pinned.
+bool tuner_apply(Knob k, std::int64_t v);
+
+// ---- typed getters: one relaxed load each ----------------------------------
 
 /// Spin budget in microseconds before a waiter falls back to blocking.
 std::int64_t spin_wait_us();
-void set_spin_wait_us(std::int64_t us);
 
 /// Small-matrix fast-path threshold T (fast path when m*n*k <= T^3).
 std::int64_t small_gemm_mnk();
-void set_small_gemm_mnk(std::int64_t t);
-
-/// True once the process explicitly pinned the knob — via the setter /
-/// C API or the environment variable. The autotuner only applies its
-/// probed value to an un-pinned knob, so explicit settings always win.
-bool small_gemm_mnk_pinned();
-bool prefetch_pinned();
-
-/// The autotuner's application path for the three knobs it owns: a no-op
-/// when the knob is pinned (returns false), otherwise stores the value
-/// without marking it pinned (returns true), so later explicit setters
-/// still override.
-bool tuner_apply_small_gemm_mnk(std::int64_t t);
-bool tuner_apply_prefetch(std::int64_t prea_bytes, std::int64_t preb_bytes);
 
 /// True when (m, n, k) should take the no-pack small-matrix fast path
 /// under the current threshold. Overflow-safe for any int64 dimensions.
 bool use_small_gemm(std::int64_t m, std::int64_t n, std::int64_t k);
 
-/// Kernel prefetch distance (bytes) ahead of the packed-A stream; 0 off.
+/// Kernel prefetch distances (bytes) ahead of the packed-A and packed-B
+/// streams; 0 turns that stream's prefetch off.
 std::int64_t prefetch_a_bytes();
-void set_prefetch_a_bytes(std::int64_t bytes);
-
-/// Kernel prefetch distance (bytes) ahead of the packed-B stream; 0 off.
 std::int64_t prefetch_b_bytes();
-void set_prefetch_b_bytes(std::int64_t bytes);
 
 /// Admission limit of the persistent batch pool's work queue (tickets);
 /// submissions beyond this many outstanding run inline on the caller.
 std::int64_t queue_depth();
-void set_queue_depth(std::int64_t depth);
 
 /// Packed-B panel cache capacity in MiB (0 = caching off).
 std::int64_t panel_cache_mb();
-void set_panel_cache_mb(std::int64_t mb);
 
 /// Metrics exposition target path ("" = file dumps disabled).
 std::string metrics_path();
-void set_metrics_path(const std::string& path);
 
 /// Flight-recorder ring depth per telemetry lane (0 = recorder off).
 std::int64_t flight_depth();
-void set_flight_depth(std::int64_t depth);
 
-/// Drift-anomaly divergence threshold (relative; non-positive and
-/// malformed values fall back to the default).
+/// Drift-anomaly divergence threshold (relative, positive).
 double drift_threshold();
-void set_drift_threshold(double threshold);
 
 /// Per-call phase attribution on/off (clock reads at phase boundaries;
 /// only consulted while telemetry is active).
 bool phase_attribution_enabled();
-void set_phase_attribution_enabled(bool enabled);
 
 /// Slow-call forensics trigger: a call slower than factor * (its shape
 /// class's p99 latency) captures a bundle. 0 disables the trigger.
 double slow_call_factor();
-void set_slow_call_factor(double factor);
 
 /// Directory forensics bundles are written into ("" = no bundle files).
 std::string forensics_dir();
-void set_forensics_dir(const std::string& dir);
 
 /// Minimum seconds between automatic forensics captures (0 = no limit).
 double forensics_interval_s();
-void set_forensics_interval_s(double seconds);
 
-/// Autotuner mode: 0 = off (paper/host defaults, bit-for-bit the
-/// pre-tuner behavior), 1 = analytic proposals only, 2 = analytic +
-/// measured probes (the default). Parsed from ARMGEMM_TUNE
-/// ("off"/"0" | "analytic" | "on"/"1"); unknown spellings mean "on".
+/// Autotuner mode: off (paper/host defaults, bit-for-bit the pre-tuner
+/// behavior), analytic proposals only, or analytic + measured probes.
 constexpr int kTuneModeOff = 0;
 constexpr int kTuneModeAnalytic = 1;
 constexpr int kTuneModeOn = 2;
 int tune_mode();
-void set_tune_mode(int mode);
 
 /// Persistent tuning-cache path ("" = persistence disabled).
 std::string tune_cache_path();
-void set_tune_cache_path(const std::string& path);
 
 /// Process-wide measured-probe budget in milliseconds.
 std::int64_t tune_budget_ms();
-void set_tune_budget_ms(std::int64_t ms);
 
 /// Core-class override spec ("" = discover from sysfs). Changing it does
-/// not rebuild the live topology snapshot; callers (tests) follow with
+/// not rebuild the live topology snapshot; callers follow with
 /// Topology::refresh().
 std::string cpu_classes_spec();
-void set_cpu_classes_spec(const std::string& spec);
 
 /// NUMA node-count override (0 = discover from sysfs).
 std::int64_t numa_nodes_override();
-void set_numa_nodes_override(std::int64_t nodes);
 
-/// Worker-affinity pinning on/off (default off).
+/// Worker-affinity pinning on/off.
 bool affinity_enabled();
-void set_affinity_enabled(bool enabled);
 
-/// Per-node panel replication threshold in KiB (0 = replication off).
+/// Per-node panel replication threshold in KiB (0 = replicate all).
 std::int64_t panel_replicate_kb();
-void set_panel_replicate_kb(std::int64_t kb);
 
-/// Heterogeneity-weighted ticket spans on/off (default on; only takes
-/// effect when the topology reports more than one core class).
+/// Heterogeneity-weighted ticket spans on/off (only takes effect when the
+/// topology reports more than one core class).
 bool weighted_schedule_enabled();
-void set_weighted_schedule_enabled(bool enabled);
 
 /// Empty same-node scan sweeps before a worker steals across nodes.
 std::int64_t cross_node_steal_threshold();
-void set_cross_node_steal_threshold(std::int64_t sweeps);
+
+namespace detail {
+
+/// Environment parsers of the numeric rows. nullptr / "" returns
+/// `fallback` silently; text that is not an integer (a finite decimal),
+/// or lies below `min` (is negative, or zero without `allow_zero`),
+/// returns `fallback` and prints one stderr warning naming the variable,
+/// the rejected text, and the default used.
+std::int64_t parse_env_int64(const char* name, const char* raw, std::int64_t fallback,
+                             std::int64_t min = 0);
+double parse_env_double(const char* name, const char* raw, double fallback,
+                        bool allow_zero = false);
+
+/// The on/off spellings: 1/0, on/off, true/false, yes/no in any case,
+/// surrounding whitespace ignored. nullopt for anything else.
+std::optional<bool> parse_on_off(std::string_view text);
+
+/// Storage of the numeric and on/off rows, indexed by Knob (doubles as
+/// their bit pattern).
+extern std::atomic<std::uint64_t> g_knob_bits[kKnobCount];
+
+/// Row k's stored bits, loading the environment first if it has not been.
+std::uint64_t knob_bits(Knob k);
+
+}  // namespace detail
 
 }  // namespace ag

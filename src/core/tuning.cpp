@@ -39,11 +39,14 @@ struct PrefetchGuard {
     if (prea < 0 && preb < 0) return;
     saved_a = prefetch_a_bytes();
     saved_b = prefetch_b_bytes();
-    active = tuner_apply_prefetch(prea >= 0 ? prea : saved_a,
-                                  preb >= 0 ? preb : saved_b);
+    active = tuner_apply(Knob::kPrea, prea >= 0 ? prea : saved_a) &&
+             tuner_apply(Knob::kPreb, preb >= 0 ? preb : saved_b);
   }
   ~PrefetchGuard() {
-    if (active) tuner_apply_prefetch(saved_a, saved_b);
+    if (active) {
+      tuner_apply(Knob::kPrea, saved_a);
+      tuner_apply(Knob::kPreb, saved_b);
+    }
   }
 };
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -12,6 +11,8 @@
 #include <sys/syscall.h>
 #include <unistd.h>
 #endif
+
+#include "common/knobs.hpp"
 
 namespace ag::obs {
 
@@ -24,25 +25,11 @@ std::uint64_t wall_ns() {
           .count());
 }
 
-std::atomic<int> g_forced_fallback{-1};  // -1: consult environment once
-
-bool forced_fallback_now() {
-  int v = g_forced_fallback.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("ARMGEMM_PMU");
-    v = (env && (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0)) ? 1 : 0;
-    g_forced_fallback.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
 }  // namespace
 
-void pmu_set_forced_fallback(bool forced) {
-  g_forced_fallback.store(forced ? 1 : 0, std::memory_order_relaxed);
-}
+void pmu_set_forced_fallback(bool forced) { set_knob(Knob::kPmu, !forced); }
 
-bool pmu_forced_fallback() { return forced_fallback_now(); }
+bool pmu_forced_fallback() { return ag::detail::knob_bits(Knob::kPmu) == 0; }
 
 const char* to_string(PmuEvent e) {
   switch (e) {
@@ -189,7 +176,7 @@ bool PmuGroup::open() {
   close();
   open_ = true;
   wall_epoch_ns_ = wall_ns();
-  if (forced_fallback_now()) {
+  if (pmu_forced_fallback()) {
     events_[static_cast<int>(PmuEvent::kCycles)].source = PmuSource::kSynthetic;
     return false;
   }
@@ -235,7 +222,7 @@ PmuCounts PmuGroup::read() const {
 }
 
 bool PmuGroup::hardware_available() {
-  if (forced_fallback_now()) return false;
+  if (pmu_forced_fallback()) return false;
   const int fd = open_event(PmuEvent::kCycles);
   if (fd < 0) return false;
   ::close(fd);

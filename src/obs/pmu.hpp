@@ -80,9 +80,9 @@ struct PmuCounts {
 };
 
 /// Forces the no-perf fallback path for the whole process (tests use this
-/// to exercise degradation on hosts that do have counters). Also set by
-/// the environment variable ARMGEMM_PMU=off at first use. Groups opened
-/// before the change keep their mode; reopen to apply.
+/// to exercise degradation on hosts that do have counters): the inverse
+/// of the ARMGEMM_PMU knob. Groups opened before the change keep their
+/// mode; reopen to apply.
 void pmu_set_forced_fallback(bool forced);
 bool pmu_forced_fallback();
 

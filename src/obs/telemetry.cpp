@@ -22,23 +22,6 @@
 
 namespace ag::obs {
 
-namespace detail {
-
-namespace {
-bool env_enabled_initial() {
-  // ARMGEMM_TELEMETRY=1/on enables recording from the first call; setting
-  // a metrics path implies the caller wants the exposition running.
-  const char* raw = std::getenv("ARMGEMM_TELEMETRY");
-  if (raw && (raw[0] == '1' || raw[0] == 'o' || raw[0] == 'y')) return true;
-  const char* path = std::getenv("ARMGEMM_METRICS_PATH");
-  return path != nullptr && path[0] != '\0';
-}
-}  // namespace
-
-std::atomic<bool> g_telemetry_enabled{env_enabled_initial()};
-
-}  // namespace detail
-
 const char* to_string(ShapeKind k) {
   switch (k) {
     case ShapeKind::kSmall: return "small";
@@ -633,16 +616,12 @@ void telemetry_enable() {
   if constexpr (!stats_compiled_in) return;
   ensure_signal_handler();
   ensure_model();
-  detail::g_telemetry_enabled.store(true, std::memory_order_relaxed);
+  set_knob(Knob::kTelemetry, true);
 }
 
-void telemetry_disable() {
-  detail::g_telemetry_enabled.store(false, std::memory_order_relaxed);
-}
+void telemetry_disable() { set_knob(Knob::kTelemetry, false); }
 
-bool telemetry_enabled() {
-  return detail::g_telemetry_enabled.load(std::memory_order_relaxed);
-}
+bool telemetry_enabled() { return ag::detail::knob_bits(Knob::kTelemetry) != 0; }
 
 void telemetry_reset() {
   Telemetry& t = T();

@@ -80,15 +80,13 @@ struct ShapeClass {
 
 // ---- hot-path hooks ------------------------------------------------------
 
-namespace detail {
-extern std::atomic<bool> g_telemetry_enabled;
-}
-
-/// The dgemm hot-path test: one relaxed load when stats are compiled in,
-/// a compile-time false under -DARMGEMM_STATS=OFF.
+/// The dgemm hot-path test: one relaxed load of the ARMGEMM_TELEMETRY
+/// row when stats are compiled in, a compile-time false under
+/// -DARMGEMM_STATS=OFF.
 inline bool telemetry_active() {
   if constexpr (!stats_compiled_in) return false;
-  return detail::g_telemetry_enabled.load(std::memory_order_relaxed);
+  return ag::detail::g_knob_bits[static_cast<int>(Knob::kTelemetry)].load(
+             std::memory_order_relaxed) != 0;
 }
 
 /// True when the drivers should take phase-boundary clock reads: telemetry

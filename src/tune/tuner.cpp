@@ -194,15 +194,17 @@ void ensure_cache_loaded(Tuner& t) {
 }
 
 // Applies the cache's whole-process knobs (crossover, prefetch) once.
-// Explicitly pinned knobs (env / setter) always win — tuner_apply_* is a
+// Explicitly pinned knobs (env / set_knob) always win — tuner_apply is a
 // no-op then.
 void apply_process_knobs(Tuner& t) {
   if (t.knobs_applied) return;
   t.knobs_applied = true;
   if (tune_mode() != kTuneModeOn) return;
-  if (t.cache.small_mnk >= 0) tuner_apply_small_gemm_mnk(t.cache.small_mnk);
-  if (t.cache.prea > 0 && t.cache.preb > 0)
-    tuner_apply_prefetch(t.cache.prea, t.cache.preb);
+  if (t.cache.small_mnk >= 0) tuner_apply(Knob::kSmallMnk, t.cache.small_mnk);
+  if (t.cache.prea > 0 && t.cache.preb > 0) {
+    tuner_apply(Knob::kPrea, t.cache.prea);
+    tuner_apply(Knob::kPreb, t.cache.preb);
+  }
 }
 
 double run_probe_timed(Tuner& t, const ProbeRequest& req) {
@@ -354,7 +356,7 @@ int probe_best(Tuner& t, Precision precision, index_t m, index_t n, index_t k,
 void tune_crossover(Tuner& t, const Candidate& blocked) {
   if (t.crossover_probed || tune_mode() != kTuneModeOn) return;
   t.crossover_probed = true;
-  if (small_gemm_mnk_pinned()) return;
+  if (knob_pinned(Knob::kSmallMnk)) return;
   index_t winner = -1;
   for (index_t s = 4; s <= 12; s += 2) {
     if (t.budget_remaining_ms() <= 0) break;
@@ -373,7 +375,7 @@ void tune_crossover(Tuner& t, const Candidate& blocked) {
   }
   if (winner >= 0) {
     t.cache.small_mnk = winner;
-    tuner_apply_small_gemm_mnk(winner);
+    tuner_apply(Knob::kSmallMnk, winner);
   }
 }
 
@@ -383,7 +385,7 @@ void tune_crossover(Tuner& t, const Candidate& blocked) {
 void tune_prefetch(Tuner& t, index_t m, index_t n, index_t k, const Candidate& best) {
   if (t.prefetch_probed || tune_mode() != kTuneModeOn) return;
   t.prefetch_probed = true;
-  if (prefetch_pinned()) return;
+  if (knob_pinned(Knob::kPrea)) return;
   const index_t model_preb = best.bs.kc * best.bs.nr * static_cast<index_t>(sizeof(double));
   const index_t preas[] = {512, 1024, 2048};
   const index_t prebs[] = {model_preb, 24576};
@@ -406,7 +408,8 @@ void tune_prefetch(Tuner& t, index_t m, index_t n, index_t k, const Candidate& b
   if (best_gflops > 0) {
     t.cache.prea = best_prea;
     t.cache.preb = best_preb;
-    tuner_apply_prefetch(best_prea, best_preb);
+    tuner_apply(Knob::kPrea, best_prea);
+    tuner_apply(Knob::kPreb, best_preb);
   }
 }
 

@@ -1,5 +1,5 @@
 // RAII guards for the process-wide runtime knobs (common/knobs.hpp), so
-// tests can pin a policy without leaking it into other tests in the same
+// tests can pin a setting without leaking it into other tests in the same
 // binary.
 #pragma once
 
@@ -11,94 +11,25 @@
 
 namespace agtest {
 
-/// Pins the small-matrix fast-path threshold for the guard's lifetime.
-/// ScopedSmallMnk(0) forces every shape down the packed/blocked path —
-/// used by tests that assert pack-layer blocking arithmetic on shapes
-/// that would otherwise dispatch to the fast path.
-class ScopedSmallMnk {
+/// Sets one knob for the guard's lifetime and restores the previous value
+/// on exit. ScopedKnob(ag::Knob::kSmallMnk, 0) forces every shape down the
+/// packed/blocked path; ScopedKnob(ag::Knob::kSpinUs, 0) forces the
+/// immediate-block path. Setting a tune-group knob pins it against the
+/// autotuner, as any set_knob does.
+class ScopedKnob {
  public:
-  explicit ScopedSmallMnk(std::int64_t t) : prev_(ag::small_gemm_mnk()) {
-    ag::set_small_gemm_mnk(t);
+  ScopedKnob(ag::Knob knob, const ag::KnobValue& value)
+      : knob_(knob), prev_(ag::knob_text(knob)) {
+    ag::set_knob(knob, value);
   }
-  ~ScopedSmallMnk() { ag::set_small_gemm_mnk(prev_); }
+  ~ScopedKnob() { ag::set_knob(knob_, prev_); }
 
-  ScopedSmallMnk(const ScopedSmallMnk&) = delete;
-  ScopedSmallMnk& operator=(const ScopedSmallMnk&) = delete;
+  ScopedKnob(const ScopedKnob&) = delete;
+  ScopedKnob& operator=(const ScopedKnob&) = delete;
 
  private:
-  std::int64_t prev_;
-};
-
-/// Pins the barrier/fork-join spin window for the guard's lifetime.
-/// ScopedSpinUs(0) forces the immediate-block path.
-class ScopedSpinUs {
- public:
-  explicit ScopedSpinUs(std::int64_t us) : prev_(ag::spin_wait_us()) {
-    ag::set_spin_wait_us(us);
-  }
-  ~ScopedSpinUs() { ag::set_spin_wait_us(prev_); }
-
-  ScopedSpinUs(const ScopedSpinUs&) = delete;
-  ScopedSpinUs& operator=(const ScopedSpinUs&) = delete;
-
- private:
-  std::int64_t prev_;
-};
-
-/// Pins the kernel software-prefetch distances (ARMGEMM_PREA/PREB) for
-/// the guard's lifetime. ScopedPrefetch(0, 0) turns both streams off.
-class ScopedPrefetch {
- public:
-  ScopedPrefetch(std::int64_t prea_bytes, std::int64_t preb_bytes)
-      : prev_a_(ag::prefetch_a_bytes()), prev_b_(ag::prefetch_b_bytes()) {
-    ag::set_prefetch_a_bytes(prea_bytes);
-    ag::set_prefetch_b_bytes(preb_bytes);
-  }
-  ~ScopedPrefetch() {
-    ag::set_prefetch_a_bytes(prev_a_);
-    ag::set_prefetch_b_bytes(prev_b_);
-  }
-
-  ScopedPrefetch(const ScopedPrefetch&) = delete;
-  ScopedPrefetch& operator=(const ScopedPrefetch&) = delete;
-
- private:
-  std::int64_t prev_a_;
-  std::int64_t prev_b_;
-};
-
-/// Pins the persistent-pool admission limit (ARMGEMM_QUEUE_DEPTH) for the
-/// guard's lifetime. ScopedQueueDepth(1) forces near-total overflow, so
-/// almost every batch ticket runs inline on its caller.
-class ScopedQueueDepth {
- public:
-  explicit ScopedQueueDepth(std::int64_t depth) : prev_(ag::queue_depth()) {
-    ag::set_queue_depth(depth);
-  }
-  ~ScopedQueueDepth() { ag::set_queue_depth(prev_); }
-
-  ScopedQueueDepth(const ScopedQueueDepth&) = delete;
-  ScopedQueueDepth& operator=(const ScopedQueueDepth&) = delete;
-
- private:
-  std::int64_t prev_;
-};
-
-/// Pins the packed-panel cache capacity (ARMGEMM_PANEL_CACHE_MB) for the
-/// guard's lifetime. ScopedPanelCacheMb(0) disables panel sharing, so
-/// every batch ticket packs B privately.
-class ScopedPanelCacheMb {
- public:
-  explicit ScopedPanelCacheMb(std::int64_t mb) : prev_(ag::panel_cache_mb()) {
-    ag::set_panel_cache_mb(mb);
-  }
-  ~ScopedPanelCacheMb() { ag::set_panel_cache_mb(prev_); }
-
-  ScopedPanelCacheMb(const ScopedPanelCacheMb&) = delete;
-  ScopedPanelCacheMb& operator=(const ScopedPanelCacheMb&) = delete;
-
- private:
-  std::int64_t prev_;
+  ag::Knob knob_;
+  std::string prev_;  // knob_text, which set_knob parses back exactly
 };
 
 /// Pins an emulated topology (ARMGEMM_CPU_CLASSES + ARMGEMM_NUMA_NODES)
@@ -110,13 +41,13 @@ class ScopedCpuClasses {
  public:
   explicit ScopedCpuClasses(const std::string& spec, std::int64_t nodes = 0)
       : prev_spec_(ag::cpu_classes_spec()), prev_nodes_(ag::numa_nodes_override()) {
-    ag::set_cpu_classes_spec(spec);
-    ag::set_numa_nodes_override(nodes);
+    ag::set_knob(ag::Knob::kCpuClasses, spec);
+    ag::set_knob(ag::Knob::kNumaNodes, nodes);
     ag::Topology::refresh();
   }
   ~ScopedCpuClasses() {
-    ag::set_cpu_classes_spec(prev_spec_);
-    ag::set_numa_nodes_override(prev_nodes_);
+    ag::set_knob(ag::Knob::kCpuClasses, prev_spec_);
+    ag::set_knob(ag::Knob::kNumaNodes, prev_nodes_);
     ag::Topology::refresh();
   }
 
@@ -126,72 +57,6 @@ class ScopedCpuClasses {
  private:
   std::string prev_spec_;
   std::int64_t prev_nodes_;
-};
-
-/// Pins worker-affinity pinning (ARMGEMM_AFFINITY) for the guard's
-/// lifetime. Only pool workers started while the guard is live pin.
-class ScopedAffinity {
- public:
-  explicit ScopedAffinity(bool enabled) : prev_(ag::affinity_enabled()) {
-    ag::set_affinity_enabled(enabled);
-  }
-  ~ScopedAffinity() { ag::set_affinity_enabled(prev_); }
-
-  ScopedAffinity(const ScopedAffinity&) = delete;
-  ScopedAffinity& operator=(const ScopedAffinity&) = delete;
-
- private:
-  bool prev_;
-};
-
-/// Pins the per-node panel-replication threshold
-/// (ARMGEMM_PANEL_REPLICATE_KB) for the guard's lifetime.
-/// ScopedPanelReplicateKb(0) replicates every cached panel per node.
-class ScopedPanelReplicateKb {
- public:
-  explicit ScopedPanelReplicateKb(std::int64_t kb) : prev_(ag::panel_replicate_kb()) {
-    ag::set_panel_replicate_kb(kb);
-  }
-  ~ScopedPanelReplicateKb() { ag::set_panel_replicate_kb(prev_); }
-
-  ScopedPanelReplicateKb(const ScopedPanelReplicateKb&) = delete;
-  ScopedPanelReplicateKb& operator=(const ScopedPanelReplicateKb&) = delete;
-
- private:
-  std::int64_t prev_;
-};
-
-/// Pins heterogeneity-weighted ticket partitioning
-/// (ARMGEMM_WEIGHTED_SCHEDULE) for the guard's lifetime.
-class ScopedWeightedSchedule {
- public:
-  explicit ScopedWeightedSchedule(bool enabled) : prev_(ag::weighted_schedule_enabled()) {
-    ag::set_weighted_schedule_enabled(enabled);
-  }
-  ~ScopedWeightedSchedule() { ag::set_weighted_schedule_enabled(prev_); }
-
-  ScopedWeightedSchedule(const ScopedWeightedSchedule&) = delete;
-  ScopedWeightedSchedule& operator=(const ScopedWeightedSchedule&) = delete;
-
- private:
-  bool prev_;
-};
-
-/// Pins the cross-node steal-deferral threshold
-/// (ARMGEMM_CROSS_NODE_STEAL) for the guard's lifetime.
-class ScopedCrossNodeSteal {
- public:
-  explicit ScopedCrossNodeSteal(std::int64_t sweeps)
-      : prev_(ag::cross_node_steal_threshold()) {
-    ag::set_cross_node_steal_threshold(sweeps);
-  }
-  ~ScopedCrossNodeSteal() { ag::set_cross_node_steal_threshold(prev_); }
-
-  ScopedCrossNodeSteal(const ScopedCrossNodeSteal&) = delete;
-  ScopedCrossNodeSteal& operator=(const ScopedCrossNodeSteal&) = delete;
-
- private:
-  std::int64_t prev_;
 };
 
 }  // namespace agtest

@@ -109,7 +109,7 @@ TEST(BatchStress, BitwiseDeterministicAcrossRunsAndThreadCounts) {
   // entries land on 2 tickets and 1 ticket. The last entry transposes both
   // operands over 3 row blocks, so a ticket's transposed A offset is
   // pinned too.
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   std::vector<Matrix<double>> as, bs_in, c0s;
   const index_t shapes[4][3] = {{200, 96, 80}, {64, 48, 40}, {24, 18, 16}, {88, 30, 50}};
   const std::vector<bool> trans = {false, false, false, true};
@@ -143,7 +143,7 @@ TEST(BatchStress, BitwiseDeterministicAcrossRunsAndThreadCounts) {
 TEST(BatchStress, DeterministicWithPanelCacheOnAndOff) {
   // A cache-served panel and a privately packed panel hold identical
   // bytes (same pack_b), so toggling the cache must not change results.
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   std::vector<Matrix<double>> as, bs_in, c0s;
   as.push_back(ag::random_matrix(96, 64, 9100));
   bs_in.push_back(ag::random_matrix(64, 72, 9101));
@@ -151,11 +151,11 @@ TEST(BatchStress, DeterministicWithPanelCacheOnAndOff) {
 
   std::vector<double> with_cache, without_cache;
   {
-    agtest::ScopedPanelCacheMb cache_on(64);
+    agtest::ScopedKnob cache_on(ag::Knob::kPanelCacheMb, 64);
     with_cache = run_batch_once(4, as, bs_in, c0s);
   }
   {
-    agtest::ScopedPanelCacheMb cache_off(0);
+    agtest::ScopedKnob cache_off(ag::Knob::kPanelCacheMb, 0);
     without_cache = run_batch_once(4, as, bs_in, c0s);
   }
   ASSERT_EQ(with_cache.size(), without_cache.size());
@@ -176,7 +176,7 @@ void stress_many_callers(int pool_threads, std::int64_t spin_us) {
   constexpr int kCallers = 4;
   constexpr int kBatchesPerCaller = 5;
   constexpr int kEntriesPerBatch = 4;
-  agtest::ScopedSpinUs spin(spin_us);
+  agtest::ScopedKnob spin(ag::Knob::kSpinUs, spin_us);
 
   std::vector<CallerProblem> problems(kCallers);
   for (int t = 0; t < kCallers; ++t) {
@@ -252,8 +252,8 @@ TEST(BatchStress, ManyCallersSharedBWithCacheChurn) {
   // TSan proves the publication ordering.
   constexpr int kCallers = 4;
   constexpr int kReps = 6;
-  agtest::ScopedSmallMnk pack_path(0);
-  agtest::ScopedPanelCacheMb cache_on(8);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
+  agtest::ScopedKnob cache_on(ag::Knob::kPanelCacheMb, 8);
   const index_t m = 96, n = 72, k = 64;
   const auto shared_b = ag::random_matrix(k, n, 30000);
 
@@ -307,7 +307,7 @@ TEST(BatchStress, TinyQueueDepthForcesInlineOverflow) {
   // Depth 1 makes nearly every ticket overflow and run inline on its
   // caller while workers drain the one queued ticket: both execution
   // paths race on the same submission's completion count.
-  agtest::ScopedQueueDepth depth(1);
+  agtest::ScopedKnob depth(ag::Knob::kQueueDepth, 1);
   stress_many_callers(2, ag::spin_wait_us());
 }
 

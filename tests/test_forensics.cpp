@@ -79,11 +79,11 @@ class ForensicsTest : public ::testing::Test {
     prev_interval_ = ag::forensics_interval_s();
     prev_factor_ = ag::slow_call_factor();
     prev_drift_ = ag::drift_threshold();
-    ag::set_metrics_path("");
-    ag::set_forensics_dir("");
-    ag::set_forensics_interval_s(3600.0);
-    ag::set_slow_call_factor(0.0);
-    ag::set_drift_threshold(1000.0);
+    ag::set_knob(ag::Knob::kMetricsPath, "");
+    ag::set_knob(ag::Knob::kForensicsDir, "");
+    ag::set_knob(ag::Knob::kForensicsInterval, 3600.0);
+    ag::set_knob(ag::Knob::kSlowCallFactor, 0.0);
+    ag::set_knob(ag::Knob::kDriftThreshold, 1000.0);
     ag::obs::telemetry_set_model(10.0, ag::model::CostParams{1e-10, 1e-9, 0.125}, 1.0);
     ag::obs::telemetry_enable();
     ag::obs::telemetry_reset();
@@ -93,11 +93,11 @@ class ForensicsTest : public ::testing::Test {
     if (!ag::obs::stats_compiled_in) return;
     ag::obs::telemetry_disable();
     ag::obs::telemetry_reset();
-    ag::set_metrics_path(prev_metrics_);
-    ag::set_forensics_dir(prev_dir_);
-    ag::set_forensics_interval_s(prev_interval_);
-    ag::set_slow_call_factor(prev_factor_);
-    ag::set_drift_threshold(prev_drift_);
+    ag::set_knob(ag::Knob::kMetricsPath, prev_metrics_);
+    ag::set_knob(ag::Knob::kForensicsDir, prev_dir_);
+    ag::set_knob(ag::Knob::kForensicsInterval, prev_interval_);
+    ag::set_knob(ag::Knob::kSlowCallFactor, prev_factor_);
+    ag::set_knob(ag::Knob::kDriftThreshold, prev_drift_);
   }
 
   /// Fresh per-test bundle directory under the gtest temp root.
@@ -126,18 +126,18 @@ class ForensicsTest : public ::testing::Test {
 
 TEST_F(ForensicsTest, InjectedDriftProducesOneSchemaValidBundle) {
   const std::string dir = make_bundle_dir("drift");
-  ag::set_forensics_dir(dir);
+  ag::set_knob(ag::Knob::kForensicsDir, dir);
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
 
   // Baseline under a loose threshold (warm-up noise must not trigger),
   // then sabotage the model and tighten: the measured/expected ratio
   // jumps ~100x and the detector flags the step.
-  ag::set_drift_threshold(5.0);
+  ag::set_knob(ag::Knob::kDriftThreshold, 5.0);
   run_square(ctx, 96, 20);
   ag::obs::telemetry_reset();
   run_square(ctx, 96, 60);
   ASSERT_EQ(0u, ag::obs::telemetry_anomaly_count()) << "baseline drifted";
-  ag::set_drift_threshold(0.25);
+  ag::set_knob(ag::Knob::kDriftThreshold, 0.25);
   ag::obs::telemetry_set_model(10.0, ag::model::CostParams{1e-8, 1e-9, 0.125}, 1.0);
   for (int i = 0; i < 200 && ag::obs::telemetry_anomaly_count() == 0; ++i)
     run_square(ctx, 80, 1, 31);
@@ -163,11 +163,11 @@ TEST_F(ForensicsTest, InjectedDriftProducesOneSchemaValidBundle) {
 
 TEST_F(ForensicsTest, InjectedSlowCallCapturesOnceUnderRateLimit) {
   const std::string dir = make_bundle_dir("slow");
-  ag::set_forensics_dir(dir);
+  ag::set_knob(ag::Knob::kForensicsDir, dir);
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
   warm_slow_class(ctx);
 
-  ag::set_slow_call_factor(3.0);
+  ag::set_knob(ag::Knob::kSlowCallFactor, 3.0);
   ag::Context slow_ctx = pathological_context();
   // Two detections are needed (the second exercises the rate limit). On
   // a plain build every pathological call clears 3 x p99 with a ~30x
@@ -177,7 +177,7 @@ TEST_F(ForensicsTest, InjectedSlowCallCapturesOnceUnderRateLimit) {
   // never poison the reference quantile they are measured against.
   for (int i = 0; i < 12 && ag::obs::forensics_stats().slow_calls < 2; ++i)
     run_square(slow_ctx, 96, 1);
-  ag::set_slow_call_factor(0.0);
+  ag::set_knob(ag::Knob::kSlowCallFactor, 0.0);
 
   const ForensicsStats s = ag::obs::forensics_stats();
   EXPECT_GE(s.slow_calls, 2u);
@@ -212,7 +212,7 @@ TEST_F(ForensicsTest, ManualCaptureBypassesRateLimitAndNeedsNoDisk) {
 
 TEST_F(ForensicsTest, ConcurrentSlowCallsElectExactlyOneCapture) {
   const std::string dir = make_bundle_dir("concurrent");
-  ag::set_forensics_dir(dir);
+  ag::set_knob(ag::Knob::kForensicsDir, dir);
   constexpr int kThreads = 4;
 
   // Slow-call state is per recording lane, so each thread warms its own
@@ -242,7 +242,7 @@ TEST_F(ForensicsTest, ConcurrentSlowCallsElectExactlyOneCapture) {
     });
   }
   while (ready.load() != kThreads) std::this_thread::yield();
-  ag::set_slow_call_factor(3.0);
+  ag::set_knob(ag::Knob::kSlowCallFactor, 3.0);
   go.store(true, std::memory_order_release);
   std::atomic<bool> stop{false};
   std::thread reader([&] {
@@ -255,7 +255,7 @@ TEST_F(ForensicsTest, ConcurrentSlowCallsElectExactlyOneCapture) {
   for (auto& w : workers) w.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  ag::set_slow_call_factor(0.0);
+  ag::set_knob(ag::Knob::kSlowCallFactor, 0.0);
 
   const ForensicsStats s = ag::obs::forensics_stats();
   EXPECT_GE(s.slow_calls, 2u);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "blas/compare.hpp"
@@ -159,7 +160,7 @@ TEST(GemmBatch, HugeBatchOfTinyEntries) {
   // 256 tiny entries: all take the no-pack fast path; exercises queue
   // round-robin across shards and (under a small ARMGEMM_QUEUE_DEPTH)
   // the inline-overflow backpressure path.
-  agtest::ScopedQueueDepth depth(16);
+  agtest::ScopedKnob depth(ag::Knob::kQueueDepth, 16);
   std::vector<Problem> problems;
   for (int i = 0; i < 256; ++i)
     problems.push_back(make_problem(ag::Trans::NoTrans, ag::Trans::NoTrans, 8, 6, 4, 1.0,
@@ -314,18 +315,18 @@ TEST(GemmBatch, CapiBatchEntryPoints) {
 }
 
 TEST(GemmBatch, QueueKnobRoundTrip) {
-  const long long depth_before = armgemm_get_queue_depth();
-  const long long mb_before = armgemm_get_panel_cache_mb();
-  armgemm_set_queue_depth(7);
-  EXPECT_EQ(armgemm_get_queue_depth(), 7);
-  armgemm_set_queue_depth(0);  // clamped to 1
-  EXPECT_EQ(armgemm_get_queue_depth(), 1);
-  armgemm_set_panel_cache_mb(3);
-  EXPECT_EQ(armgemm_get_panel_cache_mb(), 3);
-  armgemm_set_panel_cache_mb(-5);  // clamped to 0 (off)
-  EXPECT_EQ(armgemm_get_panel_cache_mb(), 0);
-  armgemm_set_queue_depth(depth_before);
-  armgemm_set_panel_cache_mb(mb_before);
+  const std::string depth_before = ag::knob_text(ag::Knob::kQueueDepth);
+  const std::string mb_before = ag::knob_text(ag::Knob::kPanelCacheMb);
+  armgemm_config_set("ARMGEMM_QUEUE_DEPTH", "7");
+  EXPECT_EQ(ag::queue_depth(), 7);
+  armgemm_config_set("ARMGEMM_QUEUE_DEPTH", "0");  // clamped to 1
+  EXPECT_EQ(ag::queue_depth(), 1);
+  armgemm_config_set("ARMGEMM_PANEL_CACHE_MB", "3");
+  EXPECT_EQ(ag::panel_cache_mb(), 3);
+  armgemm_config_set("ARMGEMM_PANEL_CACHE_MB", "-5");  // clamped to 0 (off)
+  EXPECT_EQ(ag::panel_cache_mb(), 0);
+  armgemm_config_set("ARMGEMM_QUEUE_DEPTH", depth_before.c_str());
+  armgemm_config_set("ARMGEMM_PANEL_CACHE_MB", mb_before.c_str());
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ void check_beta_zero_overwrites(const Context& ctx, index_t m, index_t n, index_
 constexpr double kBetas[] = {0.0, 1.0, -0.5};
 
 TEST(GemmBeta, SmallFastPath) {
-  agtest::ScopedSmallMnk force_small(1'000'000'000);
+  agtest::ScopedKnob force_small(ag::Knob::kSmallMnk, 1'000'000'000);
   Context ctx(ag::KernelShape{8, 6}, 1);
   for (double beta : kBetas) {
     check_beta_case(ctx, 24, 20, 16, 1.0, beta, "small");
@@ -85,7 +85,7 @@ TEST(GemmBeta, SmallFastPath) {
 }
 
 TEST(GemmBeta, SerialBlockedSinglePanel) {
-  agtest::ScopedSmallMnk force_blocked(0);
+  agtest::ScopedKnob force_blocked(ag::Knob::kSmallMnk, 0);
   Context ctx(ag::KernelShape{8, 6}, 1);
   for (double beta : kBetas) {
     check_beta_case(ctx, 65, 47, 41, 1.0, beta, "serial");
@@ -97,7 +97,7 @@ TEST(GemmBeta, SerialBlockedSinglePanel) {
 TEST(GemmBeta, SerialBlockedMultiKPanel) {
   // k beyond kc forces several GEBP calls per C panel: only the first may
   // apply beta, the rest must accumulate with beta=1.
-  agtest::ScopedSmallMnk force_blocked(0);
+  agtest::ScopedKnob force_blocked(ag::Knob::kSmallMnk, 0);
   Context ctx(ag::KernelShape{8, 6}, 1);
   const index_t k = ctx.block_sizes().kc * 2 + 37;
   for (double beta : kBetas) check_beta_case(ctx, 64, 48, k, 1.0, beta, "serial multi-k");
@@ -105,8 +105,8 @@ TEST(GemmBeta, SerialBlockedMultiKPanel) {
 }
 
 TEST(GemmBeta, ParallelBlocked) {
-  agtest::ScopedSmallMnk force_blocked(0);
-  agtest::ScopedSpinUs no_spin(0);
+  agtest::ScopedKnob force_blocked(ag::Knob::kSmallMnk, 0);
+  agtest::ScopedKnob no_spin(ag::Knob::kSpinUs, 0);
   Context ctx(ag::KernelShape{8, 6}, 4);
   const index_t k = ctx.block_sizes().kc + 29;  // at least two pc panels
   for (double beta : kBetas) {

@@ -50,7 +50,7 @@ TEST(GemmDeterminism, BitwiseIdenticalAcrossRunsAndThreadCounts) {
   // m=200 with mc=32 gives ceil(200/32)=7 row blocks: 8 threads exercises
   // the 2-D column-group fallback, 2 and 4 stay 1-D dynamic.
   const index_t m = 200, n = 96, k = 80;
-  agtest::ScopedSmallMnk pack_path(0);  // keep every run on the packed path
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);  // keep every run on the packed path
   const auto a = ag::random_matrix(m, k, 101);
   const auto b = ag::random_matrix(k, n, 102);
   const auto c0 = ag::random_matrix(m, n, 103);
@@ -70,7 +70,7 @@ TEST(GemmDeterminism, SmallFastPathIsDeterministicToo) {
   // The fast path is serial, so this mostly guards against accidental
   // future parallelization changing the accumulation order.
   const index_t m = 24, n = 20, k = 16;
-  agtest::ScopedSmallMnk fast_path(32);
+  agtest::ScopedKnob fast_path(ag::Knob::kSmallMnk, 32);
   const auto a = ag::random_matrix(m, k, 201);
   const auto b = ag::random_matrix(k, n, 202);
   const auto c0 = ag::random_matrix(m, n, 203);
@@ -89,7 +89,7 @@ TEST(GemmDeterminism, SgemmBitwiseIdenticalAcrossRunsAndThreadCounts) {
   // m=200 with mc=32 gives 7 row blocks: 8 threads take the 2-D
   // column-group fallback.
   const index_t m = 200, n = 96, k = 80;
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   ag::Xoshiro256 rng(301);
   const auto fill = [&](index_t count) {
     std::vector<float> v(static_cast<std::size_t>(count));

@@ -158,7 +158,7 @@ TEST(BatchIntrospect, TicketProvenanceIsComplete) {
 }
 
 TEST(BatchIntrospect, InlineOverflowAttributedToCallers) {
-  agtest::ScopedQueueDepth depth(1);  // nearly everything overflows inline
+  agtest::ScopedKnob depth(ag::Knob::kQueueDepth, 1);  // nearly everything overflows inline
   PersistentPool& pool = PersistentPool::instance();
   pool.ensure_workers(2);
   pool.reset_stats();
@@ -221,12 +221,12 @@ static void merge_laws_under_load() {
 }
 
 TEST(BatchIntrospect, MergeLawsUnderConcurrentLoadSpinMode) {
-  agtest::ScopedSpinUs spin(50);
+  agtest::ScopedKnob spin(ag::Knob::kSpinUs, 50);
   merge_laws_under_load();
 }
 
 TEST(BatchIntrospect, MergeLawsUnderConcurrentLoadBlockMode) {
-  agtest::ScopedSpinUs spin(0);  // immediate-block path: blocks counted
+  agtest::ScopedKnob spin(ag::Knob::kSpinUs, 0);  // immediate-block path: blocks counted
   merge_laws_under_load();
 }
 
@@ -365,7 +365,7 @@ TEST(BatchIntrospect, TracerRecordsTicketSpansAcrossLanes) {
 TEST(BatchIntrospect, TicketsRecordLayerStatsLikeOneThreadDgemm) {
   if (!obs::stats_compiled_in)
     GTEST_SKIP() << "-DARMGEMM_STATS=OFF: Context::stats() is compiled to nullptr";
-  agtest::ScopedPanelCacheMb cache_on(64);
+  agtest::ScopedKnob cache_on(ag::Knob::kPanelCacheMb, 64);
   ag::BlockSizes bs;
   bs.mr = 8;
   bs.nr = 6;
@@ -427,7 +427,7 @@ constexpr index_t kCacheElems = 32 * 48;
 }  // namespace
 
 TEST(PanelCacheIntrospect, WaitStallAccountingUnderConcurrentPack) {
-  agtest::ScopedPanelCacheMb cap(8);
+  agtest::ScopedKnob cap(ag::Knob::kPanelCacheMb, 8);
   PanelCache& cache = PanelCache::instance();
   const std::uint64_t epoch = cache.begin_epoch();
   cache.reset_stats();
@@ -458,7 +458,7 @@ TEST(PanelCacheIntrospect, WaitStallAccountingUnderConcurrentPack) {
 }
 
 TEST(PanelCacheIntrospect, ResidencyAndPeakBytesTrackInsertions) {
-  agtest::ScopedPanelCacheMb cap(8);
+  agtest::ScopedKnob cap(ag::Knob::kPanelCacheMb, 8);
   PanelCache& cache = PanelCache::instance();
   const std::uint64_t epoch = cache.begin_epoch();
   cache.reset_stats();
@@ -484,7 +484,7 @@ TEST(PanelCacheIntrospect, ResidencyAndPeakBytesTrackInsertions) {
 }
 
 TEST(PanelCacheIntrospect, PerClassAttribution) {
-  agtest::ScopedPanelCacheMb cap(8);
+  agtest::ScopedKnob cap(ag::Knob::kPanelCacheMb, 8);
   PanelCache& cache = PanelCache::instance();
   const std::uint64_t epoch = cache.begin_epoch();
   cache.reset_stats();
@@ -513,11 +513,11 @@ TEST(PanelCacheIntrospect, PerClassAttribution) {
 }
 
 TEST(PanelCacheIntrospect, EndToEndBatchHitRate) {
-  agtest::ScopedPanelCacheMb cap(64);
+  agtest::ScopedKnob cap(ag::Knob::kPanelCacheMb, 64);
   PanelCache& cache = PanelCache::instance();
   ASSERT_TRUE(obs::panel_cache_stats_available());
   // Force entries down the blocked path so the cache actually sees them.
-  agtest::ScopedSmallMnk small(0);
+  agtest::ScopedKnob small(ag::Knob::kSmallMnk, 0);
   cache.begin_epoch();
   cache.reset_stats();
 
@@ -539,7 +539,7 @@ class TelemetryIntrospect : public ::testing::Test {
   void SetUp() override {
     if (!obs::stats_compiled_in) GTEST_SKIP() << "built with -DARMGEMM_STATS=OFF";
     saved_metrics_path_ = ag::metrics_path();
-    ag::set_metrics_path("");
+    ag::set_knob(ag::Knob::kMetricsPath, "");
     obs::telemetry_set_model(10.0, ag::model::CostParams{1e-10, 1e-9, 0.125}, 1.0);
     obs::telemetry_enable();
     obs::telemetry_reset();
@@ -550,7 +550,7 @@ class TelemetryIntrospect : public ::testing::Test {
   void TearDown() override {
     if (!obs::stats_compiled_in) return;
     obs::telemetry_disable();
-    ag::set_metrics_path(saved_metrics_path_);
+    ag::set_knob(ag::Knob::kMetricsPath, saved_metrics_path_);
     obs::telemetry_reset();
   }
 

@@ -83,7 +83,7 @@ void expect_measured_matches(index_t m, index_t n, index_t k, int threads,
 }
 
 TEST(ObsExpected, KSmallerThanKcByHand) {
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   // 16x12x3 with kc=8: a single (jj, kk, ii) iteration whose packed
   // buffers are sized by the actual kc'=3, not the configured kc.
   const auto c = ag::obs::expected_gemm_counters(16, 12, 3, tiny_blocks());
@@ -98,7 +98,7 @@ TEST(ObsExpected, KSmallerThanKcByHand) {
 }
 
 TEST(ObsExpected, EdgeTilesRoundUpToFullSlivers) {
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   // 9x7x8: neither dimension is a multiple of mr/nr, so packing rounds
   // each up to whole slivers (zero-padded), while C traffic stays exact.
   const auto c = ag::obs::expected_gemm_counters(9, 7, 8, tiny_blocks());
@@ -111,7 +111,7 @@ TEST(ObsExpected, EdgeTilesRoundUpToFullSlivers) {
 }
 
 TEST(ObsExpected, DegenerateShapes) {
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   const ag::BlockSizes bs = tiny_blocks();
   const auto empty_m = ag::obs::expected_gemm_counters(0, 4, 4, bs);
   EXPECT_EQ(empty_m.gemm_calls, 0u);
@@ -134,7 +134,7 @@ TEST(ObsExpected, DegenerateShapes) {
 }
 
 TEST(ObsExpected, PackedBytesNeverUndercount) {
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   // Padding only ever rounds up: packed traffic >= the m*k / k*n words
   // actually consumed, with equality exactly on sliver-aligned shapes.
   const ag::BlockSizes bs = tiny_blocks();
@@ -156,7 +156,7 @@ TEST(ObsExpected, PackedBytesNeverUndercount) {
 
 TEST(ObsExpected, MeasuredSerialMatchesOnEdgeShapes) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   // k < kc; m/n off-sliver; k off-kc; everything off at once.
   expect_measured_matches(16, 12, 3, 1, /*check_pack_b_calls=*/true);
   expect_measured_matches(9, 7, 8, 1, /*check_pack_b_calls=*/true);
@@ -166,7 +166,7 @@ TEST(ObsExpected, MeasuredSerialMatchesOnEdgeShapes) {
 
 TEST(ObsExpected, MeasuredParallelMatchesWithPartitionRemainders) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   // partition_range splits M mc-aligned; these shapes give one rank a
   // remainder chunk (17 -> 16+1) or no work at all (15 < mc with 2 ranks
   // still produces the same global chunk set). pack_b_calls is per-rank
@@ -180,7 +180,7 @@ TEST(ObsExpected, MeasuredParallelMatchesWithPartitionRemainders) {
 }
 
 TEST(ObsExpected, SerialAndParallelPredictionsShareTotals) {
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   // The prediction itself is thread-count independent: the parallel
   // driver performs the same packing and kernel work, just partitioned.
   const ag::BlockSizes bs = tiny_blocks();
@@ -194,7 +194,7 @@ TEST(ObsExpected, SerialAndParallelPredictionsShareTotals) {
 TEST(ObsExpected, SmallFastPathPredictsNoPackedTraffic) {
   // Under the default threshold the driver dispatches these shapes to the
   // no-pack fast path; the model must predict that, not the blocked nest.
-  agtest::ScopedSmallMnk fast_path(32);
+  agtest::ScopedKnob fast_path(ag::Knob::kSmallMnk, 32);
   const auto c = ag::obs::expected_gemm_counters(16, 12, 8, tiny_blocks());
   EXPECT_EQ(c.gemm_calls, 1u);
   EXPECT_EQ(c.small_calls, 1u);
@@ -214,7 +214,7 @@ TEST(ObsExpected, SmallFastPathPredictsNoPackedTraffic) {
 
 TEST(ObsExpected, SmallFastPathMeasuredMatches) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
-  agtest::ScopedSmallMnk fast_path(32);
+  agtest::ScopedKnob fast_path(ag::Knob::kSmallMnk, 32);
   const ag::BlockSizes bs = tiny_blocks();
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
   ctx.set_block_sizes(bs);
@@ -234,14 +234,14 @@ TEST(ObsExpected, SmallFastPathMeasuredMatches) {
 
 TEST(ObsExpected, FastPathThresholdBoundaryIsExact) {
   // m*n*k == T^3 is small; one more element pushes it over.
-  agtest::ScopedSmallMnk fast_path(32);
+  agtest::ScopedKnob fast_path(ag::Knob::kSmallMnk, 32);
   EXPECT_TRUE(ag::use_small_gemm(32, 32, 32));
   EXPECT_TRUE(ag::use_small_gemm(1, 1, 32768));
   EXPECT_FALSE(ag::use_small_gemm(33, 32, 32));
   EXPECT_FALSE(ag::use_small_gemm(1, 1, 32769));
   EXPECT_FALSE(ag::use_small_gemm(0, 32, 32));  // degenerate: not "small"
 
-  agtest::ScopedSmallMnk off(0);
+  agtest::ScopedKnob off(ag::Knob::kSmallMnk, 0);
   EXPECT_FALSE(ag::use_small_gemm(1, 1, 1));
 }
 

@@ -167,7 +167,7 @@ TEST(PmuCollector, SerialDgemmAttributesRegionsPerLayer) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
   // 32x24x16 sits under the default fast-path threshold; pin the packed
   // path so the per-layer region arithmetic applies.
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   const ag::BlockSizes bs = tiny_blocks();
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
   ctx.set_block_sizes(bs);

@@ -88,7 +88,7 @@ TEST(ObsStats, ByHandArithmeticOneBlock) {
   // one B panel of ceil(12/6)=2 slivers, one A block of ceil(16/8)=2
   // slivers, one GEBP call dispatching 2*2 register kernels. The shape is
   // below the default fast-path threshold, so pin it to the packed path.
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
   ctx.set_block_sizes(tiny_blocks(8, 6));
   ag::obs::GemmStats stats;
@@ -109,7 +109,7 @@ TEST(ObsStats, ByHandArithmeticSmallFastPath) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
   // 16x12x8 sits under the threshold: one small_gemm region, no packing,
   // no GEBP, and C traffic of one read + one write of the full matrix.
-  agtest::ScopedSmallMnk fast_path(32);
+  agtest::ScopedKnob fast_path(ag::Knob::kSmallMnk, 32);
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
   ctx.set_block_sizes(tiny_blocks(8, 6));
   ag::obs::GemmStats stats;
@@ -291,9 +291,9 @@ TEST(ObsStatsCapi, EnableCollectRoundTrip) {
   // Pin the packed path through the C API (24x20x16 would otherwise take
   // the small-matrix fast path and record no kernel calls); doubles as a
   // round-trip test of the knob itself.
-  const long long prev_small = armgemm_get_small_mnk();
-  armgemm_set_small_mnk(0);
-  ASSERT_EQ(armgemm_get_small_mnk(), 0ll);
+  const std::string prev_small = ag::knob_text(ag::Knob::kSmallMnk);
+  armgemm_config_set("ARMGEMM_SMALL_MNK", "0");
+  ASSERT_EQ(ag::small_gemm_mnk(), 0);
 
   // Disabled: nothing is recorded.
   {
@@ -336,8 +336,8 @@ TEST(ObsStatsCapi, EnableCollectRoundTrip) {
   EXPECT_NE(buf.str().find("\"totals\""), std::string::npos);
   std::remove(path);
   armgemm_stats_reset();
-  armgemm_set_small_mnk(prev_small);
-  EXPECT_EQ(armgemm_get_small_mnk(), prev_small);
+  armgemm_config_set("ARMGEMM_SMALL_MNK", prev_small.c_str());
+  EXPECT_EQ(ag::knob_text(ag::Knob::kSmallMnk), prev_small);
 }
 
 // A snapshot taken while calls are in flight must never mix the fields

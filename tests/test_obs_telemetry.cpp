@@ -335,7 +335,7 @@ TEST(TelemetryDrift, ResetClearsState) {
 
 TEST(TelemetryShapeClass, ClassifyKindsAndDecades) {
   const std::int64_t small_t = ag::small_gemm_mnk();
-  ag::set_small_gemm_mnk(32);  // deterministic small threshold: 32^3
+  ag::set_knob(ag::Knob::kSmallMnk, 32);  // deterministic small threshold: 32^3
 
   auto kind = [](std::int64_t m, std::int64_t n, std::int64_t k) {
     return obs::ShapeClass::classify(m, n, k).kind;
@@ -358,7 +358,7 @@ TEST(TelemetryShapeClass, ClassifyKindsAndDecades) {
   EXPECT_EQ(obs::ShapeClass::classify(1 << 20, 1 << 20, 1 << 20).decade,
             obs::kShapeDecades - 1);
 
-  ag::set_small_gemm_mnk(small_t);
+  ag::set_knob(ag::Knob::kSmallMnk, small_t);
 }
 
 TEST(TelemetryShapeClass, IndexRoundTripAndLabels) {
@@ -381,7 +381,7 @@ class TelemetryE2E : public ::testing::Test {
     if (!obs::stats_compiled_in) GTEST_SKIP() << "built with -DARMGEMM_STATS=OFF";
     saved_flight_depth_ = ag::flight_depth();
     saved_metrics_path_ = ag::metrics_path();
-    ag::set_metrics_path("");
+    ag::set_knob(ag::Knob::kMetricsPath, "");
     // Inject a deterministic Section III model so enable() never
     // calibrates inside the test process.
     obs::telemetry_set_model(10.0, ag::model::CostParams{1e-10, 1e-9, 0.125}, 1.0);
@@ -392,8 +392,8 @@ class TelemetryE2E : public ::testing::Test {
   void TearDown() override {
     if (!obs::stats_compiled_in) return;
     obs::telemetry_disable();
-    ag::set_flight_depth(saved_flight_depth_);
-    ag::set_metrics_path(saved_metrics_path_);
+    ag::set_knob(ag::Knob::kFlightDepth, saved_flight_depth_);
+    ag::set_knob(ag::Knob::kMetricsPath, saved_metrics_path_);
     obs::telemetry_reset();
   }
 
@@ -519,7 +519,7 @@ TEST_F(TelemetryE2E, WriteMetricsEmitsBothFiles) {
 }
 
 TEST_F(TelemetryE2E, FlightRingWrapsKeepingNewest) {
-  ag::set_flight_depth(8);
+  ag::set_knob(ag::Knob::kFlightDepth, 8);
   obs::telemetry_reset();  // re-sizes the rings to the knob
 
   // 20 calls with distinct k so the retained tail is identifiable.
@@ -555,7 +555,7 @@ TEST_F(TelemetryE2E, Sigusr2DumpsMetricsAtNextCall) {
   const std::string path = "telemetry_e2e_sigusr2.prom";
   std::remove(path.c_str());
   std::remove((path + ".json").c_str());
-  ag::set_metrics_path(path);
+  ag::set_knob(ag::Knob::kMetricsPath, path);
 
   // Multi-threaded burst, then the signal, then one more call to carry
   // out the deferred dump (the handler only sets a flag).
@@ -642,17 +642,17 @@ TEST_F(TelemetryE2E, CapiSummaryAndKnobs) {
   EXPECT_GT(ref, 0.0);
   (void)armgemm_telemetry_anomaly_count();  // callable; count is load-dependent
 
-  const long long depth = armgemm_get_flight_depth();
-  armgemm_set_flight_depth(32);
-  EXPECT_EQ(armgemm_get_flight_depth(), 32);
-  armgemm_set_flight_depth(depth);
+  const std::string depth = ag::knob_text(ag::Knob::kFlightDepth);
+  armgemm_config_set("ARMGEMM_FLIGHT_DEPTH", "32");
+  EXPECT_EQ(ag::flight_depth(), 32);
+  armgemm_config_set("ARMGEMM_FLIGHT_DEPTH", depth.c_str());
 
-  const double thr = armgemm_get_drift_threshold();
-  armgemm_set_drift_threshold(0.5);
-  EXPECT_DOUBLE_EQ(armgemm_get_drift_threshold(), 0.5);
-  armgemm_set_drift_threshold(-1.0);  // non-positive: falls back to default
-  EXPECT_DOUBLE_EQ(armgemm_get_drift_threshold(), 0.25);
-  armgemm_set_drift_threshold(thr);
+  const std::string thr = ag::knob_text(ag::Knob::kDriftThreshold);
+  armgemm_config_set("ARMGEMM_DRIFT_THRESHOLD", "0.5");
+  EXPECT_DOUBLE_EQ(ag::drift_threshold(), 0.5);
+  armgemm_config_set("ARMGEMM_DRIFT_THRESHOLD", "-1.0");  // non-positive: falls back to default
+  EXPECT_DOUBLE_EQ(ag::drift_threshold(), 0.25);
+  armgemm_config_set("ARMGEMM_DRIFT_THRESHOLD", thr.c_str());
 }
 
 TEST_F(TelemetryE2E, CapiRenderSnprintfContract) {

@@ -50,7 +50,7 @@ auto fill_with(double v, int* calls = nullptr) {
 constexpr index_t kElems = 32 * 48;
 
 TEST(PanelCache, MissThenHitThenEpochInvalidation) {
-  agtest::ScopedPanelCacheMb cap(8);
+  agtest::ScopedKnob cap(ag::Knob::kPanelCacheMb, 8);
   PanelCache& cache = PanelCache::instance();
   const std::uint64_t epoch = cache.begin_epoch();
   cache.reset_stats();
@@ -91,7 +91,7 @@ TEST(PanelCache, MissThenHitThenEpochInvalidation) {
 }
 
 TEST(PanelCache, ZeroCapacityBypassesEverything) {
-  agtest::ScopedPanelCacheMb off(0);
+  agtest::ScopedKnob off(ag::Knob::kPanelCacheMb, 0);
   PanelCache& cache = PanelCache::instance();
   const std::uint64_t epoch = cache.begin_epoch();
   cache.reset_stats();
@@ -105,7 +105,7 @@ TEST(PanelCache, ZeroCapacityBypassesEverything) {
 TEST(PanelCache, CapacityEvictionIsFifoAndOversizedPanelsBypass) {
   // 1 MiB cap = 131072 doubles; each panel is 1536 doubles (12 KiB), so
   // ~85 fit. Insert 100: the earliest inserted must be evicted.
-  agtest::ScopedPanelCacheMb cap(1);
+  agtest::ScopedKnob cap(ag::Knob::kPanelCacheMb, 1);
   PanelCache& cache = PanelCache::instance();
   const std::uint64_t epoch = cache.begin_epoch();
   cache.reset_stats();
@@ -133,7 +133,7 @@ TEST(PanelCache, CapacityEvictionIsFifoAndOversizedPanelsBypass) {
 }
 
 TEST(PanelCache, ConcurrentRequestersPackExactlyOnce) {
-  agtest::ScopedPanelCacheMb cap(8);
+  agtest::ScopedKnob cap(ag::Knob::kPanelCacheMb, 8);
   PanelCache& cache = PanelCache::instance();
   const std::uint64_t epoch = cache.begin_epoch();
   cache.reset_stats();
@@ -169,8 +169,8 @@ TEST(PanelCache, ConcurrentRequestersPackExactlyOnce) {
 // epoch baked into every key means batch 2 must re-pack and see the new
 // bytes — a stale hit here would silently compute with dead data.
 TEST(PanelCache, MutatedBBetweenBatchesIsNeverServedStale) {
-  agtest::ScopedSmallMnk pack_path(0);  // force the blocked (cache-using) path
-  agtest::ScopedPanelCacheMb cap(64);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);  // force the blocked (cache-using) path
+  agtest::ScopedKnob cap(ag::Knob::kPanelCacheMb, 64);
   const index_t m = 96, n = 72, k = 64;
   auto a = ag::random_matrix(m, k, 40000);
   auto b = ag::random_matrix(k, n, 40001);

@@ -190,7 +190,7 @@ TEST(Sgemm, BetaZeroOverwritesNaNOnEveryPath) {
                         {"serial", 0, 1, 70, 50, 40},
                         {"parallel", 0, 4, 300, 50, 40}};
   for (const Path& p : paths) {
-    agtest::ScopedSmallMnk small(p.small_mnk);
+    agtest::ScopedKnob small(ag::Knob::kSmallMnk, p.small_mnk);
     const auto a = random_floats(static_cast<std::size_t>(p.m * p.k), 31);
     const auto b = random_floats(static_cast<std::size_t>(p.k * p.n), 32);
     std::vector<float> c(static_cast<std::size_t>(p.m * p.n),
@@ -228,7 +228,7 @@ std::set<std::string> pool_worker_tids() {
 // sgemm keeps one pool per caller thread: parallel calls reuse its workers
 // instead of starting and joining new ones every call.
 TEST(Sgemm, ReusesWorkersAcrossCalls) {
-  agtest::ScopedSmallMnk blocked(0);
+  agtest::ScopedKnob blocked(ag::Knob::kSmallMnk, 0);
   const index_t m = 128, n = 64, k = 32;
   const auto a = random_floats(static_cast<std::size_t>(m * k), 41);
   const auto b = random_floats(static_cast<std::size_t>(k * n), 42);

@@ -174,7 +174,7 @@ TEST(BarrierTest, ReusableAcrossGenerations) {
 // every waiter straight onto the condvar slow path. Phase counters verify
 // no rank ever runs ahead or drops a generation either way.
 void barrier_stress(std::int64_t spin_us) {
-  agtest::ScopedSpinUs spin(spin_us);
+  agtest::ScopedKnob spin(ag::Knob::kSpinUs, spin_us);
   constexpr int kRanks = 4;
   constexpr int kPhases = 200;
   ThreadPool pool(kRanks);

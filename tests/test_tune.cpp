@@ -83,19 +83,20 @@ void write_text(const std::string& path, const std::string& text) {
 // (small-mnk, prefetch) pin the process knobs, so the fake probe session
 // cannot leak a tuned crossover or prefetch distance into other tests.
 struct TunerFixture {
-  agtest::ScopedSmallMnk small{0};
-  agtest::ScopedPrefetch prefetch{1024, 24576};
+  agtest::ScopedKnob small{ag::Knob::kSmallMnk, 0};
+  agtest::ScopedKnob prea{ag::Knob::kPrea, 1024};
+  agtest::ScopedKnob preb{ag::Knob::kPreb, 24576};
 
   TunerFixture() {
-    ag::set_tune_mode(ag::kTuneModeOn);
-    ag::set_tune_cache_path("");
+    ag::set_knob(ag::Knob::kTune, ag::kTuneModeOn);
+    ag::set_knob(ag::Knob::kTuneCache, "");
     ag::tune::set_machine_model(10.0, 1e-10, 1e-9);
     ag::tune::set_probe_runner(&fake_probe);
     ag::tune::force_retune();
   }
   ~TunerFixture() {
     ag::tune::force_retune();
-    ag::set_tune_mode(ag::kTuneModeOn);
+    ag::set_knob(ag::Knob::kTune, ag::kTuneModeOn);
   }
 };
 
@@ -235,13 +236,13 @@ TEST(TuneCache, WritePublishesAtomically) {
 
 TEST(Tune, OffModeResolvesNothing) {
   TunerFixture fx;
-  ag::set_tune_mode(ag::kTuneModeOff);
+  ag::set_knob(ag::Knob::kTune, ag::kTuneModeOff);
   EXPECT_EQ(ag::tune::resolve(Precision::kF64, 512, 512, 512, 1), nullptr);
 }
 
 TEST(Tune, AnalyticModeNeverProbes) {
   TunerFixture fx;
-  ag::set_tune_mode(ag::kTuneModeAnalytic);
+  ag::set_knob(ag::Knob::kTune, ag::kTuneModeAnalytic);
   const std::uint64_t probes_before = ag::tune::stats().probes_run;
   const TunedConfig* cfg = ag::tune::resolve(Precision::kF64, 512, 512, 512, 1);
   ASSERT_NE(cfg, nullptr);
@@ -315,7 +316,7 @@ TEST(Tune, SaveAndReloadRoundTripsThroughStats) {
             CacheLoadStatus::kOk);
   EXPECT_GE(out.entries.size(), 1u);
   // Saving with no path configured reports failure, not a crash.
-  ag::set_tune_cache_path("");
+  ag::set_knob(ag::Knob::kTuneCache, "");
   EXPECT_EQ(ag::tune::save_cache(), -1);
 }
 
@@ -369,7 +370,7 @@ TEST(Tune, OffModeBitwiseMatchesUntunedDefault) {
   fill(&b, 4);
 
   // Mode off: a tunable context runs the exact pre-tuner default path.
-  ag::set_tune_mode(ag::kTuneModeOff);
+  ag::set_knob(ag::Knob::kTune, ag::kTuneModeOff);
   ag::Context tunable_off;
   tunable_off.set_threads(1);
   tunable_off.set_tunable(true);

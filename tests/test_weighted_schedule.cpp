@@ -158,9 +158,9 @@ TEST(WeightedSchedule, BitwiseDeterministicOnEmulatedBigLittle) {
   // the serial result bit for bit (same grid, same per-tile accumulation
   // order; weighting only changed the claim order).
   const index_t m = 200, n = 96, k = 80;
-  agtest::ScopedSmallMnk pack_path(0);
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
   agtest::ScopedCpuClasses topo("2x2.0,2x1.0");
-  agtest::ScopedWeightedSchedule weighted(true);
+  agtest::ScopedKnob weighted(ag::Knob::kWeightedSchedule, true);
   const auto a = ag::random_matrix(m, k, 301);
   const auto b = ag::random_matrix(k, n, 302);
   const auto c0 = ag::random_matrix(m, n, 303);
@@ -176,7 +176,7 @@ TEST(WeightedSchedule, BitwiseDeterministicOnEmulatedBigLittle) {
   }
 
   // And switching weighting off changes nothing about the value either.
-  agtest::ScopedWeightedSchedule unweighted(false);
+  agtest::ScopedKnob unweighted(ag::Knob::kWeightedSchedule, false);
   const std::vector<double> plain = run_once(4, m, n, k, a, b, c0);
   ASSERT_EQ(std::memcmp(plain.data(), golden.data(), bytes), 0);
 }
