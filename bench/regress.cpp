@@ -131,19 +131,14 @@ RunResult run_config(BenchShape sh, int threads, int reps, double peak_per_core,
   auto b = ag::random_matrix(sh.k, sh.n, 2);
   auto c = ag::random_matrix(sh.m, sh.n, 3);
   ag::Context ctx(ag::KernelShape{8, 6}, threads);
-  ag::obs::GemmStats stats;
-  ag::obs::PmuCollector pmu;
-  stats.set_pmu(&pmu);
-  ctx.set_stats(&stats);
-
   const auto call = [&] {
     ag::dgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, sh.m, sh.n, sh.k,
               1.0, a.data(), a.ld(), b.data(), b.ld(), 1.0, c.data(), c.ld(), ctx);
   };
-  call();  // warm-up: page in buffers, spin up the pool, open counters
-  stats.reset();
-  pmu.reset();
+  call();  // warm-up: page in buffers, spin up the pool
 
+  // The timed reps run with no collector attached, so the efficiency
+  // measures GEMM, not the instrumentation.
   RunResult r;
   r.m = sh.m;
   r.n = sh.n;
@@ -159,6 +154,18 @@ RunResult run_config(BenchShape sh, int threads, int reps, double peak_per_core,
                        static_cast<double>(sh.k);
   r.gflops = inject * flops / r.best_seconds * 1e-9;
   r.efficiency = peak_per_core > 0 ? r.gflops / (peak_per_core * threads) : 0;
+
+  // A separate instrumented pass of as many calls gives the layer split
+  // and the PMU totals.
+  ag::obs::GemmStats stats;
+  ag::obs::PmuCollector pmu;
+  stats.set_pmu(&pmu);
+  ctx.set_stats(&stats);
+  call();  // opens every rank's counters
+  stats.reset();
+  pmu.reset();
+  for (int i = 0; i < reps; ++i) call();
+  ctx.set_stats(nullptr);
   r.layers = stats.totals();
   r.pmu = pmu.layer_totals(ag::obs::PmuLayer::kTotal);
   r.pmu_discarded = pmu.discarded_regions();

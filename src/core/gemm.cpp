@@ -2,24 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <vector>
 
 #include "blas/reference_gemm.hpp"
 #include "common/check.hpp"
 #include "common/knobs.hpp"
 #include "common/math_util.hpp"
-#include "common/timer.hpp"
 #include "core/gebp_impl.hpp"
 #include "core/gemm_internal.hpp"
 #include "core/packing_impl.hpp"
 #include "core/schedule.hpp"
 #include "core/tuning.hpp"
-#include "obs/gemm_stats.hpp"
-#include "obs/phase.hpp"
-#include "obs/pmu.hpp"
+#include "obs/region.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/tracer.hpp"
 #include "threading/topology.hpp"
 
 namespace ag {
@@ -74,75 +69,18 @@ void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t
   }
 }
 
-// Stats-recording wrapper of the no-pack fast path for small problems
-// (m*n*k <= ARMGEMM_SMALL_MNK^3): packing and the blocked loop nest cost
-// more than they save when the operands fit in cache.
+// The no-pack fast path for small problems (m*n*k <= ARMGEMM_SMALL_MNK^3):
+// packing and the blocked loop nest cost more than they save when the
+// operands fit in cache. Its region counts one read + one write of C; the
+// operands stream straight from the caller's buffers, so there is no
+// packed traffic to account.
 template <typename T>
-void gemm_small(const GemmCall<T>& g, const Instrumentation& inst) {
-  obs::GemmStats* stats = inst.stats;
-  obs::ThreadSlot* slot = stats ? &stats->slot(inst.lane) : nullptr;
-  obs::Tracer::Region region(stats ? stats->tracer() : nullptr, inst.lane, "small_gemm");
-  obs::PmuRegion hw(stats ? stats->pmu() : nullptr, inst.lane, obs::PmuLayer::kSmall);
-  // The no-pack nest is all compute: the whole call is kernel time.
-  obs::PhaseScope phase(inst.phases ? inst.phases->slot(obs::Phase::kKernel) : nullptr);
-  Timer t;
+void gemm_small(const GemmCall<T>& g, const obs::Sinks& sinks) {
+  obs::Region region(sinks, obs::Boundary::kSmall);
+  if (region) region.describe({}, {.bytes = static_cast<std::uint64_t>(2 * g.m * g.n) * sizeof(T)});
   gemm_small_nest(g.trans_a, g.trans_b, g.m, g.n, g.k, g.alpha, g.a, g.lda, g.b, g.ldb, g.beta,
                   g.c, g.ldc);
-  if (slot) {
-    // One read + one write of C; the operands stream straight from the
-    // caller's buffers, so there is no packed traffic to account.
-    slot->add_small(t.seconds(), static_cast<std::uint64_t>(2 * g.m * g.n) * sizeof(T));
-  }
 }
-
-namespace {
-
-// The driver's three layer calls with their stats hook: given a slot,
-// each records one call, its bytes (the packed buffer, padding included;
-// for GEBP the read + write of C) and its seconds. A null slot skips the
-// clock reads.
-template <typename T>
-void pack_a_layer(Trans trans, const T* a, index_t lda, index_t row0, index_t col0, index_t mc,
-                  index_t kc, int mr, T* dst, obs::ThreadSlot* slot) {
-  if (!slot) return pack_a_t(trans, a, lda, row0, col0, mc, kc, mr, dst);
-  Timer t;
-  pack_a_t(trans, a, lda, row0, col0, mc, kc, mr, dst);
-  slot->add_pack_a(static_cast<std::uint64_t>(packed_a_size_t<T>(mc, kc, mr)) * sizeof(T),
-                   t.seconds());
-}
-
-// A rank that received no slivers records nothing, so cooperative packing
-// does not inflate the call count.
-template <typename T>
-void pack_b_layer(Trans trans, const T* b, index_t ldb, index_t row0, index_t col0, index_t kc,
-                  index_t nc, int nr, index_t sliver_begin, index_t sliver_end, T* dst,
-                  obs::ThreadSlot* slot) {
-  if (!slot || sliver_begin >= sliver_end)
-    return pack_b_slivers_t(trans, b, ldb, row0, col0, kc, nc, nr, sliver_begin, sliver_end,
-                            dst);
-  Timer t;
-  pack_b_slivers_t(trans, b, ldb, row0, col0, kc, nc, nr, sliver_begin, sliver_end, dst);
-  slot->add_pack_b(
-      static_cast<std::uint64_t>((sliver_end - sliver_begin) * nr * kc) * sizeof(T),
-      t.seconds());
-}
-
-// Also counts the ceil(mc/mr)*ceil(nc/nr) register-kernel invocations
-// (edge tiles included).
-template <typename T>
-void gebp_layer(index_t mc, index_t nc, index_t kc, T alpha, const T* packed_a,
-                const T* packed_b, T beta, T* c, index_t ldc, KernelFnT<T> kernel, int mr,
-                int nr, obs::ThreadSlot* slot) {
-  if (!slot) return gebp_t<T>(mc, nc, kc, alpha, packed_a, packed_b, beta, c, ldc, kernel, mr, nr);
-  Timer t;
-  gebp_t<T>(mc, nc, kc, alpha, packed_a, packed_b, beta, c, ldc, kernel, mr, nr);
-  const std::uint64_t kernels =
-      static_cast<std::uint64_t>(ceil_div(mc, static_cast<index_t>(mr))) *
-      static_cast<std::uint64_t>(ceil_div(nc, static_cast<index_t>(nr)));
-  slot->add_gebp(kernels, static_cast<std::uint64_t>(2 * mc * nc) * sizeof(T), t.seconds());
-}
-
-}  // namespace
 
 // Column-major blocked driver (Figure 9, pipelined): the (jj, kk) loop
 // nest is flattened into a sequence of kc x nc panels of B. With several
@@ -176,21 +114,18 @@ void gebp_layer(index_t mc, index_t nc, index_t kc, T alpha, const T* packed_a,
 // cache-sized mc, again without touching the grid.
 template <typename T>
 void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>& scratch,
-                  ThreadPool* pool, int ranks, const Instrumentation& inst,
+                  ThreadPool* pool, int ranks, const obs::Sinks& sinks,
                   const PanelSource<T>& panel_source) {
   const BlockSizes& bs = plan.bs;
-  obs::GemmStats* const stats = inst.stats;
-  obs::Tracer* const tracer = stats ? stats->tracer() : nullptr;
-  obs::PmuCollector* const pmu = stats ? stats->pmu() : nullptr;
 
   // Per-rank phase partials, cache-line padded so concurrent accumulation
-  // never false-shares; merged into inst.phases after the join. A lone
-  // rank accumulates into inst.phases directly.
+  // never false-shares; merged into sinks.phases after the join. A lone
+  // rank accumulates into sinks.phases directly.
   struct alignas(64) RankPhases {
     obs::CallPhases ph;
   };
   std::vector<RankPhases> rank_phases(
-      inst.phases && ranks > 1 ? static_cast<std::size_t>(ranks) : 0);
+      sinks.phases && ranks > 1 ? static_cast<std::size_t>(ranks) : 0);
 
   // Panel p is the kc x nc block (jc, pc) = (p / kpanels, p % kpanels) of
   // B: layer 1 (jj) outside, layer 2 (kk) inside.
@@ -265,31 +200,34 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
   Barrier barrier(ranks);
 
   const auto run_rank = [&](int rank) {
-    const int lane = inst.lane + rank;
-    obs::ThreadSlot* slot = stats ? &stats->slot(lane) : nullptr;
-    double barrier_wait = 0;
-    double* const wait_acc = (slot || inst.barrier_telemetry) ? &barrier_wait : nullptr;
-    obs::CallPhases* const my_ph =
-        !inst.phases ? nullptr
-        : ranks == 1 ? inst.phases
-                     : &rank_phases[static_cast<std::size_t>(rank)].ph;
+    obs::Sinks my = sinks;
+    my.lane += rank;
+    if (my.phases && ranks > 1) my.phases = &rank_phases[static_cast<std::size_t>(rank)].ph;
+    double barrier_wait = 0;  // this rank's waits: one telemetry sample per call
     T* const my_packed_a = scratch.packed_a[static_cast<std::size_t>(rank)].data();
     // Sub-blocking granularity for this rank's claimed mc blocks (a
     // LITTLE-class rank re-tiles along m to its own cache-sized mc).
     const index_t my_mc = rank_mc.empty() ? bs.mc : rank_mc[static_cast<std::size_t>(rank)];
 
+    // This rank's share of a panel's slivers; a rank that got none packs
+    // and records nothing, so cooperative packing does not inflate the
+    // counts.
     const auto pack_panel = [&](const Panel& panel, T* dst) {
       const index_t slivers = ceil_div(panel.nc, static_cast<index_t>(bs.nr));
       const Range bp = partition_range(slivers, ranks, rank, 1);
-      obs::Tracer::Region region(tracer, lane, "pack_b", {-1, panel.jc, panel.pc});
-      obs::PmuRegion hw(pmu, lane, obs::PmuLayer::kPackB);
-      obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kPackB) : nullptr);
-      pack_b_layer(g.trans_b, g.b, g.ldb, panel.kk, panel.jj, panel.kc, panel.nc, bs.nr,
-                   bp.begin, bp.end, dst, slot);
+      if (bp.size() == 0) return;
+      obs::Region region(my, obs::Boundary::kPackB);
+      if (region)
+        region.describe(
+            {-1, panel.jc, panel.pc},
+            {.bytes = static_cast<std::uint64_t>(bp.size() * bs.nr * panel.kc) * sizeof(T)});
+      pack_b_slivers_t(g.trans_b, g.b, g.ldb, panel.kk, panel.jj, panel.kc, panel.nc, bs.nr,
+                       bp.begin, bp.end, dst);
     };
     const auto sync = [&] {
-      obs::PmuRegion hw(pmu, lane, obs::PmuLayer::kBarrier);
-      barrier.arrive_and_wait(wait_acc);
+      obs::Region region(my, obs::Boundary::kBarrier);
+      barrier.arrive_and_wait();
+      barrier_wait += region.close().seconds;
     };
 
     // Pipelined prologue: panel 0 must be fully packed before anyone
@@ -365,21 +303,32 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
           const index_t sub_ii = blk.ii + sub;
           const index_t sub_mc = std::min(my_mc, blk.mc - sub);
           if (sub_ii != packed_ii || sub_mc != packed_mc) {
-            obs::Tracer::Region region(tracer, lane, "pack_a", {ic, panel.jc, panel.pc});
-            obs::PmuRegion hw(pmu, lane, obs::PmuLayer::kPackA);
-            obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kPackA) : nullptr);
-            pack_a_layer(g.trans_a, g.a, g.lda, sub_ii, panel.kk, sub_mc, panel.kc, bs.mr,
-                         my_packed_a, slot);
+            // Counts the packed buffer's bytes, padding included.
+            obs::Region region(my, obs::Boundary::kPackA);
+            if (region)
+              region.describe({ic, panel.jc, panel.pc},
+                              {.bytes = static_cast<std::uint64_t>(packed_a_size_t<T>(
+                                            sub_mc, panel.kc, bs.mr)) *
+                                        sizeof(T)});
+            pack_a_t(g.trans_a, g.a, g.lda, sub_ii, panel.kk, sub_mc, panel.kc, bs.mr,
+                     my_packed_a);
             packed_ii = sub_ii;
             packed_mc = sub_mc;
           }
-          obs::Tracer::Region region(tracer, lane, "gebp", {ic, panel.jc, panel.pc});
-          obs::PmuRegion hw(pmu, lane, obs::PmuLayer::kGebp);
-          obs::PhaseScope phase(my_ph ? my_ph->slot(obs::Phase::kKernel) : nullptr);
-          gebp_layer(sub_mc, blk.nb, panel.kc, g.alpha, my_packed_a,
-                     panel_b + blk.sliver0 * panel.kc * bs.nr,
-                     panel.pc == 0 ? g.beta : T(1), g.c + sub_ii + (panel.jj + blk.jb) * g.ldc,
-                     g.ldc, plan.kernel, bs.mr, bs.nr, slot);
+          // Counts one read + write of the C block and its
+          // ceil(mc/mr)*ceil(nc/nr) register-kernel invocations (edge tiles
+          // included).
+          obs::Region region(my, obs::Boundary::kGebp);
+          if (region)
+            region.describe(
+                {ic, panel.jc, panel.pc},
+                {.bytes = static_cast<std::uint64_t>(2 * sub_mc * blk.nb) * sizeof(T),
+                 .kernels = static_cast<std::uint64_t>(ceil_div(sub_mc, index_t{bs.mr}) *
+                                                       ceil_div(blk.nb, index_t{bs.nr}))});
+          gebp_t<T>(sub_mc, blk.nb, panel.kc, g.alpha, my_packed_a,
+                    panel_b + blk.sliver0 * panel.kc * bs.nr, panel.pc == 0 ? g.beta : T(1),
+                    g.c + sub_ii + (panel.jj + blk.jb) * g.ldc, g.ldc, plan.kernel, bs.mr,
+                    bs.nr);
         }
       }
       // One barrier per panel: it certifies both "panel p fully
@@ -388,20 +337,16 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
       // the last panel the pool join itself is the sync point.
       if (ranks > 1 && p + 1 < npanels) sync();
     }
-    if (ranks > 1) {
-      if (slot) slot->add_barrier_wait(barrier_wait);
-      if (my_ph) my_ph->add(obs::Phase::kBarrier, barrier_wait);
-      if (inst.barrier_telemetry) obs::telemetry_record_barrier_wait(barrier_wait);
-    }
+    if (ranks > 1 && sinks.telemetry) obs::telemetry_record_barrier_wait(barrier_wait);
   };
   if (ranks == 1)
     run_rank(0);
   else
     pool->run(run_rank, ranks);
 
-  if (inst.phases) {
-    for (const RankPhases& rp : rank_phases) inst.phases->merge(rp.ph);
-    inst.phases->workers = ranks;
+  if (sinks.phases) {
+    for (const RankPhases& rp : rank_phases) sinks.phases->merge(rp.ph);
+    sinks.phases->workers = ranks;
   }
 }
 
@@ -409,9 +354,9 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
   template void scale_panel(T*, index_t, index_t, index_t, T);                              \
   template void gemm_small_nest(Trans, Trans, index_t, index_t, index_t, T, const T*,       \
                                 index_t, const T*, index_t, T, T*, index_t);                \
-  template void gemm_small(const GemmCall<T>&, const Instrumentation&);                     \
+  template void gemm_small(const GemmCall<T>&, const obs::Sinks&);                          \
   template void gemm_blocked(const GemmCall<T>&, const GemmPlan<T>&, PackBuffers<T>&,       \
-                             ThreadPool*, int, const Instrumentation&, const PanelSource<T>&);
+                             ThreadPool*, int, const obs::Sinks&, const PanelSource<T>&);
 AG_INSTANTIATE_DRIVER(double)
 AG_INSTANTIATE_DRIVER(float)
 #undef AG_INSTANTIATE_DRIVER
@@ -421,8 +366,8 @@ AG_INSTANTIATE_DRIVER(float)
 namespace {
 
 detail::RunInfo run_dgemm(const detail::GemmCall<double>& g, const Context& ctx,
-                          const detail::Instrumentation& inst) {
-  return detail::run_gemm(g, ctx, inst, [&ctx](index_t m, index_t n, index_t k) {
+                          const obs::Sinks& sinks) {
+  return detail::run_gemm(g, ctx, sinks, [&ctx](index_t m, index_t n, index_t k) {
     // The context's kernel + blocking, or — for a tunable context —
     // whatever the autotuner resolved for this (precision, shape-class)
     // key.
@@ -450,41 +395,27 @@ void dgemm(Layout layout, Trans trans_a, Trans trans_b, std::int64_t m, std::int
   const detail::GemmCall<double> g{trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c,
                                    ldc};
   const bool computed = k != 0 && alpha != 0.0;
-  obs::GemmStats* stats = ctx.stats();
   const bool telemetry = obs::telemetry_active();
-  if (stats || telemetry) {
-    obs::Tracer::Region region(stats ? stats->tracer() : nullptr, 0, "dgemm");
-    obs::PmuRegion hw(stats ? stats->pmu() : nullptr, 0, obs::PmuLayer::kTotal);
-    const auto t0 = std::chrono::steady_clock::now();
-    // Stack-owned phase timeline; the driver accumulates into it only
-    // when attribution is on (null slots skip every clock read).
-    obs::CallPhases call_phases;
-    const bool want_phases = telemetry && obs::telemetry_phases_active();
-    detail::RunInfo run;
-    if (computed)
-      run = run_dgemm(g, ctx, {stats, want_phases ? &call_phases : nullptr, telemetry});
-    else
-      detail::scale_panel(c, ldc, m, n, beta);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(t1 - t0).count();
-    const double flops =
-        computed ? 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                       static_cast<double>(k)
-                 : 0.0;
-    if (stats) stats->slot(0).add_call(flops, seconds);
-    if (telemetry && computed)
-      obs::telemetry_record_call(
-          m, n, k, run.threads, run.schedule, seconds, run.bs,
-          std::chrono::duration<double>(t1.time_since_epoch()).count(),
-          want_phases ? &call_phases : nullptr);
-    return;
-  }
-
+  // Stack-owned phase timeline; the driver's regions fill it only when
+  // attribution is on.
+  obs::CallPhases call_phases;
+  const obs::Sinks sinks{ctx.stats(),
+                         telemetry && obs::telemetry_phases_active() ? &call_phases : nullptr,
+                         telemetry};
+  obs::Region call(sinks, obs::Boundary::kCall);
+  if (call && computed)
+    call.describe({}, {.flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
+                                static_cast<double>(k)});
   if (!computed) {
+    obs::Region epilogue(sinks, obs::Boundary::kEpilogue);
     detail::scale_panel(c, ldc, m, n, beta);
     return;
   }
-  run_dgemm(g, ctx, {});
+  const detail::RunInfo run = run_dgemm(g, ctx, sinks);
+  const obs::Interval t = call.close();
+  if (telemetry)
+    obs::telemetry_record_call(m, n, k, run.threads, run.schedule, t.seconds, run.bs, t.end,
+                               sinks.phases);
 }
 
 }  // namespace ag

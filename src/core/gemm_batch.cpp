@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <deque>
 #include <vector>
 
@@ -10,25 +9,18 @@
 #include "common/check.hpp"
 #include "common/knobs.hpp"
 #include "common/math_util.hpp"
+#include "common/timer.hpp"
 #include "core/gemm_internal.hpp"
 #include "core/panel_cache.hpp"
 #include "core/tuning.hpp"
-#include "obs/gemm_stats.hpp"
-#include "obs/phase.hpp"
+#include "obs/region.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/tracer.hpp"
 #include "threading/persistent_pool.hpp"
 #include "threading/thread_pool.hpp"
 #include "threading/topology.hpp"
 
 namespace ag {
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Cap on row-range tickets per blocked entry. A fixed shape-independent
 /// cap (rather than the worker count) keeps the decomposition — and hence
@@ -93,8 +85,7 @@ struct BatchSource final : TaskSource {
   /// B panels come through the panel cache; when it is off or full the
   /// driver packs them privately (bitwise-identical panels).
   void run_blocked(const EntryState& st, const Ticket& tk, int runner_rank,
-                   const detail::Instrumentation& inst, std::uint64_t* hits,
-                   std::uint64_t* misses) const {
+                   const obs::Sinks& sinks, std::uint64_t* hits, std::uint64_t* misses) const {
     const GemmBatchEntry& e = st.e;
     detail::GemmCall<double> g = entry_call(e);
     g.m = tk.rows;
@@ -131,13 +122,13 @@ struct BatchSource final : TaskSource {
       PanelCache::Outcome outcome = PanelCache::Outcome::kBypass;
       held = PanelCache::instance().get_or_pack(
           key, elems, pack, st.shape_class, &outcome,
-          inst.phases ? inst.phases->slot(obs::Phase::kCacheStall) : nullptr);
+          sinks.phases ? sinks.phases->slot(obs::Phase::kCacheStall) : nullptr);
       if (outcome == PanelCache::Outcome::kHit) ++*hits;
       if (outcome == PanelCache::Outcome::kMiss) ++*misses;
       return held ? held->data() : nullptr;
     };
     Context::ScratchLease lease = ctx->acquire_scratch();
-    detail::gemm_blocked<double>(g, st.plan, lease->f64, nullptr, 1, inst, fetch);
+    detail::gemm_blocked<double>(g, st.plan, lease->f64, nullptr, 1, sinks, fetch);
   }
 
   void run_ticket(std::int64_t t, const TicketInfo& info) override {
@@ -147,34 +138,45 @@ struct BatchSource final : TaskSource {
       st.start_seconds = now_seconds();
       st.queue_wait_seconds = info.queue_wait_seconds;
     }
-    double span_t0 = 0;
-    if (tracer) {
-      span_t0 = tracer->now();
-      // Queue depth right after this ticket's pop; inline-overflow tickets
-      // never entered the queue, so they carry no depth sample.
-      if (!info.inline_overflow)
-        tracer->counter("queue_depth", span_t0,
-                        static_cast<double>(info.queue_depth));
-    }
     const GemmBatchEntry& e = st.e;
     std::uint64_t hits = 0, misses = 0;
     obs::CallPhases local_phases;
-    obs::CallPhases* const ph = phases ? &local_phases : nullptr;
-    const detail::Instrumentation inst{ctx->stats(), ph, false, trace_lane(info.runner_rank)};
+    const obs::Sinks sinks{ctx->stats(), phases ? &local_phases : nullptr, false,
+                           trace_lane(info.runner_rank)};
+    obs::Region span(sinks, st.kind == EntryKind::kScale   ? obs::Boundary::kTicketScale
+                            : st.kind == EntryKind::kSmall ? obs::Boundary::kTicketSmall
+                                                           : obs::Boundary::kTicketBlocked);
     switch (st.kind) {
       case EntryKind::kScale: {
-        obs::PhaseScope phase(ph ? ph->slot(obs::Phase::kEpilogue) : nullptr);
+        obs::Region epilogue(sinks, obs::Boundary::kEpilogue);
         detail::scale_panel(e.c, e.ldc, e.m, e.n, e.beta);
         break;
       }
       case EntryKind::kSmall:
-        detail::gemm_small(entry_call(e), inst);
+        detail::gemm_small(entry_call(e), sinks);
         break;
       case EntryKind::kBlocked:
-        run_blocked(st, tk, info.runner_rank, inst, &hits, &misses);
+        run_blocked(st, tk, info.runner_rank, sinks, &hits, &misses);
         break;
     }
-    if (ph) {
+    if (span) {
+      obs::BlockArgs args;
+      args.with("ticket", t)
+          .with("wait_us", static_cast<std::int64_t>(info.queue_wait_seconds * 1e6))
+          .with("stolen", info.stolen ? 1 : 0)
+          .with("cache_hits", static_cast<std::int64_t>(hits))
+          .with("cache_misses", static_cast<std::int64_t>(misses));
+      if (info.shard >= 0) args.with("shard", info.shard);
+      span.describe(args);
+    }
+    const obs::Interval ticket = span.close();
+    // Queue depth right after this ticket's pop, at the span's start;
+    // inline-overflow tickets never entered the queue, so they carry no
+    // depth sample.
+    if (tracer && !info.inline_overflow)
+      tracer->counter("queue_depth", ticket.end - ticket.seconds,
+                      static_cast<double>(info.queue_depth));
+    if (sinks.phases) {
       for (int p = 0; p < obs::kPhaseCount; ++p) {
         const double s = local_phases.seconds[static_cast<std::size_t>(p)];
         if (s > 0)
@@ -184,21 +186,6 @@ struct BatchSource final : TaskSource {
     }
     if (hits) st.cache_hits.fetch_add(hits, std::memory_order_relaxed);
     if (misses) st.cache_misses.fetch_add(misses, std::memory_order_relaxed);
-    if (tracer) {
-      const char* name = st.kind == EntryKind::kScale   ? "ticket/scale"
-                         : st.kind == EntryKind::kSmall ? "ticket/small"
-                                                        : "ticket/blocked";
-      obs::BlockArgs args;
-      args.with("ticket", t)
-          .with("wait_us",
-                static_cast<std::int64_t>(info.queue_wait_seconds * 1e6))
-          .with("stolen", info.stolen ? 1 : 0)
-          .with("cache_hits", static_cast<std::int64_t>(hits))
-          .with("cache_misses", static_cast<std::int64_t>(misses));
-      if (info.shard >= 0) args.with("shard", info.shard);
-      tracer->record(trace_lane(info.runner_rank), name, span_t0,
-                     tracer->now() - span_t0, args);
-    }
     if (st.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 && telemetry &&
         st.kind != EntryKind::kScale) {
       obs::CallPhases entry_phases;

@@ -16,13 +16,9 @@
 #include "core/context.hpp"
 #include "core/schedule.hpp"
 #include "obs/flight.hpp"
+#include "obs/region.hpp"
 
 namespace ag {
-
-namespace obs {
-struct CallPhases;
-}
-
 namespace detail {
 
 /// Register-kernel signature for element type T (MicrokernelFn,
@@ -53,19 +49,6 @@ struct GemmPlan {
   KernelFnT<T> kernel = nullptr;
   BlockSizes bs;
   std::vector<index_t> mc_class;
-};
-
-/// Where a call's instrumentation goes. The default records nothing:
-/// sgemm and the tuner's probes pass it, because f32 calls would give the
-/// f64-calibrated drift model false anomalies and a probe must not
-/// perturb the serving counters.
-struct Instrumentation {
-  obs::GemmStats* stats = nullptr;    // per-rank counters, tracer, PMU
-  obs::CallPhases* phases = nullptr;  // phase timeline of this call
-  bool barrier_telemetry = false;     // per-rank barrier waits to telemetry
-  /// Tracer lane, stats slot and PMU rank of rank 0 (rank r uses
-  /// lane + r). A batch ticket records on its scheduler lane.
-  int lane = 0;
 };
 
 /// Where the lone rank of gemm_blocked gets the packed kc x nc panel of
@@ -100,9 +83,9 @@ void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t
                      const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c,
                      index_t ldc);
 
-/// gemm_small_nest plus the small-path stats, PMU, tracer and phase hooks.
+/// gemm_small_nest inside the small path's obs::Region.
 template <typename T>
-void gemm_small(const GemmCall<T>& g, const Instrumentation& inst);
+void gemm_small(const GemmCall<T>& g, const obs::Sinks& sinks);
 
 /// The Figure 9 blocked driver on `ranks` ranks: rank 0 is the caller and
 /// ranks > 1 run on `pool`. At one rank there is no pool, no barrier and
@@ -110,7 +93,7 @@ void gemm_small(const GemmCall<T>& g, const Instrumentation& inst);
 /// a non-empty `panel_source` supplies its B panels.
 template <typename T>
 void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>& scratch,
-                  ThreadPool* pool, int ranks, const Instrumentation& inst,
+                  ThreadPool* pool, int ranks, const obs::Sinks& sinks,
                   const PanelSource<T>& panel_source = {});
 
 /// Runs one column-major call with m, n, k > 0 and alpha != 0: the no-pack
@@ -121,12 +104,12 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
 /// on the blocked path, so a small call never consults the tuner, borrows
 /// scratch or starts the pool.
 template <typename T, typename Resolve>
-RunInfo run_gemm(const GemmCall<T>& g, const Context& ctx, const Instrumentation& inst,
+RunInfo run_gemm(const GemmCall<T>& g, const Context& ctx, const obs::Sinks& sinks,
                  Resolve&& resolve) {
   RunInfo info;
   info.bs = ctx.block_sizes();
   if (use_small_gemm(g.m, g.n, g.k)) {
-    gemm_small(g, inst);
+    gemm_small(g, sinks);
     info.schedule = obs::ScheduleKind::kSmall;
     return info;
   }
@@ -140,7 +123,7 @@ RunInfo run_gemm(const GemmCall<T>& g, const Context& ctx, const Instrumentation
   if (info.threads > 1) info.schedule = obs::ScheduleKind::kParallel;
   Context::ScratchLease scratch = ctx.acquire_scratch();
   gemm_blocked(g, plan, scratch->buffers<T>(), info.threads > 1 ? &ctx.pool() : nullptr,
-               info.threads, inst);
+               info.threads, sinks);
   return info;
 }
 

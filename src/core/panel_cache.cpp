@@ -1,22 +1,10 @@
 #include "core/panel_cache.hpp"
 
-#include <chrono>
-
 #include "common/knobs.hpp"
+#include "common/timer.hpp"
 #include "threading/spin.hpp"
 
 namespace ag {
-
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 PanelCache& PanelCache::instance() {
   // Leaky singleton: in-flight batch workers may hold panels during

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/knobs.hpp"
+#include "common/timer.hpp"
 #include "obs/expected.hpp"
 #include "obs/phase.hpp"
 #include "obs/telemetry.hpp"
@@ -222,7 +223,7 @@ int do_capture(ForensicsTrigger tr, bool rate_limited, const BlockSizes& bs) {
   if (rate_limited) {
     const double interval = forensics_interval_s();
     if (interval > 0) {
-      const double now = phase_now_s();
+      const double now = now_seconds();
       double last = f.last_auto_s.load(std::memory_order_relaxed);
       for (;;) {
         if (last > 0 && now - last < interval) {

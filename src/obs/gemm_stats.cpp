@@ -127,45 +127,13 @@ class SlotWrite {
 
 }  // namespace
 
-void ThreadSlot::add_pack_a(std::uint64_t bytes, double seconds) {
+void ThreadSlot::add(const Counters& into, double seconds, const Work& work) {
   SlotWrite write(version);
-  pack_a_calls.fetch_add(1, std::memory_order_relaxed);
-  pack_a_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  atomic_add(pack_a_seconds, seconds);
-}
-
-void ThreadSlot::add_pack_b(std::uint64_t bytes, double seconds) {
-  SlotWrite write(version);
-  pack_b_calls.fetch_add(1, std::memory_order_relaxed);
-  pack_b_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  atomic_add(pack_b_seconds, seconds);
-}
-
-void ThreadSlot::add_gebp(std::uint64_t kernels, std::uint64_t bytes_c, double seconds) {
-  SlotWrite write(version);
-  gebp_calls.fetch_add(1, std::memory_order_relaxed);
-  kernel_calls.fetch_add(kernels, std::memory_order_relaxed);
-  c_bytes.fetch_add(bytes_c, std::memory_order_relaxed);
-  atomic_add(gebp_seconds, seconds);
-}
-
-void ThreadSlot::add_small(double seconds, std::uint64_t bytes_c) {
-  SlotWrite write(version);
-  small_calls.fetch_add(1, std::memory_order_relaxed);
-  c_bytes.fetch_add(bytes_c, std::memory_order_relaxed);
-  atomic_add(small_seconds, seconds);
-}
-
-void ThreadSlot::add_call(double fl, double seconds) {
-  SlotWrite write(version);
-  gemm_calls.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(flops, fl);
-  atomic_add(total_seconds, seconds);
-}
-
-void ThreadSlot::add_barrier_wait(double seconds) {
-  SlotWrite write(version);
-  atomic_add(barrier_seconds, seconds);
+  if (into.calls) (this->*into.calls).fetch_add(1, std::memory_order_relaxed);
+  if (into.bytes) (this->*into.bytes).fetch_add(work.bytes, std::memory_order_relaxed);
+  if (work.kernels) kernel_calls.fetch_add(work.kernels, std::memory_order_relaxed);
+  if (work.flops != 0) atomic_add(flops, work.flops);
+  atomic_add(this->*into.seconds, seconds);
 }
 
 LayerCounters ThreadSlot::snapshot() const {

@@ -6,7 +6,9 @@
 // bytes it moved: pack-A / pack-B time and bytes (layers 3/2), GEBP time
 // and register-kernel invocations (layers 4-7), C traffic, and barrier
 // wait. Totals aggregate race-free across threads because every counter
-// is a relaxed atomic in a cache-line-sized per-rank slot.
+// is a relaxed atomic in a cache-line-sized per-rank slot. The driver
+// records through obs::Region (obs/region.hpp), whose table names the
+// slot fields each layer boundary adds to.
 //
 // Cost model: with no collector attached the hot path pays one pointer
 // test per *block* (not per kernel tile); compiling with
@@ -77,7 +79,7 @@ struct LayerCounters {
 /// atomics, so slots stay race-free even if two host threads ever share a
 /// rank (e.g. concurrent serial calls through one collector).
 ///
-/// Snapshot consistency: every add_* (and reset) brackets its field
+/// Snapshot consistency: every add (and reset) brackets its field
 /// updates in a seqlock version — odd while an update is in flight. A
 /// writer takes the odd version by CAS, so host threads sharing a slot
 /// (concurrent C API callers all record into slot 0) write one at a time.
@@ -101,15 +103,25 @@ struct alignas(64) ThreadSlot {
   std::atomic<double> barrier_seconds{0};
   std::atomic<double> total_seconds{0};
   std::atomic<double> flops{0};
-  /// Seqlock version: odd while an add_*/reset is updating the fields.
+  /// Seqlock version: odd while an add/reset is updating the fields.
   std::atomic<std::uint64_t> version{0};
 
-  void add_pack_a(std::uint64_t bytes, double seconds);
-  void add_pack_b(std::uint64_t bytes, double seconds);
-  void add_gebp(std::uint64_t kernels, std::uint64_t bytes_c, double seconds);
-  void add_small(double seconds, std::uint64_t bytes_c);
-  void add_call(double fl, double seconds);
-  void add_barrier_wait(double seconds);
+  /// The fields one layer boundary adds to (obs/region.hpp's table);
+  /// null where it has none.
+  struct Counters {
+    std::atomic<std::uint64_t> ThreadSlot::*calls = nullptr;
+    std::atomic<std::uint64_t> ThreadSlot::*bytes = nullptr;
+    std::atomic<double> ThreadSlot::*seconds = nullptr;
+  };
+  /// What one region moved and computed, beyond its call and seconds.
+  struct Work {
+    std::uint64_t bytes = 0;    // into Counters::bytes
+    std::uint64_t kernels = 0;  // register-kernel invocations (kernel_calls)
+    double flops = 0;           // 2*m*n*k of a dgemm call (flops)
+  };
+
+  /// One region: one call, its work and its seconds, as one seqlock write.
+  void add(const Counters& into, double seconds, const Work& work);
 
   /// Consistent multi-field read (see the seqlock note above).
   LayerCounters snapshot() const;
@@ -144,13 +156,13 @@ class GemmStats {
   /// {"totals": {...}, "threads": [{...}, ...]}
   std::string to_json() const;
 
-  /// Optional scoped-region tracer fed by the same instrumentation
-  /// points; null (default) disables region capture.
+  /// Optional tracer fed by the same regions; null (default) disables
+  /// span capture.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   Tracer* tracer() const { return tracer_; }
 
   /// Optional hardware-counter collector (obs/pmu) fed by the same
-  /// instrumentation points; null (default) disables PMU capture.
+  /// regions; null (default) disables PMU capture.
   void set_pmu(PmuCollector* pmu) { pmu_ = pmu; }
   PmuCollector* pmu() const { return pmu_; }
 

@@ -3,8 +3,9 @@
 //
 // The drift detector (obs/telemetry) can flag *that* a shape class is
 // slower than the Section III model predicts; this layer records *why* a
-// specific call was slow, by taking monotonic-clock deltas at boundaries
-// the drivers already cross:
+// specific call was slow, from the intervals of the layer-boundary
+// regions the drivers already open (obs/region.hpp maps each boundary
+// to its phase):
 //
 //   queue_wait  — batch tickets: submit-to-first-execution delay in the
 //                 persistent pool (single calls: always 0).
@@ -25,11 +26,10 @@
 // phase) and stores it on the flight-recorder record for forensics.
 // Everything here compiles out with the rest of the stats layer under
 // -DARMGEMM_STATS=OFF; at runtime the ARMGEMM_PHASES knob gates the
-// clock reads (only consulted while telemetry is recording anyway).
+// timeline (only consulted while telemetry is recording anyway).
 #pragma once
 
 #include <array>
-#include <chrono>
 
 #include "obs/histogram.hpp"
 
@@ -52,14 +52,6 @@ inline constexpr int kPhaseCount = 7;
 const char* phase_name(int phase);
 inline const char* phase_name(Phase p) { return phase_name(static_cast<int>(p)); }
 
-/// Monotonic now in seconds for phase boundaries (steady_clock; the same
-/// clock the telemetry layer timestamps calls with).
-inline double phase_now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// One call's phase timeline. `seconds` sums over every rank that worked
 /// on the call; `workers` is how many ranks accumulated, so
 /// attributed(p) = seconds[p] / workers is the wall-clock attribution
@@ -72,8 +64,8 @@ struct CallPhases {
   void add(Phase p, double s) {
     if (s > 0) seconds[static_cast<int>(p)] += s;
   }
-  /// Accumulator address for PhaseScope; callers pass nullptr through
-  /// when attribution is off, so keep the null test on their side.
+  /// Accumulator address for a timer that adds seconds to phase p (the
+  /// panel cache's stall wait).
   double* slot(Phase p) { return &seconds[static_cast<int>(p)]; }
   void merge(const CallPhases& o) {
     for (int p = 0; p < kPhaseCount; ++p) seconds[p] += o.seconds[p];
@@ -89,23 +81,6 @@ struct CallPhases {
   double attributed_total() const {
     return workers > 0 ? total() / workers : 0.0;
   }
-};
-
-/// RAII phase clock: accumulates the scope's elapsed seconds into *acc.
-/// A null accumulator skips the clock reads entirely, so the disabled
-/// path costs one pointer test.
-class PhaseScope {
- public:
-  explicit PhaseScope(double* acc) : acc_(acc), t0_(acc ? phase_now_s() : 0.0) {}
-  ~PhaseScope() {
-    if (acc_) *acc_ += phase_now_s() - t0_;
-  }
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  double* acc_;
-  double t0_;
 };
 
 // ---- aggregation: per-class phase-share histograms -----------------------

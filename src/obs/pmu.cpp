@@ -1,7 +1,6 @@
 #include "obs/pmu.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <sstream>
 
@@ -13,19 +12,9 @@
 #endif
 
 #include "common/knobs.hpp"
+#include "common/timer.hpp"
 
 namespace ag::obs {
-
-namespace {
-
-std::uint64_t wall_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 void pmu_set_forced_fallback(bool forced) { set_knob(Knob::kPmu, !forced); }
 
@@ -63,7 +52,6 @@ const char* to_string(PmuLayer l) {
     case PmuLayer::kPackB: return "pack_b";
     case PmuLayer::kGebp: return "gebp";
     case PmuLayer::kBarrier: return "barrier";
-    case PmuLayer::kKernel: return "kernel";
     case PmuLayer::kSmall: return "small";
     case PmuLayer::kCount: break;
   }
@@ -175,7 +163,7 @@ std::uint64_t read_scaled(int fd) {
 bool PmuGroup::open() {
   close();
   open_ = true;
-  wall_epoch_ns_ = wall_ns();
+  wall_epoch_ns_ = now_ns();
   if (pmu_forced_fallback()) {
     events_[static_cast<int>(PmuEvent::kCycles)].source = PmuSource::kSynthetic;
     return false;
@@ -217,7 +205,7 @@ PmuCounts PmuGroup::read() const {
   if (events_[static_cast<int>(PmuEvent::kCycles)].fd < 0)
     c[PmuEvent::kCycles] = events_[static_cast<int>(PmuEvent::kTaskClockNs)].fd >= 0
                                ? c[PmuEvent::kTaskClockNs]
-                               : wall_ns() - wall_epoch_ns_;
+                               : now_ns() - wall_epoch_ns_;
   return c;
 }
 
@@ -234,7 +222,7 @@ bool PmuGroup::hardware_available() {
 bool PmuGroup::open() {
   close();
   open_ = true;
-  wall_epoch_ns_ = wall_ns();
+  wall_epoch_ns_ = now_ns();
   events_[static_cast<int>(PmuEvent::kCycles)].source = PmuSource::kSynthetic;
   return false;
 }
@@ -250,7 +238,7 @@ void PmuGroup::close() {
 
 PmuCounts PmuGroup::read() const {
   PmuCounts c;
-  if (open_) c[PmuEvent::kCycles] = wall_ns() - wall_epoch_ns_;
+  if (open_) c[PmuEvent::kCycles] = now_ns() - wall_epoch_ns_;
   return c;
 }
 
@@ -261,7 +249,7 @@ bool PmuGroup::hardware_available() { return false; }
 PmuGroup::~PmuGroup() { close(); }
 
 // ---------------------------------------------------------------------------
-// PmuCollector / PmuRegion
+// PmuCollector
 // ---------------------------------------------------------------------------
 
 PmuCollector::PmuCollector(int max_threads) {
@@ -383,37 +371,6 @@ std::string PmuCollector::to_json() const {
   }
   os << "}}";
   return os.str();
-}
-
-void PmuRegion::begin() {
-  PmuCollector::RankState& rs = collector_->rank(rank_);
-  std::lock_guard lock(rs.mutex);
-  // Counter groups attach to the opening thread: (re)open whenever a new
-  // thread records under this rank so the values measure *this* thread.
-  if (!rs.group.is_open() || rs.owner != std::this_thread::get_id()) {
-    rs.group.open();
-    rs.owner = std::this_thread::get_id();
-    rs.ever_opened = true;
-    ++rs.generation;
-  }
-  generation_ = rs.generation;
-  begin_ = rs.group.read();
-}
-
-void PmuRegion::end() {
-  PmuCollector::RankState& rs = collector_->rank(rank_);
-  std::lock_guard lock(rs.mutex);
-  if (rs.generation != generation_) {
-    // The group was reopened (another thread recorded under this rank)
-    // while this region was live; its delta would mix two threads.
-    ++rs.discarded;
-    return;
-  }
-  const PmuCounts d = PmuCounts::delta(begin_, rs.group.read());
-  auto& acc = rs.accum[static_cast<std::size_t>(layer_)];
-  for (std::size_t e = 0; e < static_cast<std::size_t>(kPmuEventCount); ++e)
-    acc[e] += d.value[e];
-  ++rs.regions[static_cast<std::size_t>(layer_)];
 }
 
 }  // namespace ag::obs

@@ -7,10 +7,11 @@
 // PMU reads. This layer reproduces that capability: a PmuGroup opens one
 // perf_event_open counter per event for the calling thread (cycles,
 // retired instructions, L1D accesses/refills, L2 refills, backend stall
-// cycles, branch misses, plus the software task clock), and a PmuRegion
-// accumulates begin/end deltas into a PmuCollector, per pool rank and per
-// blocking layer (total / pack-A / pack-B / GEBP / barrier / microkernel)
-// — the same regions GemmStats and the Tracer already instrument.
+// cycles, branch misses, plus the software task clock), and a
+// PmuCollector accumulates begin/end deltas per pool rank and per
+// blocking layer (total / small / pack-A / pack-B / GEBP / barrier): the
+// obs::Region of every layer boundary that has a PMU layer
+// (obs/region.hpp) reads the rank's counters on entry and exit.
 //
 // Graceful degradation is a hard requirement, not an afterthought: when
 // perf_event_open is unavailable (perf_event_paranoid, seccomp'd
@@ -126,18 +127,15 @@ class PmuGroup {
   std::uint64_t wall_epoch_ns_ = 0;  // steady-clock base for the last-ditch fallback
 };
 
-/// The blocking layers hardware events are attributed to — the same
-/// regions GemmStats times. kKernel is used by the isolated microkernel
-/// measurements (obs/calibrate, tab04); the dgemm driver attributes
-/// in-GEBP kernel execution to kGebp to keep region boundaries
-/// block-granular.
+/// The blocking layers hardware events are attributed to: the PMU
+/// column of obs/region.hpp's boundary table. In-GEBP kernel execution
+/// counts under kGebp, keeping regions block-granular.
 enum class PmuLayer : int {
   kTotal = 0,  // whole dgemm call
   kPackA,
   kPackB,
   kGebp,
   kBarrier,
-  kKernel,
   kSmall,  // no-pack small-matrix fast path (whole multiply, one region)
   kCount
 };
@@ -145,9 +143,9 @@ inline constexpr int kPmuLayerCount = static_cast<int>(PmuLayer::kCount);
 
 const char* to_string(PmuLayer l);
 
-/// Aggregates PmuRegion deltas per pool rank and per layer. Attach to a
-/// GemmStats with set_pmu(); the dgemm driver then brackets every
-/// instrumented region with a PmuRegion. Counter groups are opened
+/// Aggregates region deltas per pool rank and per layer. Attach to a
+/// GemmStats with set_pmu(); every obs::Region of a boundary with a PMU
+/// layer then records one region here. Counter groups are opened
 /// lazily on the first region a rank's thread executes, and transparently
 /// reopened if a different thread later records under the same rank (the
 /// delta spanning the reopen is discarded, never misattributed).
@@ -190,7 +188,7 @@ class PmuCollector {
   std::string to_json() const;
 
  private:
-  friend class PmuRegion;
+  friend class Region;  // opens groups and accumulates deltas (obs/region.hpp)
 
   struct RankState {
     mutable std::mutex mutex;
@@ -207,33 +205,6 @@ class PmuCollector {
   const RankState& rank(int r) const;
 
   std::vector<std::unique_ptr<RankState>> ranks_;
-};
-
-/// RAII region: snapshots the rank's counters at construction and
-/// accumulates the delta into (rank, layer) at destruction. No-op when
-/// constructed with a null collector, so call sites stay branch-free.
-class PmuRegion {
- public:
-  PmuRegion(PmuCollector* collector, int rank, PmuLayer layer)
-      : collector_(collector), rank_(rank), layer_(layer) {
-    if (collector_) begin();
-  }
-  ~PmuRegion() {
-    if (collector_) end();
-  }
-
-  PmuRegion(const PmuRegion&) = delete;
-  PmuRegion& operator=(const PmuRegion&) = delete;
-
- private:
-  void begin();
-  void end();
-
-  PmuCollector* collector_;
-  int rank_;
-  PmuLayer layer_;
-  std::uint64_t generation_ = 0;
-  PmuCounts begin_;
 };
 
 }  // namespace ag::obs

@@ -136,11 +136,6 @@ std::string format_report(const LayerCounters& measured, std::int64_t m, std::in
 
 namespace {
 
-const PmuLayer kReportedLayers[] = {PmuLayer::kTotal,   PmuLayer::kPackA,
-                                    PmuLayer::kPackB,   PmuLayer::kGebp,
-                                    PmuLayer::kBarrier, PmuLayer::kKernel,
-                                    PmuLayer::kSmall};
-
 std::string count_cell(std::uint64_t v) {
   if (v == 0) return "0";
   if (v >= 10'000'000'000ull) return Table::fmt(static_cast<double>(v) * 1e-9, 2) + "G";
@@ -169,7 +164,8 @@ Table pmu_layer_table(const PmuCollector& pmu) {
   const auto src = pmu.sources();
   Table t({"layer", "regions", "cycles", "instr", "IPC", "L1d acc", "L1d refill",
            "L1d miss", "L2 refill", "stall", "br miss"});
-  for (PmuLayer layer : kReportedLayers) {
+  for (int l = 0; l < kPmuLayerCount; ++l) {
+    const PmuLayer layer = static_cast<PmuLayer>(l);
     const PmuCounts c = pmu.layer_totals(layer);
     const std::uint64_t regions = pmu.layer_regions(layer);
     if (regions == 0) continue;

@@ -1,7 +1,6 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +14,7 @@
 #endif
 
 #include "common/knobs.hpp"
+#include "common/timer.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/expected.hpp"
 #include "obs/forensics.hpp"
@@ -75,12 +75,6 @@ std::string ShapeClass::label() const {
 }
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// How many latency records a (lane, class) needs before the slow-call
 /// detector arms, and how often its rolling p99 refreshes. Both are the

@@ -1,18 +1,13 @@
 #include "obs/tracer.hpp"
 
-#include <chrono>
 #include <ostream>
 #include <sstream>
+
+#include "common/timer.hpp"
 
 namespace ag::obs {
 
 namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void json_escape(std::ostream& os, const char* s) {
   for (; *s; ++s) {
@@ -26,7 +21,7 @@ void json_escape(std::ostream& os, const char* s) {
 Tracer::Tracer(int max_threads, std::size_t max_events_per_lane)
     : lanes_(static_cast<std::size_t>(max_threads < 1 ? 1 : max_threads)),
       max_events_per_lane_(max_events_per_lane),
-      epoch_(steady_seconds()) {}
+      epoch_(now_seconds()) {}
 
 Tracer::Lane& Tracer::lane(int rank) {
   std::size_t i = rank < 0 ? 0 : static_cast<std::size_t>(rank);
@@ -34,13 +29,7 @@ Tracer::Lane& Tracer::lane(int rank) {
   return lanes_[i];
 }
 
-double Tracer::now() const { return steady_seconds() - epoch_; }
-
-void Tracer::record(int rank, const char* name, double t0, double dur) {
-  record(rank, name, t0, dur, BlockArgs{});
-}
-
-void Tracer::record(int rank, const char* name, double t0, double dur,
+void Tracer::record(int rank, const char* name, double start, double dur,
                     const BlockArgs& args) {
   Lane& l = lane(rank);
   std::lock_guard lock(l.mutex);
@@ -49,7 +38,7 @@ void Tracer::record(int rank, const char* name, double t0, double dur,
     return;
   }
   if (l.events.capacity() == 0) l.events.reserve(256);
-  l.events.push_back(Event{name, t0, dur, args});
+  l.events.push_back(Event{name, start - epoch_, dur, args});
 }
 
 void Tracer::counter(const char* name, double t, double value) {
@@ -59,7 +48,7 @@ void Tracer::counter(const char* name, double t, double value) {
     return;
   }
   if (counters_.capacity() == 0) counters_.reserve(256);
-  counters_.push_back(CounterEvent{name, t, value});
+  counters_.push_back(CounterEvent{name, t - epoch_, value});
 }
 
 void Tracer::set_lane_name(int rank, const std::string& name) {
@@ -104,7 +93,7 @@ void Tracer::clear() {
     counters_.clear();
     counter_dropped_ = 0;
   }
-  epoch_ = steady_seconds();
+  epoch_ = now_seconds();
 }
 
 void Tracer::write_json(std::ostream& os) const {

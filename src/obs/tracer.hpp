@@ -1,11 +1,12 @@
-// Scoped-region tracer: records named (begin, duration) intervals per
-// pool rank and emits them as a Chrome trace-event JSON array
-// (chrome://tracing / Perfetto "X" complete events, microsecond units).
+// Span tracer: records named (begin, duration) intervals per pool rank
+// and emits them as a Chrome trace-event JSON array (chrome://tracing /
+// Perfetto "X" complete events, microsecond units). The drivers feed it
+// through obs::Region (obs/region.hpp), one span per layer boundary.
 //
-// Designed for block-granular regions (one pack or GEBP call each, never
+// Designed for block-granular spans (one pack or GEBP call each, never
 // per kernel tile), so a mutex per rank lane is cheap relative to the
-// region bodies. Region names must be string literals or otherwise
-// outlive the tracer — they are stored as pointers, not copied.
+// span bodies. Span names must be string literals or otherwise outlive
+// the tracer — they are stored as pointers, not copied.
 #pragma once
 
 #include <cstddef>
@@ -17,14 +18,14 @@
 
 namespace ag::obs {
 
-/// Block coordinates of a traced region, attached as Chrome-trace `args`
+/// Block coordinates of a traced span, attached as Chrome-trace `args`
 /// so timelines are self-describing: jc/pc/ic are the layer-1/2/3 block
 /// ordinals (jj/nc, kk/kc, ii/mc of the Figure 2 loops). -1 means "not
 /// applicable at this layer" and is omitted from the JSON.
 ///
 /// Up to kMaxExtra additional named integer args can ride along (the
 /// batch driver tags ticket spans with shard / steal / queue-wait /
-/// cache-outcome values). Keys must outlive the tracer, same as region
+/// cache-outcome values). Keys must outlive the tracer, same as span
 /// names; the fixed array keeps Event trivially copyable and allocation-
 /// free on the record path.
 struct BlockArgs {
@@ -59,16 +60,17 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Records one region on `rank` starting `t0` seconds after the tracer
-  /// epoch (construction or last clear()) and lasting `dur` seconds.
-  void record(int rank, const char* name, double t0, double dur);
-  void record(int rank, const char* name, double t0, double dur, const BlockArgs& args);
+  /// Records one span on `rank` that started at `start` (a now_seconds()
+  /// reading, common/timer.hpp) and lasted `dur` seconds; the trace shows
+  /// it relative to the tracer epoch (construction or last clear()).
+  void record(int rank, const char* name, double start, double dur,
+              const BlockArgs& args = {});
 
-  /// Records one sample of a named process-wide counter series at time
-  /// `t` (seconds after the epoch). Emitted as a Chrome "C" counter event,
-  /// which chrome://tracing / Perfetto render as a stacked area chart
-  /// (the batch driver feeds queue depth through this). `name` must
-  /// outlive the tracer. Bounded by the same per-lane cap.
+  /// Records one sample of a named process-wide counter series at `t` (a
+  /// now_seconds() reading). Emitted as a Chrome "C" counter event, which
+  /// chrome://tracing / Perfetto render as a stacked area chart (the
+  /// batch driver feeds queue depth through this). `name` must outlive
+  /// the tracer. Bounded by the same per-lane cap.
   void counter(const char* name, double t, double value);
 
   /// Names the timeline lane for `rank` (thread_name metadata in the
@@ -76,37 +78,7 @@ class Tracer {
   /// its lanes "caller" / "armgemm-pw<r>".
   void set_lane_name(int rank, const std::string& name);
 
-  /// Seconds since the tracer epoch, for callers timing regions manually.
-  double now() const;
-
-  /// RAII region: times construction-to-destruction and records it. The
-  /// BlockArgs overload tags the event with its block coordinates.
-  /// A null tracer costs one inline pointer test.
-  class Region {
-   public:
-    Region(Tracer* tracer, int rank, const char* name)
-        : tracer_(tracer), rank_(rank), name_(name) {
-      if (tracer_) t0_ = tracer_->now();
-    }
-    Region(Tracer* tracer, int rank, const char* name, const BlockArgs& args)
-        : tracer_(tracer), rank_(rank), name_(name), args_(args) {
-      if (tracer_) t0_ = tracer_->now();
-    }
-    ~Region() {
-      if (tracer_) tracer_->record(rank_, name_, t0_, tracer_->now() - t0_, args_);
-    }
-    Region(const Region&) = delete;
-    Region& operator=(const Region&) = delete;
-
-   private:
-    Tracer* tracer_;
-    int rank_;
-    const char* name_;
-    BlockArgs args_;
-    double t0_ = 0;
-  };
-
-  std::size_t event_count() const;       // region events (all lanes)
+  std::size_t event_count() const;       // span events (all lanes)
   std::size_t counter_event_count() const;
   std::size_t dropped_events() const;
 
@@ -115,7 +87,7 @@ class Tracer {
 
   /// Chrome trace-event JSON: leading "M"-phase process_name/thread_name
   /// metadata (process "armgemm", one named lane per rank), then one "X"
-  /// complete event per region with block-index args when recorded:
+  /// complete event per span with block-index args when recorded:
   /// {"name":...,"ph":"X","pid":0,"tid":rank,"ts":micros,"dur":micros,
   ///  "args":{"jc":...,"pc":...,"ic":...}}.
   void write_json(std::ostream& os) const;

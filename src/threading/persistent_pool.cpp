@@ -1,6 +1,5 @@
 #include "threading/persistent_pool.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #if defined(__linux__)
@@ -8,6 +7,7 @@
 #endif
 
 #include "common/knobs.hpp"
+#include "common/timer.hpp"
 #include "obs/gemm_stats.hpp"
 #include "obs/telemetry.hpp"
 #include "threading/spin.hpp"
@@ -16,19 +16,6 @@
 namespace ag {
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Batch workers get their own name prefix ("armgemm-pw") so timelines and
 /// /proc distinguish them from the fork-join pool's "armgemm-w" ranks.

@@ -11,11 +11,11 @@
 // than cores) live instead of burning a full quantum per waiter.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <thread>
 
 #include "common/knobs.hpp"
+#include "common/timer.hpp"
 
 namespace ag {
 
@@ -40,11 +40,11 @@ class SpinWait {
 
   bool spin() {
     if (budget_us_ <= 0) return false;
-    const auto now = std::chrono::steady_clock::now();
+    const std::uint64_t now = now_ns();
     if (!armed_) {
       armed_ = true;
-      deadline_ = now + std::chrono::microseconds(budget_us_);
-    } else if (now >= deadline_) {
+      deadline_ns_ = now + static_cast<std::uint64_t>(budget_us_) * 1000;
+    } else if (now >= deadline_ns_) {
       return false;
     }
     for (int i = 0; i < reps_; ++i) cpu_relax();
@@ -60,7 +60,7 @@ class SpinWait {
   std::int64_t budget_us_;
   bool armed_ = false;
   int reps_ = 1;
-  std::chrono::steady_clock::time_point deadline_{};
+  std::uint64_t deadline_ns_ = 0;
 };
 
 }  // namespace ag

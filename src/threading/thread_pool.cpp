@@ -1,6 +1,5 @@
 #include "threading/thread_pool.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #if defined(__linux__)
@@ -31,9 +30,7 @@ void name_current_thread(int rank) {
 
 }  // namespace
 
-void Barrier::arrive_and_wait(double* wait_seconds) {
-  const auto t0 = wait_seconds ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{};
+void Barrier::arrive_and_wait() {
   const std::uint64_t gen = generation_.load(std::memory_order_acquire);
   if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
     // Last arrival releases the generation. arrived_ is reset before the
@@ -58,9 +55,6 @@ void Barrier::arrive_and_wait(double* wait_seconds) {
       }
     }
   }
-  if (wait_seconds)
-    *wait_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {

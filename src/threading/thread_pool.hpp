@@ -72,13 +72,7 @@ class Barrier {
  public:
   explicit Barrier(int parties) : parties_(parties) {}
 
-  void arrive_and_wait() { arrive_and_wait(nullptr); }
-
-  /// As arrive_and_wait(), but when `wait_seconds` is non-null adds the
-  /// time this rank spent waiting (arrival to release, spinning included)
-  /// to it — the load-imbalance signal the per-layer stats report as
-  /// barrier wait.
-  void arrive_and_wait(double* wait_seconds);
+  void arrive_and_wait();
 
  private:
   int parties_;

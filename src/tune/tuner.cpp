@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <vector>
 
 #include "common/knobs.hpp"
+#include "common/timer.hpp"
 #include "kernels/sgemm_kernels.hpp"
 #include "model/cache_blocking.hpp"
 #include "model/machine.hpp"
@@ -218,11 +218,9 @@ double run_probe_timed(Tuner& t, const ProbeRequest& req) {
     const double est_ms = flops / (t.peak_gflops * 0.2) * 1e-6 * 3;  // warmup + 2 reps
     if (est_ms > t.budget_remaining_ms()) return 0;
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t t0 = now_ns();
   const double gflops = fn(req);
-  const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t us = static_cast<std::uint64_t>(
-      std::chrono::duration<double, std::micro>(t1 - t0).count());
+  const std::uint64_t us = (now_ns() - t0) / 1000;
   counters().probe_us_spent.fetch_add(us, std::memory_order_relaxed);
   counters().probes_run.fetch_add(1, std::memory_order_relaxed);
   return gflops;

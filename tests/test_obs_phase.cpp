@@ -1,6 +1,7 @@
 // Unit tests for the phase-attribution primitives (obs/phase): the
-// CallPhases timeline arithmetic, the PhaseScope RAII clock, the stable
-// phase names, and the share-histogram quantile reader.
+// CallPhases timeline arithmetic, the obs::Region interval a boundary
+// adds to its phase, the stable phase names, and the share-histogram
+// quantile reader.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -8,6 +9,7 @@
 #include <thread>
 
 #include "obs/phase.hpp"
+#include "obs/region.hpp"
 
 namespace ag::obs {
 namespace {
@@ -67,10 +69,14 @@ TEST(Phase, AttributionDividesByWorkers) {
   EXPECT_DOUBLE_EQ(0.0, p.attributed_total());
 }
 
+// A region feeds the phase of its boundary (obs/region.hpp's table);
+// under -DARMGEMM_STATS=OFF it compiles to nothing.
 TEST(Phase, ScopeAccumulatesElapsedTime) {
+  if (!stats_compiled_in) GTEST_SKIP() << "regions compiled out";
   CallPhases p;
+  const Sinks sinks{nullptr, &p};
   {
-    PhaseScope scope(p.slot(Phase::kPackA));
+    Region scope(sinks, Boundary::kPackA);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   const double got = p.seconds[static_cast<int>(Phase::kPackA)];
@@ -79,10 +85,12 @@ TEST(Phase, ScopeAccumulatesElapsedTime) {
 }
 
 TEST(Phase, ScopeNestedScopesSumIntoTheirPhases) {
+  if (!stats_compiled_in) GTEST_SKIP() << "regions compiled out";
   CallPhases p;
+  const Sinks sinks{nullptr, &p};
   {
-    PhaseScope outer(p.slot(Phase::kKernel));
-    PhaseScope inner(p.slot(Phase::kPackB));
+    Region outer(sinks, Boundary::kGebp);  // the kernel phase
+    Region inner(sinks, Boundary::kPackB);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // Both scopes covered the same sleep, each into its own phase.
@@ -90,8 +98,29 @@ TEST(Phase, ScopeNestedScopesSumIntoTheirPhases) {
   EXPECT_GT(p.seconds[static_cast<int>(Phase::kPackB)], 5e-4);
 }
 
+// A region reads the clock only for a sink its boundary feeds: a batch
+// ticket span feeds the tracer alone, so a phase timeline leaves it shut.
+TEST(Phase, RegionFeedsOnlyItsBoundarysPhase) {
+  if (!stats_compiled_in) GTEST_SKIP() << "regions compiled out";
+  CallPhases p;
+  const Sinks sinks{nullptr, &p};
+  Region ticket(sinks, Boundary::kTicketBlocked);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(ticket.close().seconds, 0.0);
+  EXPECT_EQ(p.total(), 0.0);
+
+  Region pack(sinks, Boundary::kPackB);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const Interval iv = pack.close();
+  EXPECT_GT(iv.seconds, 5e-4);
+  EXPECT_EQ(p.seconds[static_cast<int>(Phase::kPackB)], iv.seconds);
+  EXPECT_EQ(pack.close().seconds, 0.0);  // closed once; the destructor adds nothing
+  EXPECT_EQ(p.total(), iv.seconds);
+}
+
 TEST(Phase, NullScopeIsANoop) {
-  PhaseScope scope(nullptr);  // must not read the clock or crash
+  const Sinks none;
+  Region scope(none, Boundary::kPackA);  // must not read the clock or crash
   SUCCEED();
 }
 

@@ -15,6 +15,7 @@
 #include "obs/expected.hpp"
 #include "obs/gemm_stats.hpp"
 #include "obs/pmu.hpp"
+#include "obs/region.hpp"
 #include "scoped_knobs.hpp"
 
 using ag::index_t;
@@ -23,7 +24,6 @@ using ag::obs::PmuCounts;
 using ag::obs::PmuEvent;
 using ag::obs::PmuGroup;
 using ag::obs::PmuLayer;
-using ag::obs::PmuRegion;
 using ag::obs::PmuSource;
 
 namespace {
@@ -159,8 +159,10 @@ TEST(PmuGroup, ForcedFallbackDegradesHonestly) {
   EXPECT_EQ(c[PmuEvent::kInstructions], 0u);
 }
 
-TEST(PmuRegionTest, NullCollectorIsNoOp) {
-  PmuRegion region(nullptr, 0, PmuLayer::kGebp);  // must not crash or allocate fds
+TEST(PmuCollector, RegionWithoutCollectorIsNoOp) {
+  ag::obs::GemmStats stats;  // no PMU collector attached
+  const ag::obs::Sinks sinks{&stats};
+  ag::obs::Region region(sinks, ag::obs::Boundary::kGebp);  // must not crash or allocate fds
 }
 
 TEST(PmuCollector, SerialDgemmAttributesRegionsPerLayer) {
@@ -179,7 +181,7 @@ TEST(PmuCollector, SerialDgemmAttributesRegionsPerLayer) {
   const index_t m = 32, n = 24, k = 16;
   run_dgemm(ctx, m, n, k);
 
-  // The serial driver brackets one PmuRegion per pack/GEBP call, so the
+  // The serial driver opens one region per pack/GEBP call, so the
   // region counts must equal the blocking arithmetic exactly.
   const auto want = ag::obs::expected_gemm_counters(m, n, k, bs);
   EXPECT_EQ(pmu.layer_regions(PmuLayer::kTotal), 1u);
@@ -271,7 +273,7 @@ TEST(PmuCollector, ToJsonIsWellFormedAndComplete) {
   EXPECT_TRUE(doc["events"].is_object());
   EXPECT_FALSE(doc["events"]["cycles"].as_string().empty());
   ASSERT_TRUE(doc["layers"].is_object());
-  for (const char* layer : {"total", "pack_a", "pack_b", "gebp", "barrier", "kernel"})
+  for (const char* layer : {"total", "pack_a", "pack_b", "gebp", "barrier", "small"})
     EXPECT_TRUE(doc["layers"][layer].has("regions")) << layer;
   EXPECT_DOUBLE_EQ(doc["layers"]["total"]["regions"].as_number(), 1.0);
   EXPECT_GT(doc["layers"]["total"]["cycles"].as_number(), 0.0);
@@ -309,15 +311,19 @@ TEST(PmuCollector, ForcedFallbackEndToEndThroughDgemm) {
 }
 
 TEST(PmuCollector, RankSaturationBeyondMaxThreads) {
+  if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
   PmuCollector pmu(2);
   EXPECT_EQ(pmu.max_threads(), 2);
+  ag::obs::GemmStats stats;
+  stats.set_pmu(&pmu);
+  const ag::obs::Sinks sinks{&stats, nullptr, false, 99};
   {
-    PmuRegion region(&pmu, 99, PmuLayer::kKernel);  // clamps into the last rank
+    ag::obs::Region region(sinks, ag::obs::Boundary::kGebp);  // clamps into the last rank
     busy_work();
   }
-  EXPECT_EQ(pmu.layer_regions(PmuLayer::kKernel), 1u);
-  EXPECT_EQ(pmu.rank_layer_totals(1, PmuLayer::kKernel)[PmuEvent::kCycles],
-            pmu.layer_totals(PmuLayer::kKernel)[PmuEvent::kCycles]);
+  EXPECT_EQ(pmu.layer_regions(PmuLayer::kGebp), 1u);
+  EXPECT_EQ(pmu.rank_layer_totals(1, PmuLayer::kGebp)[PmuEvent::kCycles],
+            pmu.layer_totals(PmuLayer::kGebp)[PmuEvent::kCycles]);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "core/gemm.hpp"
 #include "obs/expected.hpp"
 #include "obs/gemm_stats.hpp"
+#include "obs/region.hpp"
 #include "obs/report.hpp"
 #include "obs/tracer.hpp"
 #include "scoped_knobs.hpp"
@@ -341,12 +342,14 @@ TEST(ObsStatsCapi, EnableCollectRoundTrip) {
 }
 
 // A snapshot taken while calls are in flight must never mix the fields
-// of one recording: add_call updates gemm_calls, flops and total_seconds
-// inside one seqlock write section, so every snapshot sees either all of
+// of one recording: a dgemm call's add updates gemm_calls, flops and
+// total_seconds inside one seqlock write section, so every snapshot sees either all of
 // a call's contributions or none. The writer records calls with flops
 // exactly 2.0 and seconds exactly 1.0 per call; any snapshot where
 // flops != 2 * gemm_calls (or seconds != gemm_calls) is a torn read of
 // the kind the plain relaxed-load snapshot allowed.
+const ag::obs::ThreadSlot::Counters& kCall = ag::obs::sinks_of(ag::obs::Boundary::kCall).stats;
+
 TEST(GemmStatsSnapshot, NoTornReadsUnderConcurrentRecording) {
   ag::obs::GemmStats stats(1);
   ag::obs::ThreadSlot& slot = stats.slot(0);
@@ -356,7 +359,7 @@ TEST(GemmStatsSnapshot, NoTornReadsUnderConcurrentRecording) {
     // do-while: even if the reader finishes its iterations before this
     // thread is first scheduled, at least one call gets recorded.
     do {
-      slot.add_call(2.0, 1.0);
+      slot.add(kCall, 1.0, {.flops = 2.0});
       // Brief quiescent window between calls (as real traffic has), so
       // the bounded-retry reader can always find a consistent read.
       for (volatile int spin = 0; spin < 64; ++spin) {
@@ -390,7 +393,7 @@ TEST(GemmStatsSnapshot, ResetIsAtomicAgainstSnapshots) {
 
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      slot.add_call(2.0, 1.0);
+      slot.add(kCall, 1.0, {.flops = 2.0});
       slot.reset();
       for (volatile int spin = 0; spin < 64; ++spin) {
       }
