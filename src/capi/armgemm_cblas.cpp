@@ -17,7 +17,6 @@
 #include "core/tuning.hpp"
 #include "obs/forensics.hpp"
 #include "obs/gemm_stats.hpp"
-#include "obs/phase.hpp"
 #include "obs/pmu.hpp"
 #include "obs/telemetry.hpp"
 #include "threading/topology.hpp"
@@ -328,21 +327,6 @@ void armgemm_telemetry_latency(int shape_kind, armgemm_latency_summary* out) {
   out->mean_efficiency = eff.mean();
 }
 
-void armgemm_telemetry_queue_wait(armgemm_latency_summary* out) {
-  if (!out) return;
-  *out = armgemm_latency_summary{};
-  const ag::obs::TelemetrySnapshot snap = ag::obs::telemetry_snapshot();
-  ag::obs::LatencyHistogram wait;
-  for (const ag::obs::WorkerSnapshot& w : snap.workers) wait += w.queue_wait;
-  out->calls = wait.total;
-  out->p50_seconds = ag::obs::latency_quantile(wait, 0.50);
-  out->p95_seconds = ag::obs::latency_quantile(wait, 0.95);
-  out->p99_seconds = ag::obs::latency_quantile(wait, 0.99);
-  out->max_seconds = wait.max;
-  out->mean_seconds = wait.mean();
-  // Efficiency is not meaningful for queue wait; leave mean_efficiency 0.
-}
-
 unsigned long long armgemm_telemetry_anomaly_count(void) {
   return ag::obs::telemetry_anomaly_count();
 }
@@ -416,26 +400,6 @@ int armgemm_tune_save(const char* path) {
   return ag::tune::save_cache(path ? path : "");
 }
 
-void armgemm_tune_stats_get(armgemm_tune_stats* out) {
-  if (!out) return;
-  *out = armgemm_tune_stats{};
-  const ag::obs::TuneStats s = ag::tune::stats();
-  out->mode = s.mode;
-  out->cache_path_set = s.cache_path_set ? 1 : 0;
-  out->cache_entries_loaded = s.cache_entries_loaded;
-  out->cache_rejected = s.cache_rejected;
-  for (int i = 0; i < ag::obs::kTuneSourceCount; ++i) {
-    out->resolutions[i] = s.resolutions[i];
-    out->calls[i] = s.calls[i];
-  }
-  out->probes_run = s.probes_run;
-  out->probe_ms_spent = s.probe_ms_spent;
-  out->budget_ms = s.budget_ms;
-  out->invalidations = s.invalidations;
-  out->saves = s.saves;
-  out->save_failures = s.save_failures;
-}
-
 int armgemm_tune_resolve(int precision, long long m, long long n, long long k,
                          int threads, armgemm_tuned_config* out) {
   if (!out) return 0;
@@ -482,80 +446,10 @@ int armgemm_panel_cache_stats_get(armgemm_panel_cache_stats* out) {
   return 1;
 }
 
-int armgemm_topology_stats_get(armgemm_topology_stats* out) {
-  if (!out) return 0;
-  *out = armgemm_topology_stats{};
-  /* Touch the topology singleton so the obs source is registered even if
-   * no parallel call has run yet. */
-  (void)ag::Topology::get();
-  if (!ag::obs::topology_stats_available()) return 0;
-  const ag::obs::TopologyStats s = ag::obs::topology_stats();
-  out->cpus = s.cpus;
-  out->nodes = s.nodes;
-  out->classes = static_cast<int>(s.classes.size());
-  out->source = s.source;
-  out->asymmetric = s.asymmetric() ? 1 : 0;
-  out->weights_refined = s.weights_refined ? 1 : 0;
-  const int n = std::min(out->classes, ARMGEMM_TOPOLOGY_MAX_CLASSES);
-  for (int i = 0; i < n; ++i) {
-    const ag::obs::TopologyClassStats& c = s.classes[static_cast<std::size_t>(i)];
-    out->cls[i].cpus = c.cpus;
-    out->cls[i].weight_seed = c.weight_seed;
-    out->cls[i].weight = c.weight;
-    out->cls[i].tickets = c.tickets;
-    out->cls[i].busy_seconds = c.busy_seconds;
-  }
-  return 1;
-}
-
 int armgemm_forensics_capture(void) { return ag::obs::telemetry_forensics_capture(); }
-
-void armgemm_forensics_stats_get(armgemm_forensics_stats* out) {
-  if (!out) return;
-  *out = armgemm_forensics_stats{};
-  out->last_t = -1;
-  const ag::obs::ForensicsStats s = ag::obs::forensics_stats();
-  out->captures_drift =
-      s.captures[static_cast<int>(ag::obs::ForensicsReason::kDrift)];
-  out->captures_slow_call =
-      s.captures[static_cast<int>(ag::obs::ForensicsReason::kSlowCall)];
-  out->captures_manual =
-      s.captures[static_cast<int>(ag::obs::ForensicsReason::kManual)];
-  out->written = s.written;
-  out->write_failures = s.write_failures;
-  out->suppressed = s.suppressed;
-  out->slow_calls = s.slow_calls;
-  out->last_t = s.last_t;
-  out->last_wall_seconds = s.last_wall_seconds;
-  out->last_top_share = s.last_top_share;
-  std::strncpy(out->last_reason, s.last_reason.c_str(), sizeof(out->last_reason) - 1);
-  std::strncpy(out->last_top_phase, s.last_top_phase.c_str(),
-               sizeof(out->last_top_phase) - 1);
-}
 
 long long armgemm_forensics_last_bundle(char* buf, size_t len) {
   return copy_text(ag::obs::forensics_last_bundle_json(), buf, len);
-}
-
-void armgemm_telemetry_phases(int shape_kind, armgemm_phase_summary* out) {
-  if (!out) return;
-  *out = armgemm_phase_summary{};
-  const ag::obs::TelemetrySnapshot snap = ag::obs::telemetry_snapshot();
-  for (const ag::obs::ClassSnapshot& c : snap.classes) {
-    if (shape_kind >= 0 && static_cast<int>(c.shape.kind) != shape_kind) continue;
-    if (!c.phase_samples) continue;
-    out->calls += c.phase_samples;
-    for (int p = 0; p < ag::obs::kPhaseCount; ++p) {
-      const ag::obs::PhaseStat& ps = c.phases[static_cast<std::size_t>(p)];
-      out->seconds[p] += ps.seconds;
-      // Weight per-class means by their sample counts; finalize below.
-      out->mean_share[p] += ps.mean_share * static_cast<double>(c.phase_samples);
-      if (ps.p95 > out->p95_share[p]) out->p95_share[p] = ps.p95;
-    }
-  }
-  if (out->calls)
-    for (int p = 0; p < ag::obs::kPhaseCount; ++p)
-      out->mean_share[p] /= static_cast<double>(out->calls);
 }
 
 }  // extern "C"

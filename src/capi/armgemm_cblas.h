@@ -219,10 +219,6 @@ typedef struct armgemm_latency_summary {
  * shapes. */
 void armgemm_telemetry_latency(int shape_kind, armgemm_latency_summary* out);
 
-/* Queue-wait summary of batch tickets (submit-to-execution-start delay in
- * the persistent pool), merged over every recording thread. */
-void armgemm_telemetry_queue_wait(armgemm_latency_summary* out);
-
 /* Drift onsets (sustained measured-vs-expected divergence) since the last
  * reset. */
 unsigned long long armgemm_telemetry_anomaly_count(void);
@@ -233,7 +229,11 @@ unsigned long long armgemm_telemetry_anomaly_count(void);
 int armgemm_telemetry_drift_ewma(int shape_kind, double* fast_ewma, double* reference_ewma);
 
 /* Renders the merged telemetry state into `buf`: format 0 = Prometheus
- * text exposition (0.0.4), 1 = one JSON document. Snprintf contract:
+ * text exposition (0.0.4), 1 = one JSON document (schema
+ * "armgemm-telemetry/1"). Every exported quantity is here: per-class
+ * phase attribution under "classes[].phases", per-lane queue wait under
+ * "workers[].queue_wait", and the "scheduler", "panel_cache", "tune",
+ * "topology" and "forensics" objects. Snprintf contract:
  * returns the full length (excluding the terminator) and writes at most
  * len-1 bytes plus a NUL; call with len 0 to size. Negative on error. */
 long long armgemm_metrics_render(int format, char* buf, size_t len);
@@ -295,35 +295,6 @@ typedef struct armgemm_panel_cache_stats {
 
 int armgemm_panel_cache_stats_get(armgemm_panel_cache_stats* out);
 
-/* ---- Topology introspection ----
- *
- * Snapshot of the discovered (or overridden) host topology plus the
- * per-class scheduling weights the runtime is currently using. Weights
- * are normalized to the fastest class = 1.0; `weights_refined` flips to
- * 1 once online per-class throughput estimates (from pool ticket
- * accounting) have replaced the discovery-time seeds. Always returns 1 —
- * the topology layer has no "not yet up" state (first use discovers). */
-
-#define ARMGEMM_TOPOLOGY_MAX_CLASSES 8
-
-typedef struct armgemm_topology_stats {
-  int cpus;                /* logical cpus in the snapshot */
-  int nodes;               /* NUMA nodes */
-  int classes;             /* core classes (1 = symmetric) */
-  int source;              /* 0 flat, 1 sysfs, 2 env override */
-  int asymmetric;          /* 1 when >1 class with distinct weights */
-  int weights_refined;
-  struct {
-    int cpus;
-    double weight_seed;    /* discovery-time estimate */
-    double weight;         /* currently active (refined when available) */
-    unsigned long long tickets;       /* pool tickets run by this class */
-    double busy_seconds;              /* ticket time spent by this class */
-  } cls[ARMGEMM_TOPOLOGY_MAX_CLASSES];
-} armgemm_topology_stats;
-
-int armgemm_topology_stats_get(armgemm_topology_stats* out);
-
 /* ---- Closed-loop autotuner ----
  *
  * Per (precision, shape-class) key, the tuner picks the register kernel,
@@ -344,26 +315,6 @@ void armgemm_tune_force_retune(void);
  * ARMGEMM_TUNE_CACHE knob). Atomic .tmp+rename. Returns 0 on success, -1
  * when no path is configured or the write fails. */
 int armgemm_tune_save(const char* path);
-
-/* Where resolved configurations have come from, per source: 0 none,
- * 1 analytic, 2 probed, 3 cached, 4 pinned. resolutions[] counts key
- * resolutions (first call per shape class); calls[] counts every call. */
-typedef struct armgemm_tune_stats {
-  int mode;                /* 0 off, 1 analytic, 2 on */
-  int cache_path_set;
-  unsigned long long cache_entries_loaded;
-  unsigned long long cache_rejected;
-  unsigned long long resolutions[5];
-  unsigned long long calls[5];
-  unsigned long long probes_run;
-  double probe_ms_spent;
-  double budget_ms;
-  unsigned long long invalidations; /* drift-triggered re-tunes */
-  unsigned long long saves;
-  unsigned long long save_failures;
-} armgemm_tune_stats;
-
-void armgemm_tune_stats_get(armgemm_tune_stats* out);
 
 /* The configuration the tuner would use for one (m, n, k) call right now
  * (resolving — and possibly probing — the key if this is its first
@@ -386,9 +337,8 @@ int armgemm_tune_resolve(int precision, long long m, long long n, long long k,
  *
  * While telemetry records, each call can additionally carry a per-phase
  * timeline — monotonic-clock deltas at boundaries the drivers already
- * cross — aggregated into per-shape-class phase-share distributions.
- * Phase indices (stable): 0 queue_wait, 1 pack_a, 2 pack_b, 3 kernel,
- * 4 barrier, 5 cache_stall, 6 epilogue.
+ * cross — aggregated into per-shape-class phase-share distributions,
+ * which armgemm_metrics_render reports per class.
  *
  * When the drift detector fires, a call exceeds the slow-call threshold,
  * or armgemm_forensics_capture() is called, a JSON bundle (schema
@@ -405,40 +355,9 @@ int armgemm_tune_resolve(int precision, long long m, long long n, long long k,
  * -DARMGEMM_STATS=OFF build. */
 int armgemm_forensics_capture(void);
 
-typedef struct armgemm_forensics_stats {
-  unsigned long long captures_drift;
-  unsigned long long captures_slow_call;
-  unsigned long long captures_manual;
-  unsigned long long written;         /* bundle files published to disk */
-  unsigned long long write_failures;  /* dir set but the write failed */
-  unsigned long long suppressed;      /* automatic captures rate-limited away */
-  unsigned long long slow_calls;      /* threshold hits (pre rate limit) */
-  double last_t;                      /* epoch-relative; < 0 before any */
-  double last_wall_seconds;           /* the offending call's wall time */
-  double last_top_share;              /* largest phase's share of that wall */
-  char last_reason[16];               /* "" until the first capture */
-  char last_top_phase[16];
-} armgemm_forensics_stats;
-
-void armgemm_forensics_stats_get(armgemm_forensics_stats* out);
-
 /* The last captured bundle's full JSON text (empty before the first
  * capture). Snprintf contract. */
 long long armgemm_forensics_last_bundle(char* buf, size_t len);
-
-/* Merged per-phase attribution over the shape classes of `shape_kind`
- * (0 small, 1 skinny, 2 square, 3 large, 4 batch, -1 all). Arrays index
- * the stable phase order above. mean_share is the samples-weighted mean
- * share of call wall time; p95_share is the largest per-class p95 (the
- * conservative merge). */
-typedef struct armgemm_phase_summary {
-  unsigned long long calls;  /* calls that carried a timeline */
-  double seconds[7];         /* attributed wall seconds, summed */
-  double mean_share[7];
-  double p95_share[7];
-} armgemm_phase_summary;
-
-void armgemm_telemetry_phases(int shape_kind, armgemm_phase_summary* out);
 
 #ifdef __cplusplus
 }

@@ -322,7 +322,7 @@ JsonWriter& JsonWriter::value(double d) {
                   static_cast<long long>(static_cast<std::int64_t>(d)));
     out_ += buf;
   } else {
-    std::snprintf(buf, sizeof buf, "%.17g", d);
+    std::snprintf(buf, sizeof buf, "%.*g", precision_, d);
     out_ += buf;
   }
   if (stack_.empty()) root_done_ = true;
@@ -384,6 +384,15 @@ JsonWriter& JsonWriter::value(const JsonValue& v) {
       }
       return end_object();
     }
+  }
+  return *this;
+}
+
+JsonWriter& JsonWriter::raw(const std::string& json) {
+  begin_value();
+  if (!bad_) {
+    out_ += json;
+    if (stack_.empty()) root_done_ = true;
   }
   return *this;
 }

@@ -59,9 +59,10 @@ class JsonValue {
 /// Streaming JSON emitter. Calls append to an internal buffer; the writer
 /// inserts commas and validates nesting as it goes (a misuse — e.g. a
 /// value where a key is required — marks the document bad rather than
-/// emitting garbage). Doubles render with enough digits to round-trip;
-/// integral doubles render without an exponent or fraction so the output
-/// diffs cleanly. All methods return *this for chaining:
+/// emitting garbage). Doubles render with `precision` significant digits
+/// (by default enough to round-trip); integral doubles render without an
+/// exponent or fraction so the output diffs cleanly. All methods return
+/// *this for chaining:
 ///
 ///   JsonWriter w;
 ///   w.begin_object().key("schema").value("armgemm-tune/1")
@@ -69,6 +70,8 @@ class JsonValue {
 ///   std::string text = w.str();
 class JsonWriter {
  public:
+  explicit JsonWriter(int precision = 17) : precision_(precision) {}
+
   JsonWriter& begin_object();
   JsonWriter& end_object();
   JsonWriter& begin_array();
@@ -89,6 +92,9 @@ class JsonWriter {
 
   /// Emits a pre-built DOM value in place (arrays/objects recurse).
   JsonWriter& value(const JsonValue& v);
+
+  /// Emits `json`, one complete value rendered elsewhere, in place.
+  JsonWriter& raw(const std::string& json);
 
   /// True once every opened container is closed and at least one value
   /// was written, with no misuse along the way.
@@ -112,6 +118,7 @@ class JsonWriter {
   bool expect_key_ = false;      // inside an object, next token must be key()
   bool root_done_ = false;
   bool bad_ = false;
+  int precision_;
 };
 
 }  // namespace ag

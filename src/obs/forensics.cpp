@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 
+#include "common/atomic_file.hpp"
+#include "common/json.hpp"
 #include "common/knobs.hpp"
 #include "common/timer.hpp"
 #include "obs/expected.hpp"
+#include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/telemetry.hpp"
 
@@ -31,7 +32,7 @@ int telemetry_forensics_capture() { return -1; }
 ForensicsStats forensics_stats() { return {}; }
 std::string forensics_last_bundle_json() { return {}; }
 void forensics_reset() {}
-std::string forensics_summary_json() { return "null"; }
+std::string forensics_summary_json(const ForensicsStats&) { return "null"; }
 void forensics_note_slow_call() {}
 
 #else
@@ -65,17 +66,6 @@ struct Forensics {
 Forensics& F() {
   static Forensics* f = new Forensics;  // leaky: read at process-exit dump time
   return *f;
-}
-
-std::string json_escape_path(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out.push_back(c);
-  }
-  return out;
 }
 
 /// Prices the expected phase split of one call under the Section III
@@ -189,13 +179,7 @@ std::string build_bundle(const ForensicsTrigger& tr, const TelemetrySnapshot& sn
      << ((tr.have_call && tr.call.pmu_hardware) ? "true" : "false") << "}";
 
   os << ",\"flight\":" << flight_to_json(snap.flight);
-  os << ",\"scheduler\":"
-     << (snap.scheduler_available ? scheduler_stats_json(snap.scheduler) : "null");
-  os << ",\"panel_cache\":"
-     << (snap.panel_cache_available ? panel_cache_stats_json(snap.panel_cache) : "null");
-  os << ",\"tune\":" << (snap.tune_available ? tune_stats_json(snap.tune) : "null");
-  os << ",\"topology\":"
-     << (snap.topology_available ? topology_stats_json(snap.topology) : "null");
+  os << "," << render_metrics(snap, MetricsFormat::kJsonRuntime);
 
   os << ",\"rate_limit\":{\"interval_seconds\":" << forensics_interval_s()
      << ",\"suppressed\":" << f.suppressed.load(std::memory_order_relaxed)
@@ -204,18 +188,6 @@ std::string build_bundle(const ForensicsTrigger& tr, const TelemetrySnapshot& sn
   for (const auto& c : f.captures) total += c.load(std::memory_order_relaxed);
   os << total << "}}";
   return os.str();
-}
-
-bool publish_file(const std::string& dest, const std::string& body) {
-  const std::string tmp = dest + ".tmp";
-  {
-    std::ofstream os(tmp);
-    if (!os) return false;
-    os << body << "\n";
-    os.flush();
-    if (!os) return false;
-  }
-  return std::rename(tmp.c_str(), dest.c_str()) == 0;
 }
 
 int do_capture(ForensicsTrigger tr, bool rate_limited, const BlockSizes& bs) {
@@ -252,7 +224,7 @@ int do_capture(ForensicsTrigger tr, bool rate_limited, const BlockSizes& bs) {
     const std::uint64_t seq = f.seq.fetch_add(1, std::memory_order_relaxed);
     path = dir + "/forensics-" + std::to_string(seq) + "-" + to_string(tr.reason) +
            ".json";
-    if (publish_file(path, bundle)) {
+    if (write_file_atomically(path, bundle + "\n")) {
       f.written.fetch_add(1, std::memory_order_relaxed);
     } else {
       f.write_failures.fetch_add(1, std::memory_order_relaxed);
@@ -337,8 +309,7 @@ void forensics_reset() {
   f.last_top_share = 0;
 }
 
-std::string forensics_summary_json() {
-  const ForensicsStats s = forensics_stats();
+std::string forensics_summary_json(const ForensicsStats& s) {
   std::ostringstream os;
   os.precision(9);
   os << "{\"captures\":{";
@@ -352,9 +323,9 @@ std::string forensics_summary_json() {
     os << "null";
   } else {
     os << "{\"reason\":\"" << s.last_reason << "\",\"t\":" << s.last_t
-       << ",\"wall_seconds\":" << s.last_wall_seconds << ",\"path\":\""
-       << json_escape_path(s.last_path) << "\",\"top_phase\":\"" << s.last_top_phase
-       << "\",\"top_phase_share\":" << s.last_top_share << "}";
+       << ",\"wall_seconds\":" << s.last_wall_seconds
+       << ",\"path\":" << JsonWriter::quoted(s.last_path) << ",\"top_phase\":\""
+       << s.last_top_phase << "\",\"top_phase_share\":" << s.last_top_share << "}";
   }
   os << "}";
   return os.str();

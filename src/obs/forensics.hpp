@@ -98,9 +98,10 @@ std::string forensics_last_bundle_json();
 /// (telemetry_reset calls this).
 void forensics_reset();
 
-/// One JSON object for the telemetry exposition: counters plus a "last"
-/// sub-object summarizing the most recent capture (null before any).
-std::string forensics_summary_json();
+/// One JSON object for the telemetry exposition: the counters of `s` plus
+/// a "last" sub-object summarizing the most recent capture (null before
+/// any).
+std::string forensics_summary_json(const ForensicsStats& s = forensics_stats());
 
 /// Record one slow-call threshold hit (counter only; the capture is a
 /// separate decision because the rate limiter may suppress it).

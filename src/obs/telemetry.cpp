@@ -1,9 +1,6 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <mutex>
@@ -13,11 +10,13 @@
 #include <signal.h>
 #endif
 
+#include "common/atomic_file.hpp"
 #include "common/knobs.hpp"
 #include "common/timer.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/expected.hpp"
 #include "obs/forensics.hpp"
+#include "obs/metrics.hpp"
 #include "obs/pmu.hpp"
 
 namespace ag::obs {
@@ -357,47 +356,6 @@ void note_anomaly(Telemetry& t, const AnomalyEvent& ev) {
   if (t.anomalies.size() >= kMaxAnomalyEvents)
     t.anomalies.erase(t.anomalies.begin());
   t.anomalies.push_back(ev);
-}
-
-// ---- rendering helpers ---------------------------------------------------
-
-void json_hist(std::ostream& os, const LatencyHistogram& h) {
-  os << "{\"count\":" << h.total << ",\"mean\":" << h.mean() << ",\"max\":" << h.max
-     << ",\"p50\":" << latency_quantile(h, 0.50) << ",\"p95\":" << latency_quantile(h, 0.95)
-     << ",\"p99\":" << latency_quantile(h, 0.99) << ",\"buckets\":[";
-  bool first = true;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    if (!h.counts[i]) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "[" << static_cast<double>(latency_bucket_lower_ns(i)) * 1e-9 << ","
-       << h.counts[i] << "]";
-  }
-  os << "]}";
-}
-
-void json_eff_hist(std::ostream& os, const EfficiencyHistogram& h) {
-  os << "{\"count\":" << h.total << ",\"mean\":" << h.mean() << ",\"max\":" << h.max
-     << ",\"buckets\":[";
-  bool first = true;
-  for (int i = 0; i < kEfficiencyBuckets; ++i) {
-    if (!h.counts[i]) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "[" << efficiency_bucket_lower(i) << "," << h.counts[i] << "]";
-  }
-  os << "]}";
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // labels are plain ASCII
-    out.push_back(c);
-  }
-  return out;
 }
 
 }  // namespace
@@ -776,589 +734,18 @@ TelemetrySnapshot telemetry_snapshot() {
   if (s.tune_available) s.tune = tune_stats();
   s.topology_available = topology_stats_available();
   if (s.topology_available) s.topology = topology_stats();
+  s.forensics = forensics_stats();
   return s;
 }
 
 // ---- exposition ----------------------------------------------------------
 
-std::string scheduler_stats_json(const SchedulerStats& sch) {
-  std::ostringstream os;
-  os.precision(9);
-  os << "{\"workers\":" << sch.workers << ",\"queued\":" << sch.queued
-     << ",\"submissions\":" << sch.submissions
-     << ",\"tickets_enqueued\":" << sch.tickets_enqueued
-     << ",\"tickets_inline\":" << sch.tickets_inline
-     << ",\"utilization\":" << sch.utilization()
-     << ",\"steal_imbalance\":" << sch.steal_imbalance() << ",\"per_worker\":[";
-  for (std::size_t i = 0; i < sch.per_worker.size(); ++i) {
-    const SchedulerWorkerStats& w = sch.per_worker[i];
-    if (i) os << ",";
-    os << "{\"name\":\"" << json_escape(w.name) << "\",\"tickets_run\":" << w.tickets_run
-       << ",\"tickets_stolen\":" << w.tickets_stolen
-       << ",\"steals_local\":" << w.steals_local
-       << ",\"steals_remote\":" << w.steals_remote
-       << ",\"tickets_inline\":" << w.tickets_inline
-       << ",\"steal_attempts\":" << w.steal_attempts
-       << ",\"steal_failures\":" << w.steal_failures << ",\"blocks\":" << w.blocks
-       << ",\"busy_seconds\":" << w.busy_seconds
-       << ",\"idle_seconds\":" << w.idle_seconds
-       << ",\"utilization\":" << w.utilization() << "}";
-  }
-  os << "],\"steals_local_total\":" << sch.steals_local_total()
-     << ",\"steals_remote_total\":" << sch.steals_remote_total() << "}";
-  return os.str();
-}
-
-std::string topology_stats_json(const TopologyStats& topo) {
-  std::ostringstream os;
-  os.precision(9);
-  os << "{\"cpus\":" << topo.cpus << ",\"nodes\":" << topo.nodes << ",\"source\":\""
-     << topology_source_name(topo.source) << "\",\"asymmetric\":"
-     << (topo.asymmetric() ? "true" : "false")
-     << ",\"weights_refined\":" << (topo.weights_refined ? "true" : "false")
-     << ",\"classes\":[";
-  for (std::size_t i = 0; i < topo.classes.size(); ++i) {
-    const TopologyClassStats& c = topo.classes[i];
-    if (i) os << ",";
-    os << "{\"class\":" << c.cls << ",\"cpus\":" << c.cpus
-       << ",\"weight_seed\":" << c.weight_seed << ",\"weight\":" << c.weight
-       << ",\"tickets\":" << c.tickets << ",\"busy_seconds\":" << c.busy_seconds << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string panel_cache_stats_json(const PanelCacheStats& pc) {
-  std::ostringstream os;
-  os.precision(9);
-  os << "{\"hits\":" << pc.hits << ",\"misses\":" << pc.misses
-     << ",\"inserts\":" << pc.inserts << ",\"bypasses\":" << pc.bypasses
-     << ",\"evictions\":" << pc.evictions << ",\"wait_stalls\":" << pc.wait_stalls
-     << ",\"wait_seconds\":" << pc.wait_seconds << ",\"epochs\":" << pc.epochs
-     << ",\"resident_bytes\":" << pc.resident_bytes
-     << ",\"peak_bytes\":" << pc.peak_bytes
-     << ",\"resident_panels\":" << pc.resident_panels
-     << ",\"node_replicas\":" << pc.node_replicas
-     << ",\"hit_rate\":" << pc.hit_rate() << ",\"by_class\":[";
-  for (std::size_t i = 0; i < pc.by_class.size(); ++i) {
-    const PanelCacheStats::ClassStats& c = pc.by_class[i];
-    if (i) os << ",";
-    os << "{\"class\":\""
-       << (c.shape_class < 0 ? std::string("untagged")
-                             : ShapeClass::from_index(c.shape_class).label())
-       << "\",\"hits\":" << c.hits << ",\"misses\":" << c.misses << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
-std::string tune_stats_json(const TuneStats& tu) {
-  std::ostringstream os;
-  os.precision(9);
-  const auto by_source = [&os](const std::uint64_t (&v)[kTuneSourceCount]) {
-    os << "{";
-    for (int src = 0; src < kTuneSourceCount; ++src)
-      os << (src ? "," : "") << "\"" << tune_source_name(src) << "\":" << v[src];
-    os << "}";
-  };
-  os << "{\"mode\":" << tu.mode
-     << ",\"cache_path_set\":" << (tu.cache_path_set ? "true" : "false")
-     << ",\"cache_entries_loaded\":" << tu.cache_entries_loaded
-     << ",\"cache_rejected\":" << tu.cache_rejected << ",\"resolutions\":";
-  by_source(tu.resolutions);
-  os << ",\"calls\":";
-  by_source(tu.calls);
-  os << ",\"probes_run\":" << tu.probes_run << ",\"probe_ms_spent\":" << tu.probe_ms_spent
-     << ",\"budget_ms\":" << tu.budget_ms << ",\"invalidations\":" << tu.invalidations
-     << ",\"saves\":" << tu.saves << ",\"save_failures\":" << tu.save_failures << "}";
-  return os.str();
-}
-
 std::string telemetry_render_prometheus() {
-  const TelemetrySnapshot s = telemetry_snapshot();
-  std::ostringstream os;
-  os.precision(9);
-
-  os << "# HELP armgemm_telemetry_enabled 1 when call recording is on.\n"
-        "# TYPE armgemm_telemetry_enabled gauge\n"
-     << "armgemm_telemetry_enabled " << (s.enabled ? 1 : 0) << "\n";
-  os << "# HELP armgemm_peak_gflops_per_core Calibrated or injected per-core peak.\n"
-        "# TYPE armgemm_peak_gflops_per_core gauge\n"
-     << "armgemm_peak_gflops_per_core " << s.peak_gflops_per_core << "\n";
-  os << "# HELP armgemm_calls_total GEMM calls recorded per shape class.\n"
-        "# TYPE armgemm_calls_total counter\n";
-  for (const ClassSnapshot& c : s.classes)
-    os << "armgemm_calls_total{kind=\"" << to_string(c.shape.kind) << "\",decade=\""
-       << c.shape.decade << "\"} " << c.calls << "\n";
-
-  os << "# HELP armgemm_call_latency_seconds Per-call wall time by shape class.\n"
-        "# TYPE armgemm_call_latency_seconds histogram\n";
-  for (const ClassSnapshot& c : s.classes) {
-    const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                               "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-    std::uint64_t cum = 0;
-    for (int i = 0; i < kLatencyBuckets; ++i) {
-      if (!c.latency.counts[i]) continue;
-      cum += c.latency.counts[i];
-      if (i == kLatencyBuckets - 1) break;  // the +Inf line covers overflow
-      os << "armgemm_call_latency_seconds_bucket{" << labels << ",le=\""
-         << static_cast<double>(latency_bucket_upper_ns(i)) * 1e-9 << "\"} " << cum << "\n";
-    }
-    os << "armgemm_call_latency_seconds_bucket{" << labels << ",le=\"+Inf\"} "
-       << c.latency.total << "\n";
-    os << "armgemm_call_latency_seconds_sum{" << labels << "} " << c.latency.sum << "\n";
-    os << "armgemm_call_latency_seconds_count{" << labels << "} " << c.latency.total << "\n";
-  }
-
-  os << "# HELP armgemm_call_latency_quantile_seconds Merged latency quantiles.\n"
-        "# TYPE armgemm_call_latency_quantile_seconds gauge\n";
-  for (const ClassSnapshot& c : s.classes) {
-    const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                               "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-    os << "armgemm_call_latency_quantile_seconds{" << labels << ",quantile=\"0.5\"} "
-       << c.p50 << "\n";
-    os << "armgemm_call_latency_quantile_seconds{" << labels << ",quantile=\"0.95\"} "
-       << c.p95 << "\n";
-    os << "armgemm_call_latency_quantile_seconds{" << labels << ",quantile=\"0.99\"} "
-       << c.p99 << "\n";
-    os << "armgemm_call_latency_quantile_seconds{" << labels << ",quantile=\"1\"} "
-       << c.latency.max << "\n";
-  }
-
-  os << "# HELP armgemm_efficiency Gflops fraction of threads x peak.\n"
-        "# TYPE armgemm_efficiency histogram\n";
-  for (const ClassSnapshot& c : s.classes) {
-    const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                               "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-    std::uint64_t cum = 0;
-    for (int i = 0; i < kEfficiencyBuckets; ++i) {
-      if (!c.efficiency.counts[i]) continue;
-      cum += c.efficiency.counts[i];
-      if (i == kEfficiencyBuckets - 1) break;
-      os << "armgemm_efficiency_bucket{" << labels << ",le=\""
-         << efficiency_bucket_lower(i + 1) << "\"} " << cum << "\n";
-    }
-    os << "armgemm_efficiency_bucket{" << labels << ",le=\"+Inf\"} " << c.efficiency.total
-       << "\n";
-    os << "armgemm_efficiency_sum{" << labels << "} " << c.efficiency.sum << "\n";
-    os << "armgemm_efficiency_count{" << labels << "} " << c.efficiency.total << "\n";
-  }
-
-  os << "# HELP armgemm_drift_ewma Fast EWMA of measured/expected efficiency.\n"
-        "# TYPE armgemm_drift_ewma gauge\n";
-  for (const ClassSnapshot& c : s.classes) {
-    const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                               "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-    os << "armgemm_drift_ewma{" << labels << "} " << c.drift_fast << "\n";
-  }
-  os << "# HELP armgemm_drift_reference Slow EWMA baseline the fast EWMA is compared to.\n"
-        "# TYPE armgemm_drift_reference gauge\n";
-  for (const ClassSnapshot& c : s.classes) {
-    const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                               "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-    os << "armgemm_drift_reference{" << labels << "} " << c.drift_reference << "\n";
-  }
-  os << "# HELP armgemm_drift_state 1 while the class is flagged as drifting.\n"
-        "# TYPE armgemm_drift_state gauge\n";
-  for (const ClassSnapshot& c : s.classes) {
-    const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                               "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-    os << "armgemm_drift_state{" << labels << "} " << (c.in_drift ? 1 : 0) << "\n";
-  }
-  os << "# HELP armgemm_drift_anomalies_total Drift onsets since the epoch.\n"
-        "# TYPE armgemm_drift_anomalies_total counter\n"
-     << "armgemm_drift_anomalies_total " << s.anomaly_count << "\n";
-  os << "# HELP armgemm_flight_records_total Calls the flight recorder has seen.\n"
-        "# TYPE armgemm_flight_records_total counter\n"
-     << "armgemm_flight_records_total " << s.flight_recorded << "\n";
-
-  bool any_phases = false;
-  for (const ClassSnapshot& c : s.classes)
-    if (c.phase_samples) { any_phases = true; break; }
-  if (any_phases) {
-    os << "# HELP armgemm_phase_calls_total Calls that carried a phase timeline.\n"
-          "# TYPE armgemm_phase_calls_total counter\n";
-    for (const ClassSnapshot& c : s.classes) {
-      if (!c.phase_samples) continue;
-      os << "armgemm_phase_calls_total{kind=\"" << to_string(c.shape.kind)
-         << "\",decade=\"" << c.shape.decade << "\"} " << c.phase_samples << "\n";
-    }
-    os << "# HELP armgemm_phase_seconds_total Per-worker-attributed wall seconds by phase.\n"
-          "# TYPE armgemm_phase_seconds_total counter\n";
-    for (const ClassSnapshot& c : s.classes) {
-      if (!c.phase_samples) continue;
-      const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                                 "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-      for (int p = 0; p < kPhaseCount; ++p)
-        os << "armgemm_phase_seconds_total{" << labels << ",phase=\"" << phase_name(p)
-           << "\"} " << c.phases[static_cast<std::size_t>(p)].seconds << "\n";
-    }
-    os << "# HELP armgemm_phase_share Share of call wall time by phase (quantiles over calls).\n"
-          "# TYPE armgemm_phase_share gauge\n";
-    for (const ClassSnapshot& c : s.classes) {
-      if (!c.phase_samples) continue;
-      const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                                 "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-      for (int p = 0; p < kPhaseCount; ++p) {
-        const PhaseStat& ps = c.phases[static_cast<std::size_t>(p)];
-        const std::string pl = labels + ",phase=\"" + phase_name(p) + "\"";
-        os << "armgemm_phase_share{" << pl << ",quantile=\"0.5\"} " << ps.p50 << "\n";
-        os << "armgemm_phase_share{" << pl << ",quantile=\"0.95\"} " << ps.p95 << "\n";
-        os << "armgemm_phase_share{" << pl << ",quantile=\"0.99\"} " << ps.p99 << "\n";
-      }
-    }
-    os << "# HELP armgemm_phase_share_mean Mean share of call wall time by phase.\n"
-          "# TYPE armgemm_phase_share_mean gauge\n";
-    for (const ClassSnapshot& c : s.classes) {
-      if (!c.phase_samples) continue;
-      const std::string labels = std::string("kind=\"") + to_string(c.shape.kind) +
-                                 "\",decade=\"" + std::to_string(c.shape.decade) + "\"";
-      for (int p = 0; p < kPhaseCount; ++p)
-        os << "armgemm_phase_share_mean{" << labels << ",phase=\"" << phase_name(p)
-           << "\"} " << c.phases[static_cast<std::size_t>(p)].mean_share << "\n";
-    }
-  }
-
-  {
-    const ForensicsStats fs = forensics_stats();
-    os << "# HELP armgemm_forensics_captures_total Forensics bundles captured by trigger.\n"
-          "# TYPE armgemm_forensics_captures_total counter\n";
-    for (int r = 0; r < kForensicsReasonCount; ++r)
-      os << "armgemm_forensics_captures_total{reason=\""
-         << to_string(static_cast<ForensicsReason>(r)) << "\"} " << fs.captures[r] << "\n";
-    os << "# HELP armgemm_forensics_written_total Bundle files published to disk.\n"
-          "# TYPE armgemm_forensics_written_total counter\n"
-       << "armgemm_forensics_written_total " << fs.written << "\n";
-    os << "# HELP armgemm_forensics_suppressed_total Automatic captures the rate limit dropped.\n"
-          "# TYPE armgemm_forensics_suppressed_total counter\n"
-       << "armgemm_forensics_suppressed_total " << fs.suppressed << "\n";
-    os << "# HELP armgemm_slow_calls_total Calls beyond ARMGEMM_SLOW_CALL_FACTOR x class p99.\n"
-          "# TYPE armgemm_slow_calls_total counter\n"
-       << "armgemm_slow_calls_total " << fs.slow_calls << "\n";
-  }
-
-  os << "# HELP armgemm_barrier_wait_seconds Per-worker barrier wait per parallel call.\n"
-        "# TYPE armgemm_barrier_wait_seconds summary\n";
-  for (const WorkerSnapshot& w : s.workers) {
-    os << "armgemm_barrier_wait_seconds_sum{worker=\"" << w.name << "\"} "
-       << w.barrier_wait.sum << "\n";
-    os << "armgemm_barrier_wait_seconds_count{worker=\"" << w.name << "\"} "
-       << w.barrier_wait.total << "\n";
-  }
-
-  os << "# HELP armgemm_queue_wait_seconds Batch-ticket submit-to-start wait per worker.\n"
-        "# TYPE armgemm_queue_wait_seconds summary\n";
-  for (const WorkerSnapshot& w : s.workers) {
-    if (w.queue_wait.total == 0) continue;
-    const std::string labels = std::string("worker=\"") + w.name + "\"";
-    os << "armgemm_queue_wait_seconds{" << labels << ",quantile=\"0.5\"} "
-       << latency_quantile(w.queue_wait, 0.50) << "\n";
-    os << "armgemm_queue_wait_seconds{" << labels << ",quantile=\"0.95\"} "
-       << latency_quantile(w.queue_wait, 0.95) << "\n";
-    os << "armgemm_queue_wait_seconds{" << labels << ",quantile=\"0.99\"} "
-       << latency_quantile(w.queue_wait, 0.99) << "\n";
-    os << "armgemm_queue_wait_seconds_sum{" << labels << "} " << w.queue_wait.sum << "\n";
-    os << "armgemm_queue_wait_seconds_count{" << labels << "} " << w.queue_wait.total
-       << "\n";
-  }
-
-  if (s.scheduler_available) {
-    const SchedulerStats& sch = s.scheduler;
-    os << "# HELP armgemm_scheduler_workers Persistent-pool worker threads.\n"
-          "# TYPE armgemm_scheduler_workers gauge\n"
-       << "armgemm_scheduler_workers " << sch.workers << "\n";
-    os << "# HELP armgemm_scheduler_queue_depth Tickets waiting in the queue now.\n"
-          "# TYPE armgemm_scheduler_queue_depth gauge\n"
-       << "armgemm_scheduler_queue_depth " << sch.queued << "\n";
-    os << "# HELP armgemm_scheduler_submissions_total Batch submissions executed.\n"
-          "# TYPE armgemm_scheduler_submissions_total counter\n"
-       << "armgemm_scheduler_submissions_total " << sch.submissions << "\n";
-    os << "# HELP armgemm_scheduler_tickets_enqueued_total Tickets admitted to the queue.\n"
-          "# TYPE armgemm_scheduler_tickets_enqueued_total counter\n"
-       << "armgemm_scheduler_tickets_enqueued_total " << sch.tickets_enqueued << "\n";
-    os << "# HELP armgemm_scheduler_tickets_inline_total Tickets the admission limit ran inline.\n"
-          "# TYPE armgemm_scheduler_tickets_inline_total counter\n"
-       << "armgemm_scheduler_tickets_inline_total " << sch.tickets_inline << "\n";
-    os << "# HELP armgemm_scheduler_utilization Pool-wide busy fraction over worker lanes.\n"
-          "# TYPE armgemm_scheduler_utilization gauge\n"
-       << "armgemm_scheduler_utilization " << sch.utilization() << "\n";
-    os << "# HELP armgemm_scheduler_steal_imbalance Max-over-mean tickets run per worker.\n"
-          "# TYPE armgemm_scheduler_steal_imbalance gauge\n"
-       << "armgemm_scheduler_steal_imbalance " << sch.steal_imbalance() << "\n";
-
-    os << "# HELP armgemm_worker_tickets_total Tickets run per scheduler lane.\n"
-          "# TYPE armgemm_worker_tickets_total counter\n";
-    for (const SchedulerWorkerStats& w : sch.per_worker)
-      os << "armgemm_worker_tickets_total{worker=\"" << w.name << "\"} "
-         << w.tickets_run << "\n";
-    os << "# HELP armgemm_worker_tickets_stolen_total Tickets popped from a foreign shard.\n"
-          "# TYPE armgemm_worker_tickets_stolen_total counter\n";
-    for (const SchedulerWorkerStats& w : sch.per_worker)
-      os << "armgemm_worker_tickets_stolen_total{worker=\"" << w.name << "\"} "
-         << w.tickets_stolen << "\n";
-    os << "# HELP armgemm_worker_steal_attempts_total Foreign-shard probes.\n"
-          "# TYPE armgemm_worker_steal_attempts_total counter\n";
-    for (const SchedulerWorkerStats& w : sch.per_worker)
-      os << "armgemm_worker_steal_attempts_total{worker=\"" << w.name << "\"} "
-         << w.steal_attempts << "\n";
-    os << "# HELP armgemm_worker_steal_failures_total Foreign-shard probes that found nothing.\n"
-          "# TYPE armgemm_worker_steal_failures_total counter\n";
-    for (const SchedulerWorkerStats& w : sch.per_worker)
-      os << "armgemm_worker_steal_failures_total{worker=\"" << w.name << "\"} "
-         << w.steal_failures << "\n";
-    os << "# HELP armgemm_worker_blocks_total Spin-window expiries that fell back to an OS block.\n"
-          "# TYPE armgemm_worker_blocks_total counter\n";
-    for (const SchedulerWorkerStats& w : sch.per_worker)
-      os << "armgemm_worker_blocks_total{worker=\"" << w.name << "\"} " << w.blocks
-         << "\n";
-    os << "# HELP armgemm_worker_busy_seconds_total Time inside run_ticket per lane.\n"
-          "# TYPE armgemm_worker_busy_seconds_total counter\n";
-    for (const SchedulerWorkerStats& w : sch.per_worker)
-      os << "armgemm_worker_busy_seconds_total{worker=\"" << w.name << "\"} "
-         << w.busy_seconds << "\n";
-    os << "# HELP armgemm_worker_idle_seconds_total Time scanning/spinning/blocked per lane.\n"
-          "# TYPE armgemm_worker_idle_seconds_total counter\n";
-    for (const SchedulerWorkerStats& w : sch.per_worker)
-      os << "armgemm_worker_idle_seconds_total{worker=\"" << w.name << "\"} "
-         << w.idle_seconds << "\n";
-    os << "# HELP armgemm_worker_utilization Busy fraction of the observed lifetime per lane.\n"
-          "# TYPE armgemm_worker_utilization gauge\n";
-    for (const SchedulerWorkerStats& w : sch.per_worker)
-      os << "armgemm_worker_utilization{worker=\"" << w.name << "\"} "
-         << w.utilization() << "\n";
-    os << "# HELP armgemm_scheduler_steals_total Stolen tickets by NUMA locality of the victim shard.\n"
-          "# TYPE armgemm_scheduler_steals_total counter\n"
-       << "armgemm_scheduler_steals_total{locality=\"same_node\"} "
-       << sch.steals_local_total() << "\n"
-       << "armgemm_scheduler_steals_total{locality=\"cross_node\"} "
-       << sch.steals_remote_total() << "\n";
-  }
-
-  if (s.panel_cache_available) {
-    const PanelCacheStats& pc = s.panel_cache;
-    os << "# HELP armgemm_panel_cache_hits_total Packed-B panels served from the cache.\n"
-          "# TYPE armgemm_panel_cache_hits_total counter\n"
-       << "armgemm_panel_cache_hits_total " << pc.hits << "\n";
-    os << "# HELP armgemm_panel_cache_misses_total Requests that packed a fresh panel.\n"
-          "# TYPE armgemm_panel_cache_misses_total counter\n"
-       << "armgemm_panel_cache_misses_total " << pc.misses << "\n";
-    os << "# HELP armgemm_panel_cache_bypasses_total Requests the cache declined.\n"
-          "# TYPE armgemm_panel_cache_bypasses_total counter\n"
-       << "armgemm_panel_cache_bypasses_total " << pc.bypasses << "\n";
-    os << "# HELP armgemm_panel_cache_evictions_total Panels dropped to make room.\n"
-          "# TYPE armgemm_panel_cache_evictions_total counter\n"
-       << "armgemm_panel_cache_evictions_total " << pc.evictions << "\n";
-    os << "# HELP armgemm_panel_cache_wait_stalls_total Hits that waited on a mid-pack panel.\n"
-          "# TYPE armgemm_panel_cache_wait_stalls_total counter\n"
-       << "armgemm_panel_cache_wait_stalls_total " << pc.wait_stalls << "\n";
-    os << "# HELP armgemm_panel_cache_wait_seconds_total Time spent in those waits.\n"
-          "# TYPE armgemm_panel_cache_wait_seconds_total counter\n"
-       << "armgemm_panel_cache_wait_seconds_total " << pc.wait_seconds << "\n";
-    os << "# HELP armgemm_panel_cache_epochs_total Sharing epochs begun (batch calls).\n"
-          "# TYPE armgemm_panel_cache_epochs_total counter\n"
-       << "armgemm_panel_cache_epochs_total " << pc.epochs << "\n";
-    os << "# HELP armgemm_panel_cache_resident_bytes Bytes of panels resident now.\n"
-          "# TYPE armgemm_panel_cache_resident_bytes gauge\n"
-       << "armgemm_panel_cache_resident_bytes " << pc.resident_bytes << "\n";
-    os << "# HELP armgemm_panel_cache_peak_bytes High-water resident bytes.\n"
-          "# TYPE armgemm_panel_cache_peak_bytes gauge\n"
-       << "armgemm_panel_cache_peak_bytes " << pc.peak_bytes << "\n";
-    os << "# HELP armgemm_panel_cache_resident_panels Panels resident now.\n"
-          "# TYPE armgemm_panel_cache_resident_panels gauge\n"
-       << "armgemm_panel_cache_resident_panels " << pc.resident_panels << "\n";
-    os << "# HELP armgemm_panel_cache_node_replicas_total Node-keyed NUMA replica packs.\n"
-          "# TYPE armgemm_panel_cache_node_replicas_total counter\n"
-       << "armgemm_panel_cache_node_replicas_total " << pc.node_replicas << "\n";
-    os << "# HELP armgemm_panel_cache_hit_rate hits / (hits + misses) since start.\n"
-          "# TYPE armgemm_panel_cache_hit_rate gauge\n"
-       << "armgemm_panel_cache_hit_rate " << pc.hit_rate() << "\n";
-    if (!pc.by_class.empty()) {
-      const auto class_label = [](int idx) {
-        return idx < 0 ? std::string("untagged") : ShapeClass::from_index(idx).label();
-      };
-      os << "# HELP armgemm_panel_cache_class_hits_total Cache hits by requesting shape class.\n"
-            "# TYPE armgemm_panel_cache_class_hits_total counter\n";
-      for (const PanelCacheStats::ClassStats& c : pc.by_class)
-        os << "armgemm_panel_cache_class_hits_total{class=\"" << class_label(c.shape_class)
-           << "\"} " << c.hits << "\n";
-      os << "# HELP armgemm_panel_cache_class_misses_total Cache misses by requesting shape class.\n"
-            "# TYPE armgemm_panel_cache_class_misses_total counter\n";
-      for (const PanelCacheStats::ClassStats& c : pc.by_class)
-        os << "armgemm_panel_cache_class_misses_total{class=\"" << class_label(c.shape_class)
-           << "\"} " << c.misses << "\n";
-    }
-  }
-
-  if (s.tune_available) {
-    const TuneStats& tu = s.tune;
-    os << "# HELP armgemm_tune_mode Autotuner mode (0 off, 1 analytic, 2 on).\n"
-          "# TYPE armgemm_tune_mode gauge\n"
-       << "armgemm_tune_mode " << tu.mode << "\n";
-    // The tune-source gauge: how many (precision, shape-class) keys are
-    // currently resolved from each source. A warm second process shows
-    // source="cached" > 0 with probes_run == 0.
-    os << "# HELP armgemm_tune_source Resolved tuning keys by configuration source.\n"
-          "# TYPE armgemm_tune_source gauge\n";
-    for (int src = 0; src < kTuneSourceCount; ++src)
-      os << "armgemm_tune_source{source=\"" << tune_source_name(src) << "\"} "
-         << tu.resolutions[src] << "\n";
-    os << "# HELP armgemm_tune_calls_total GEMM calls by the source of their configuration.\n"
-          "# TYPE armgemm_tune_calls_total counter\n";
-    for (int src = 0; src < kTuneSourceCount; ++src)
-      os << "armgemm_tune_calls_total{source=\"" << tune_source_name(src) << "\"} "
-         << tu.calls[src] << "\n";
-    os << "# HELP armgemm_tune_probes_total Measured probes run this process.\n"
-          "# TYPE armgemm_tune_probes_total counter\n"
-       << "armgemm_tune_probes_total " << tu.probes_run << "\n";
-    os << "# HELP armgemm_tune_probe_ms Wall milliseconds spent in probes.\n"
-          "# TYPE armgemm_tune_probe_ms gauge\n"
-       << "armgemm_tune_probe_ms " << tu.probe_ms_spent << "\n";
-    os << "# HELP armgemm_tune_budget_ms Probe budget (ARMGEMM_TUNE_BUDGET_MS).\n"
-          "# TYPE armgemm_tune_budget_ms gauge\n"
-       << "armgemm_tune_budget_ms " << tu.budget_ms << "\n";
-    os << "# HELP armgemm_tune_cache_entries_loaded Entries accepted from the tuning cache.\n"
-          "# TYPE armgemm_tune_cache_entries_loaded gauge\n"
-       << "armgemm_tune_cache_entries_loaded " << tu.cache_entries_loaded << "\n";
-    os << "# HELP armgemm_tune_cache_rejected_total Cache files or entries refused.\n"
-          "# TYPE armgemm_tune_cache_rejected_total counter\n"
-       << "armgemm_tune_cache_rejected_total " << tu.cache_rejected << "\n";
-    os << "# HELP armgemm_tune_invalidations_total Drift-triggered entry invalidations.\n"
-          "# TYPE armgemm_tune_invalidations_total counter\n"
-       << "armgemm_tune_invalidations_total " << tu.invalidations << "\n";
-    os << "# HELP armgemm_tune_saves_total Successful cache writes.\n"
-          "# TYPE armgemm_tune_saves_total counter\n"
-       << "armgemm_tune_saves_total " << tu.saves << "\n";
-    os << "# HELP armgemm_tune_save_failures_total Cache writes that failed.\n"
-          "# TYPE armgemm_tune_save_failures_total counter\n"
-       << "armgemm_tune_save_failures_total " << tu.save_failures << "\n";
-  }
-
-  if (s.topology_available) {
-    const TopologyStats& topo = s.topology;
-    os << "# HELP armgemm_topology_cpus Logical cpus in the topology snapshot.\n"
-          "# TYPE armgemm_topology_cpus gauge\n"
-       << "armgemm_topology_cpus " << topo.cpus << "\n";
-    os << "# HELP armgemm_topology_nodes NUMA nodes in the topology snapshot.\n"
-          "# TYPE armgemm_topology_nodes gauge\n"
-       << "armgemm_topology_nodes " << topo.nodes << "\n";
-    os << "# HELP armgemm_topology_classes Core classes (1 = symmetric host).\n"
-          "# TYPE armgemm_topology_classes gauge\n"
-       << "armgemm_topology_classes " << topo.classes.size() << "\n";
-    os << "# HELP armgemm_topology_source Discovery source (0 flat, 1 sysfs, 2 env).\n"
-          "# TYPE armgemm_topology_source gauge\n"
-       << "armgemm_topology_source " << topo.source << "\n";
-    os << "# HELP armgemm_topology_weights_refined 1 once online estimates replaced the seeds.\n"
-          "# TYPE armgemm_topology_weights_refined gauge\n"
-       << "armgemm_topology_weights_refined " << (topo.weights_refined ? 1 : 0) << "\n";
-    os << "# HELP armgemm_topology_class_cpus Cpus per core class.\n"
-          "# TYPE armgemm_topology_class_cpus gauge\n";
-    for (const TopologyClassStats& c : topo.classes)
-      os << "armgemm_topology_class_cpus{class=\"" << c.cls << "\"} " << c.cpus << "\n";
-    os << "# HELP armgemm_topology_class_weight Relative class throughput (fastest = 1).\n"
-          "# TYPE armgemm_topology_class_weight gauge\n";
-    for (const TopologyClassStats& c : topo.classes)
-      os << "armgemm_topology_class_weight{class=\"" << c.cls << "\"} " << c.weight
-         << "\n";
-    os << "# HELP armgemm_topology_class_weight_seed Discovery-time weight seed.\n"
-          "# TYPE armgemm_topology_class_weight_seed gauge\n";
-    for (const TopologyClassStats& c : topo.classes)
-      os << "armgemm_topology_class_weight_seed{class=\"" << c.cls << "\"} "
-         << c.weight_seed << "\n";
-    os << "# HELP armgemm_topology_class_tickets_total Pool tickets run per class.\n"
-          "# TYPE armgemm_topology_class_tickets_total counter\n";
-    for (const TopologyClassStats& c : topo.classes)
-      os << "armgemm_topology_class_tickets_total{class=\"" << c.cls << "\"} "
-         << c.tickets << "\n";
-    os << "# HELP armgemm_topology_class_busy_seconds_total Ticket time per class.\n"
-          "# TYPE armgemm_topology_class_busy_seconds_total counter\n";
-    for (const TopologyClassStats& c : topo.classes)
-      os << "armgemm_topology_class_busy_seconds_total{class=\"" << c.cls << "\"} "
-         << c.busy_seconds << "\n";
-  }
-  return os.str();
+  return render_metrics(telemetry_snapshot(), MetricsFormat::kPrometheus);
 }
 
 std::string telemetry_render_json() {
-  const TelemetrySnapshot s = telemetry_snapshot();
-  std::ostringstream os;
-  os.precision(9);
-  os << "{\"schema\":\"armgemm-telemetry/1\",\"enabled\":" << (s.enabled ? "true" : "false")
-     << ",\"uptime_seconds\":" << s.uptime_seconds
-     << ",\"peak_gflops_per_core\":" << s.peak_gflops_per_core
-     << ",\"total_calls\":" << s.total_calls << ",\"anomaly_count\":" << s.anomaly_count
-     << ",\"flight_recorded\":" << s.flight_recorded << ",\"classes\":[";
-  for (std::size_t i = 0; i < s.classes.size(); ++i) {
-    const ClassSnapshot& c = s.classes[i];
-    if (i) os << ",";
-    os << "{\"kind\":\"" << to_string(c.shape.kind) << "\",\"decade\":" << c.shape.decade
-       << ",\"calls\":" << c.calls << ",\"latency\":";
-    json_hist(os, c.latency);
-    os << ",\"efficiency\":";
-    json_eff_hist(os, c.efficiency);
-    os << ",\"drift\":{\"ewma\":" << c.drift_fast << ",\"reference\":" << c.drift_reference
-       << ",\"samples\":" << c.drift_samples
-       << ",\"in_drift\":" << (c.in_drift ? "true" : "false")
-       << ",\"anomalies\":" << c.anomalies << "},\"phases\":";
-    if (!c.phase_samples) {
-      os << "null}";
-    } else {
-      os << "{\"samples\":" << c.phase_samples;
-      for (int p = 0; p < kPhaseCount; ++p) {
-        const PhaseStat& ps = c.phases[static_cast<std::size_t>(p)];
-        os << ",\"" << phase_name(p) << "\":{\"seconds\":" << ps.seconds
-           << ",\"mean_share\":" << ps.mean_share << ",\"p50\":" << ps.p50
-           << ",\"p95\":" << ps.p95 << ",\"p99\":" << ps.p99 << "}";
-      }
-      os << "}}";
-    }
-  }
-  os << "],\"anomalies\":[";
-  for (std::size_t i = 0; i < s.anomalies.size(); ++i) {
-    const AnomalyEvent& a = s.anomalies[i];
-    if (i) os << ",";
-    os << "{\"t\":" << a.t << ",\"class\":\""
-       << ShapeClass::from_index(a.shape_class).label() << "\""
-       << ",\"recovered\":" << (a.recovered ? "true" : "false")
-       << ",\"ewma\":" << a.fast_ewma << ",\"reference\":" << a.reference_ewma
-       << ",\"threshold\":" << a.threshold << ",\"trigger\":" << a.trigger.to_json() << "}";
-  }
-  os << "],\"workers\":[";
-  for (std::size_t i = 0; i < s.workers.size(); ++i) {
-    const WorkerSnapshot& w = s.workers[i];
-    if (i) os << ",";
-    os << "{\"name\":\"" << json_escape(w.name) << "\",\"barrier_wait\":";
-    json_hist(os, w.barrier_wait);
-    os << ",\"queue_wait\":";
-    json_hist(os, w.queue_wait);
-    os << "}";
-  }
-  os << "],\"scheduler\":";
-  if (!s.scheduler_available) {
-    os << "null";
-  } else {
-    os << scheduler_stats_json(s.scheduler);
-  }
-  os << ",\"panel_cache\":";
-  if (!s.panel_cache_available) {
-    os << "null";
-  } else {
-    os << panel_cache_stats_json(s.panel_cache);
-  }
-  os << ",\"tune\":";
-  if (!s.tune_available) {
-    os << "null";
-  } else {
-    os << tune_stats_json(s.tune);
-  }
-  os << ",\"topology\":";
-  if (!s.topology_available) {
-    os << "null";
-  } else {
-    os << topology_stats_json(s.topology);
-  }
-  os << ",\"forensics\":" << forensics_summary_json();
-  os << ",\"flight\":" << flight_to_json(s.flight) << "}";
-  return os.str();
+  return render_metrics(telemetry_snapshot(), MetricsFormat::kJson);
 }
 
 int telemetry_write_metrics(const std::string& path) {
@@ -1373,23 +760,12 @@ int telemetry_write_metrics(const std::string& path) {
 
   const std::string target = path.empty() ? metrics_path() : path;
   if (target.empty()) return -1;
-  // Publish atomically: write <path>.tmp, then rename over the target.
-  // rename(2) within a directory is atomic on POSIX, so a concurrent
-  // scraper (or armgemm-top) always reads either the previous complete
-  // file or the new complete file, never a torn prefix.
-  const auto publish = [](const std::string& dest, const std::string& body) {
-    const std::string tmp = dest + ".tmp";
-    {
-      std::ofstream os(tmp);
-      if (!os) return false;
-      os << body;
-      os.flush();
-      if (!os) return false;
-    }
-    return std::rename(tmp.c_str(), dest.c_str()) == 0;
-  };
-  if (!publish(target, telemetry_render_prometheus())) return -1;
-  if (!publish(target + ".json", telemetry_render_json() + "\n")) return -1;
+  // Both files render one snapshot, and each is published atomically, so
+  // a concurrent scraper (or armgemm-top) reads either file whole.
+  const TelemetrySnapshot s = telemetry_snapshot();
+  if (!write_file_atomically(target, render_metrics(s, MetricsFormat::kPrometheus))) return -1;
+  if (!write_file_atomically(target + ".json", render_metrics(s, MetricsFormat::kJson) + "\n"))
+    return -1;
   return 0;
 }
 

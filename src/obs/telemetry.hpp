@@ -21,9 +21,12 @@
 // and dumps the metrics + flight state to ARMGEMM_METRICS_PATH.
 //
 // Exposition: telemetry_render_prometheus() (text format 0.0.4) and
-// telemetry_render_json(); telemetry_write_metrics() writes both (path
-// and path.json). The C API mirrors these as armgemm_metrics_render /
-// armgemm_metrics_write plus histogram/anomaly accessors.
+// telemetry_render_json() render a snapshot through the metrics table
+// (obs/metrics); telemetry_write_metrics() writes both (path and
+// path.json). The C API returns the same two renderings from
+// armgemm_metrics_render and writes them with armgemm_metrics_write; its
+// only other telemetry readers are the latency, drift and anomaly-count
+// accessors.
 //
 // Cost contract: with telemetry disabled the dgemm hook is one relaxed
 // atomic load; enabled, a 64x64x64 call pays well under 1% (verified by
@@ -42,6 +45,7 @@
 #include "model/perf_model.hpp"
 #include "obs/drift.hpp"
 #include "obs/flight.hpp"
+#include "obs/forensics.hpp"
 #include "obs/gemm_stats.hpp"
 #include "obs/histogram.hpp"
 #include "obs/phase.hpp"
@@ -229,6 +233,8 @@ struct TelemetrySnapshot {
   TuneStats tune;
   bool topology_available = false;
   TopologyStats topology;
+
+  ForensicsStats forensics;  // obs/forensics counters and last capture
 };
 
 /// Merged state across every lane. Safe concurrently with recording.
@@ -249,12 +255,5 @@ int telemetry_dump_flight(const std::string& path);
 
 /// Drift onsets recorded since the epoch.
 std::uint64_t telemetry_anomaly_count();
-
-/// JSON sub-objects of the introspection blocks (shared with the
-/// forensics bundle writer so both expositions stay in sync).
-std::string scheduler_stats_json(const SchedulerStats& s);
-std::string panel_cache_stats_json(const PanelCacheStats& s);
-std::string tune_stats_json(const TuneStats& s);
-std::string topology_stats_json(const TopologyStats& s);
 
 }  // namespace ag::obs

@@ -3,20 +3,10 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/timer.hpp"
 
 namespace ag::obs {
-
-namespace {
-
-void json_escape(std::ostream& os, const char* s) {
-  for (; *s; ++s) {
-    if (*s == '"' || *s == '\\') os << '\\';
-    os << *s;
-  }
-}
-
-}  // namespace
 
 Tracer::Tracer(int max_threads, std::size_t max_events_per_lane)
     : lanes_(static_cast<std::size_t>(max_threads < 1 ? 1 : max_threads)),
@@ -103,7 +93,7 @@ void Tracer::write_json(std::ostream& os) const {
     if (!first) os << ",\n";
     first = false;
     os << "{\"name\":\"" << what << "\",\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
-       << ",\"args\":{\"name\":\"" << name << "\"}}";
+       << ",\"args\":{\"name\":" << JsonWriter::quoted(name) << "}}";
   };
   // process_name / thread_name metadata make the timeline self-describing
   // in chrome://tracing and Perfetto; only lanes with events get a name.
@@ -123,9 +113,8 @@ void Tracer::write_json(std::ostream& os) const {
     for (const Event& e : l.events) {
       if (!first) os << ",\n";
       first = false;
-      os << "{\"name\":\"";
-      json_escape(os, e.name);
-      os << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << rank << ",\"ts\":" << e.t0 * 1e6
+      os << "{\"name\":" << JsonWriter::quoted(e.name)
+         << ",\"ph\":\"X\",\"pid\":0,\"tid\":" << rank << ",\"ts\":" << e.t0 * 1e6
          << ",\"dur\":" << e.dur * 1e6;
       if (e.args.any()) {
         os << ",\"args\":{";
@@ -142,9 +131,7 @@ void Tracer::write_json(std::ostream& os) const {
         for (int i = 0; i < e.args.n_extra; ++i) {
           if (!first_arg) os << ",";
           first_arg = false;
-          os << "\"";
-          json_escape(os, e.args.extra[i].key);
-          os << "\":" << e.args.extra[i].value;
+          os << JsonWriter::quoted(e.args.extra[i].key) << ":" << e.args.extra[i].value;
         }
         os << "}";
       }
@@ -158,11 +145,9 @@ void Tracer::write_json(std::ostream& os) const {
     for (const CounterEvent& c : counters_) {
       if (!first) os << ",\n";
       first = false;
-      os << "{\"name\":\"";
-      json_escape(os, c.name);
-      os << "\",\"ph\":\"C\",\"pid\":0,\"ts\":" << c.t * 1e6 << ",\"args\":{\"";
-      json_escape(os, c.name);
-      os << "\":" << c.value << "}}";
+      const std::string name = JsonWriter::quoted(c.name);
+      os << "{\"name\":" << name << ",\"ph\":\"C\",\"pid\":0,\"ts\":" << c.t * 1e6
+         << ",\"args\":{" << name << ":" << c.value << "}}";
     }
   }
   os << "]";

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "common/atomic_file.hpp"
 #include "common/json.hpp"
 #include "obs/telemetry.hpp"
 
@@ -178,16 +178,7 @@ CacheLoadStatus load_cache_file(const std::string& path, const HostFingerprint& 
 }
 
 bool write_cache_file(const std::string& path, const TuneCacheData& data) {
-  if (path.empty()) return false;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp);
-    if (!os) return false;
-    os << render_cache_json(data);
-    os.flush();
-    if (!os) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return !path.empty() && write_file_atomically(path, render_cache_json(data));
 }
 
 }  // namespace ag::tune

@@ -582,8 +582,8 @@ TEST_F(TelemetryE2E, Sigusr2DumpsMetricsAtNextCall) {
 #endif
 
 TEST_F(TelemetryE2E, ConcurrentRecordAndSnapshot) {
-  // Four recording threads race the snapshot/exposition path; the final
-  // merged state must account for every call. This is the suite
+  // Four recording threads race the snapshot and both expositions; the
+  // final merged state must account for every call. This is the suite
   // ThreadSanitizer runs against the telemetry locks and atomics.
   constexpr int kThreads = 4, kCallsPerThread = 50;
   std::atomic<bool> done{false};
@@ -599,6 +599,7 @@ TEST_F(TelemetryE2E, ConcurrentRecordAndSnapshot) {
   while (!done.load(std::memory_order_relaxed)) {
     const auto snap = obs::telemetry_snapshot();
     (void)obs::telemetry_render_json();
+    (void)obs::telemetry_render_prometheus();
     ++snapshots;
     if (snap.total_calls >= kThreads * kCallsPerThread) break;
     if (snapshots > 100000) break;  // liveness backstop
