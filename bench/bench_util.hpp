@@ -28,10 +28,12 @@ inline void emit(const ag::CliArgs& args, const ag::Table& table) {
     std::cout << table.to_text();
 }
 
-/// Parse a comma-separated --sizes list, with a default.
+/// Parse a comma-separated --sizes list (or the list of another flag),
+/// with a default.
 inline std::vector<std::int64_t> size_list(const ag::CliArgs& args,
-                                           std::vector<std::int64_t> fallback) {
-  const std::string raw = args.get("sizes", "");
+                                           std::vector<std::int64_t> fallback,
+                                           const std::string& flag = "sizes") {
+  const std::string raw = args.get(flag, "");
   if (raw.empty()) return fallback;
   std::vector<std::int64_t> out;
   std::size_t pos = 0;

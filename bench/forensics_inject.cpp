@@ -117,6 +117,9 @@ int inject_slow(ag::Context& ctx, bool to_disk) {
   reset_clean();
   ag::set_knob(ag::Knob::kDriftThreshold, 1000.0);  // keep drift out of this experiment
   ag::set_knob(ag::Knob::kSlowCallFactor, 0.0);     // no triggers while warming
+  // Keep 48^3 off the small path, in the square class of the 96^3 calls.
+  const std::int64_t small_mnk = ag::small_gemm_mnk();
+  ag::set_knob(ag::Knob::kSmallMnk, 0);
   // Prime caches and page tables, then reset so the recorded window is
   // all-warm: cold-start outliers would otherwise inflate the class p99
   // past what the slow leg can exceed.
@@ -144,6 +147,7 @@ int inject_slow(ag::Context& ctx, bool to_disk) {
   for (int i = 0; i < 12 && ag::obs::forensics_stats().slow_calls < 2; ++i)
     run_square(slow_ctx, 96, 1);
   ag::set_knob(ag::Knob::kSlowCallFactor, 0.0);
+  ag::set_knob(ag::Knob::kSmallMnk, small_mnk);
   const ag::obs::ForensicsStats s = ag::obs::forensics_stats();
   if (s.slow_calls < 2) return fail("slow-call threshold never hit twice", s);
   if (s.captures[static_cast<int>(ag::obs::ForensicsReason::kSlowCall)] != 1)

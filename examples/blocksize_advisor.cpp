@@ -3,8 +3,9 @@
 // and print the derived register block, cache blocks, occupancies and
 // prefetch distances — i.e. the paper's method as a reusable tool.
 //
-//   ./blocksize_advisor --l1=32768 --l1-assoc=4 --l2=262144 --l2-assoc=16 \
+//   ./blocksize_advisor --l1=32768 --l1-assoc=4 --l2=262144 --l2-assoc=16
 //                       --l3=8388608 --l3-assoc=16 --regs=32 --threads=8
+//   (one command line)
 #include <iostream>
 
 #include "common/cli.hpp"

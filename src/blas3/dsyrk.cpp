@@ -10,7 +10,6 @@ namespace ag {
 void dsyrk(Uplo uplo, Trans trans, std::int64_t n, std::int64_t k, double alpha,
            const double* a, std::int64_t lda, double beta, double* c, std::int64_t ldc,
            const Context& ctx) {
-  using index_t = std::int64_t;
   AG_CHECK(n >= 0 && k >= 0);
   AG_CHECK(ldc >= std::max<index_t>(1, n));
   AG_CHECK(lda >= std::max<index_t>(1, trans == Trans::NoTrans ? n : k));

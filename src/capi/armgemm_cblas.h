@@ -55,8 +55,8 @@ void cblas_dtrsm(CBLAS_ORDER order, CBLAS_SIDE side, CBLAS_UPLO uplo, CBLAS_TRAN
  * stealing across entries, and same-B entries share one packed panel per
  * batch call (see ARMGEMM_PANEL_CACHE_MB). Entries must not alias each
  * other's C; sharing A or B operands across entries is encouraged. The
- * arrays hold one element per entry. Small entries (armgemm small-mnk
- * fast path) skip the packing machinery entirely. Results are
+ * arrays hold one element per entry. Small entries (ARMGEMM_SMALL_MNK)
+ * run the unpacked small path, which packs no B. Results are
  * bitwise-identical at every thread count. */
 void armgemm_dgemm_batch(CBLAS_ORDER order, const CBLAS_TRANSPOSE* trans_a,
                          const CBLAS_TRANSPOSE* trans_b, const int64_t* m, const int64_t* n,

@@ -93,7 +93,7 @@ bool set_knob(Knob k, const KnobValue& v);
 std::string knob_text(Knob k);
 
 /// True once the environment or set_knob chose a value for the row's
-/// tune group (ARMGEMM_SMALL_MNK alone; ARMGEMM_PREA with ARMGEMM_PREB).
+/// tune group (ARMGEMM_PREA with ARMGEMM_PREB, the only group).
 bool knob_pinned(Knob k);
 
 /// The autotuner's write: stores `v` (clamped) without pinning and
@@ -106,11 +106,11 @@ bool tuner_apply(Knob k, std::int64_t v);
 /// Spin budget in microseconds before a waiter falls back to blocking.
 std::int64_t spin_wait_us();
 
-/// Small-matrix fast-path threshold T (fast path when m*n*k <= T^3).
+/// Small-path threshold T (the unpacked small path when m*n*k <= T^3).
 std::int64_t small_gemm_mnk();
 
-/// True when (m, n, k) should take the no-pack small-matrix fast path
-/// under the current threshold. Overflow-safe for any int64 dimensions.
+/// True when (m, n, k) should take the unpacked small path under the
+/// current threshold. Overflow-safe for any int64 dimensions.
 bool use_small_gemm(std::int64_t m, std::int64_t n, std::int64_t k);
 
 /// Kernel prefetch distances (bytes) ahead of the packed-A and packed-B

@@ -37,49 +37,69 @@ void scale_panel(T* c, index_t ldc, index_t m, index_t n, T beta) {
   }
 }
 
-// No-pack nest for small problems: accumulate C directly with an
-// axpy-style (j, l, i) loop order. beta is applied per column right
-// before that column's accumulation, while its line is hot (beta == 0
-// overwrites, so NaN/Inf garbage never propagates). Always serial — at
-// these sizes a fork-join costs more than the multiply.
+// The unpacked small path (m*n*k <= ARMGEMM_SMALL_MNK^3). At these sizes
+// the operands are cold and barely reused, and packing is traffic that
+// only pays through reuse (Section III), so it is skipped wherever the
+// kernel can read an operand in place. The loops are the one-rank
+// blocked path's: nc panels, kc chunks with beta on the first and 1
+// after, mc row blocks, nr column tiles outside mr row tiles, so the
+// tile grid is the blocked path's even when mc or nc is not a multiple
+// of the register block. The register kernel's strided entry reads B in
+// place at any stride and A down its columns. Only what cannot be read
+// that way is packed, with the blocked path's packer: all of op(A) when
+// it is transposed, else the partial last mr-sliver (whose padding rows
+// are zeros, as in a packed block). Edge tiles go through a local tile
+// and merge_edge_tile as in GEBP, so every C element sees the blocked
+// path's operations in its order. The region counts one read + one
+// write of C; the operands stream from the caller's buffers.
 template <typename T>
-void gemm_small_nest(Trans trans_a, Trans trans_b, index_t m, index_t n, index_t k, T alpha,
-                     const T* a, index_t lda, const T* b, index_t ldb, T beta, T* c,
-                     index_t ldc) {
-  const bool ta = trans_a != Trans::NoTrans;
-  const bool tb = trans_b != Trans::NoTrans;
-  for (index_t j = 0; j < n; ++j) {
-    T* cj = c + j * ldc;
-    if (beta == T(0)) {
-      std::fill(cj, cj + m, T(0));
-    } else if (beta != T(1)) {
-      for (index_t i = 0; i < m; ++i) cj[i] *= beta;
-    }
-    for (index_t l = 0; l < k; ++l) {
-      const T blj = tb ? b[j + l * ldb] : b[l + j * ldb];
-      if (blj == T(0)) continue;
-      const T scale = alpha * blj;
-      if (!ta) {
-        const T* al = a + l * lda;
-        for (index_t i = 0; i < m; ++i) cj[i] += scale * al[i];
-      } else {
-        for (index_t i = 0; i < m; ++i) cj[i] += scale * a[l + i * lda];
+void gemm_small(const GemmCall<T>& g, const SmallPlan<T>& plan, const obs::Sinks& sinks) {
+  obs::Region region(sinks, obs::Boundary::kSmall);
+  if (region) region.describe({}, {.bytes = static_cast<std::uint64_t>(2 * g.m * g.n) * sizeof(T)});
+  const BlockSizes& bs = plan.bs;
+  const int mr = bs.mr, nr = bs.nr;
+  AG_CHECK(mr <= kMaxMr && nr <= kMaxNr);
+  // op(B)(p, j) = b[p * rsb + j * csb].
+  const index_t rsb = g.trans_b == Trans::NoTrans ? 1 : g.ldb;
+  const index_t csb = g.trans_b == Trans::NoTrans ? g.ldb : 1;
+  thread_local AlignedBuffer<T> packed_a;  // the packed rows of op(A)
+
+  for (index_t jj = 0; jj < g.n; jj += bs.nc) {
+    const index_t nc = std::min(bs.nc, g.n - jj);
+    for (index_t kk = 0; kk < g.k; kk += bs.kc) {
+      const index_t kc = std::min(bs.kc, g.k - kk);
+      const T beta = kk == 0 ? g.beta : T(1);
+      for (index_t ii = 0; ii < g.m; ii += bs.mc) {
+        const index_t mc = std::min(bs.mc, g.m - ii);
+        // Rows [ii, ii + in_place) are read in place, the rest is packed.
+        const index_t in_place = g.trans_a == Trans::NoTrans ? mc / mr * mr : 0;
+        if (in_place < mc) {
+          packed_a.ensure(static_cast<std::size_t>(packed_a_size_t<T>(mc - in_place, kc, mr)));
+          pack_a_t(g.trans_a, g.a, g.lda, ii + in_place, kk, mc - in_place, kc, mr,
+                   packed_a.data());
+        }
+        for (index_t j0 = jj; j0 < jj + nc; j0 += nr) {
+          const int cols = static_cast<int>(std::min<index_t>(nr, jj + nc - j0));
+          const T* b = g.b + kk * rsb + j0 * csb;
+          for (index_t i0 = 0; i0 < mc; i0 += mr) {
+            const index_t rows = std::min<index_t>(mr, mc - i0);
+            const bool in = i0 < in_place;
+            const T* a =
+                in ? g.a + (ii + i0) + kk * g.lda : packed_a.data() + (i0 - in_place) * kc;
+            const index_t lda = in ? g.lda : mr;
+            T* c = g.c + (ii + i0) + j0 * g.ldc;
+            if (rows == mr && cols == nr) {
+              plan.kernel(kc, g.alpha, a, lda, b, rsb, csb, cols, beta, c, g.ldc);
+            } else {
+              alignas(64) T tile[kMaxMr * kMaxNr];
+              plan.kernel(kc, g.alpha, a, lda, b, rsb, csb, cols, T(0), tile, mr);
+              merge_edge_tile(rows, index_t{cols}, beta, tile, mr, c, g.ldc);
+            }
+          }
+        }
       }
     }
   }
-}
-
-// The no-pack fast path for small problems (m*n*k <= ARMGEMM_SMALL_MNK^3):
-// packing and the blocked loop nest cost more than they save when the
-// operands fit in cache. Its region counts one read + one write of C; the
-// operands stream straight from the caller's buffers, so there is no
-// packed traffic to account.
-template <typename T>
-void gemm_small(const GemmCall<T>& g, const obs::Sinks& sinks) {
-  obs::Region region(sinks, obs::Boundary::kSmall);
-  if (region) region.describe({}, {.bytes = static_cast<std::uint64_t>(2 * g.m * g.n) * sizeof(T)});
-  gemm_small_nest(g.trans_a, g.trans_b, g.m, g.n, g.k, g.alpha, g.a, g.lda, g.b, g.ldb, g.beta,
-                  g.c, g.ldc);
 }
 
 // Column-major blocked driver (Figure 9, pipelined): the (jj, kk) loop
@@ -352,9 +372,7 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
 
 #define AG_INSTANTIATE_DRIVER(T)                                                            \
   template void scale_panel(T*, index_t, index_t, index_t, T);                              \
-  template void gemm_small_nest(Trans, Trans, index_t, index_t, index_t, T, const T*,       \
-                                index_t, const T*, index_t, T, T*, index_t);                \
-  template void gemm_small(const GemmCall<T>&, const obs::Sinks&);                          \
+  template void gemm_small(const GemmCall<T>&, const SmallPlan<T>&, const obs::Sinks&);     \
   template void gemm_blocked(const GemmCall<T>&, const GemmPlan<T>&, PackBuffers<T>&,       \
                              ThreadPool*, int, const obs::Sinks&, const PanelSource<T>&);
 AG_INSTANTIATE_DRIVER(double)
@@ -367,13 +385,14 @@ namespace {
 
 detail::RunInfo run_dgemm(const detail::GemmCall<double>& g, const Context& ctx,
                           const obs::Sinks& sinks) {
-  return detail::run_gemm(g, ctx, sinks, [&ctx](index_t m, index_t n, index_t k) {
-    // The context's kernel + blocking, or — for a tunable context —
-    // whatever the autotuner resolved for this (precision, shape-class)
-    // key.
+  // The blocked path runs the context's kernel + blocking, or — for a
+  // tunable context — whatever the autotuner resolved for this
+  // (precision, shape-class) key.
+  const auto resolve = [&ctx](index_t m, index_t n, index_t k) {
     ExecConfig cfg = resolve_exec_config(ctx, m, n, k);
     return detail::GemmPlan<double>{cfg.kernel->fn, cfg.bs, std::move(cfg.mc_class)};
-  });
+  };
+  return detail::run_gemm(g, ctx, detail::small_plan(ctx), sinks, resolve);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //
 // Execution model (the serving-runtime counterpart of the paper's
 // single-call Figure 9 parallelization): entries are decomposed into
-// tickets — one ticket per small entry (the PR 3 no-pack fast path), a
+// tickets — one ticket per small entry (the unpacked small path), a
 // shape-dependent number of mc-aligned row-range tickets per blocked
 // entry — and all tickets of the batch are drained by the process-wide
 // PersistentPool (threading/persistent_pool). No per-entry fork/join:

@@ -13,13 +13,23 @@
 namespace ag {
 namespace {
 
+/// The blocking sgemm runs without the tuner: the kernel's defaults with
+/// the caller's explicit kc/mc/nc. The small path always runs it.
+BlockSizes untuned_block_sizes(const SMicrokernel& k, const SgemmOptions& options) {
+  BlockSizes bs = default_sgemm_block_sizes(KernelShape{k.mr, k.nr});
+  if (options.kc > 0) bs.kc = options.kc;
+  if (options.mc > 0) bs.mc = options.mc;
+  if (options.nc > 0) bs.nc = options.nc;
+  return bs;
+}
+
 detail::GemmPlan<float> resolve_plan(const SgemmOptions& options, int threads, index_t m,
                                      index_t n, index_t k_dim) {
   const SMicrokernel& k = best_smicrokernel();
   detail::GemmPlan<float> plan;
   plan.kernel = k.fn;
   BlockSizes& bs = plan.bs;
-  bs = default_sgemm_block_sizes(KernelShape{k.mr, k.nr});
+  bs = untuned_block_sizes(k, options);
   if (options.tunable && options.kc == 0 && options.mc == 0 && options.nc == 0 &&
       tune_mode() != kTuneModeOff) {
     ensure_tune_probe_runner();
@@ -33,9 +43,6 @@ detail::GemmPlan<float> resolve_plan(const SgemmOptions& options, int threads, i
     }
     tune::record_call(tune::TuneSource::kNone);
   }
-  if (options.kc > 0) bs.kc = options.kc;
-  if (options.mc > 0) bs.mc = options.mc;
-  if (options.nc > 0) bs.nc = options.nc;
   return plan;
 }
 
@@ -82,9 +89,11 @@ void sgemm(Layout layout, Trans trans_a, Trans trans_b, index_t m, index_t n, in
     return;
   }
   const int threads = std::max(1, options.threads);
+  const SMicrokernel& kernel = best_smicrokernel();
   detail::run_gemm(
       detail::GemmCall<float>{trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc},
-      caller_context(threads), {}, [&](index_t pm, index_t pn, index_t pk) {
+      caller_context(threads), {kernel.strided, untuned_block_sizes(kernel, options)}, {},
+      [&](index_t pm, index_t pn, index_t pk) {
         return resolve_plan(options, threads, pm, pn, pk);
       });
 }

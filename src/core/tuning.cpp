@@ -14,7 +14,6 @@ namespace ag {
 namespace {
 
 // Deterministic non-trivial operand fill: values in [0.25, 1), no zeros
-// (the small nest skips zero B entries — probe work must match real work)
 // and no compensating patterns the kernels could short-circuit.
 template <typename T>
 void fill_operand(T* p, std::size_t count, std::uint32_t seed) {
@@ -52,8 +51,8 @@ struct PrefetchGuard {
 
 /// Best-of-reps wall time of `fn` (one warmup call, two timed reps), as
 /// Gflops. A rep repeats a sub-20 us call enough times to span about
-/// 20 us, so the tiny shapes of the small-path crossover are timed above
-/// clock granularity and per-call jitter.
+/// 20 us, so the smallest probe shapes are timed above clock granularity
+/// and per-call jitter.
 template <typename Fn>
 double time_probe(double flops, Fn&& fn) {
   Timer warmup;
@@ -72,9 +71,8 @@ double time_probe(double flops, Fn&& fn) {
   return flops / best * 1e-9;
 }
 
-/// One probe on freshly allocated operands: the no-pack small nest for a
-/// small_path request, else the blocked driver at one rank with the
-/// candidate kernel and blocking, and no instrumentation.
+/// One probe on freshly allocated operands: the blocked driver at one
+/// rank with the candidate kernel and blocking, and no instrumentation.
 template <typename T>
 double run_probe_t(const tune::ProbeRequest& req, detail::KernelFnT<T> kernel) {
   AlignedBuffer<T> a(static_cast<std::size_t>(req.m * req.k));
@@ -87,13 +85,6 @@ double run_probe_t(const tune::ProbeRequest& req, detail::KernelFnT<T> kernel) {
                        static_cast<double>(req.k);
   const detail::GemmCall<T> g{Trans::NoTrans, Trans::NoTrans, req.m, req.n, req.k, T(1),
                               a.data(), req.m, b.data(), req.k, T(0.5), c.data(), req.m};
-
-  if (req.small_path) {
-    return time_probe(flops, [&] {
-      detail::gemm_small_nest(g.trans_a, g.trans_b, g.m, g.n, g.k, g.alpha, g.a, g.lda, g.b,
-                              g.ldb, g.beta, g.c, g.ldc);
-    });
-  }
 
   if (kernel == nullptr) return 0;
   detail::GemmPlan<T> plan;

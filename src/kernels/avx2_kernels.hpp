@@ -23,6 +23,21 @@ void avx2_microkernel_4x4(index_t kc, double alpha, const double* a, const doubl
                           index_t ldc);
 void avx2_microkernel_12x4(index_t kc, double alpha, const double* a, const double* b, double beta, double* c,
                            index_t ldc);
+
+// Strided entries (microkernel.hpp): the same FMA chain and epilogue as
+// the packed entries above, on A and B read in place.
+void avx2_microkernel_8x6_strided(index_t kc, double alpha, const double* a, index_t lda,
+                                  const double* b, index_t rsb, index_t csb, int cols,
+                                  double beta, double* c, index_t ldc);
+void avx2_microkernel_8x4_strided(index_t kc, double alpha, const double* a, index_t lda,
+                                  const double* b, index_t rsb, index_t csb, int cols,
+                                  double beta, double* c, index_t ldc);
+void avx2_microkernel_4x4_strided(index_t kc, double alpha, const double* a, index_t lda,
+                                  const double* b, index_t rsb, index_t csb, int cols,
+                                  double beta, double* c, index_t ldc);
+void avx2_microkernel_12x4_strided(index_t kc, double alpha, const double* a, index_t lda,
+                                   const double* b, index_t rsb, index_t csb, int cols,
+                                   double beta, double* c, index_t ldc);
 #endif
 
 }  // namespace ag

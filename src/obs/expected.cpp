@@ -16,8 +16,9 @@ LayerCounters expected_gemm_counters(std::int64_t m, std::int64_t n, std::int64_
   if (k <= 0) return c;
 
   // The driver's dispatch is part of the contract being modelled: shapes
-  // under the small-matrix threshold never pack, so the model predicts a
-  // single fast-path multiply and no packed-buffer traffic.
+  // under the small-path threshold run the unpacked small path, one
+  // region that also holds whatever A it packs, so the model predicts a
+  // single small-path multiply and no packed-buffer traffic.
   if (use_small_gemm(m, n, k)) {
     c.small_calls = 1;
     c.c_bytes = static_cast<std::uint64_t>(2 * m * n) * 8;  // C read + write

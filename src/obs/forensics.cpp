@@ -32,7 +32,6 @@ int telemetry_forensics_capture() { return -1; }
 ForensicsStats forensics_stats() { return {}; }
 std::string forensics_last_bundle_json() { return {}; }
 void forensics_reset() {}
-std::string forensics_summary_json(const ForensicsStats&) { return "null"; }
 void forensics_note_slow_call() {}
 
 #else
@@ -309,6 +308,15 @@ void forensics_reset() {
   f.last_top_share = 0;
 }
 
+void forensics_note_slow_call() {
+  F().slow_calls.fetch_add(1, std::memory_order_relaxed);
+}
+
+#endif  // ARMGEMM_STATS_DISABLED
+
+// Formats only the stats it is given, so both builds render the same
+// object for the same stats (all zeros when stats are compiled out), as
+// the text exposition's forensics families do.
 std::string forensics_summary_json(const ForensicsStats& s) {
   std::ostringstream os;
   os.precision(9);
@@ -330,11 +338,5 @@ std::string forensics_summary_json(const ForensicsStats& s) {
   os << "}";
   return os.str();
 }
-
-void forensics_note_slow_call() {
-  F().slow_calls.fetch_add(1, std::memory_order_relaxed);
-}
-
-#endif  // ARMGEMM_STATS_DISABLED
 
 }  // namespace ag::obs

@@ -44,14 +44,14 @@ struct LayerCounters {
   std::uint64_t pack_b_calls = 0;    // one per pack_b / pack_b_slivers call
   std::uint64_t gebp_calls = 0;      // one per GEBP block-panel multiply
   std::uint64_t kernel_calls = 0;    // register-kernel (mr x nr tile) invocations
-  std::uint64_t small_calls = 0;     // no-pack small-matrix fast-path multiplies
+  std::uint64_t small_calls = 0;     // unpacked small-path multiplies
   std::uint64_t pack_a_bytes = 0;    // bytes written into packed A buffers
   std::uint64_t pack_b_bytes = 0;    // bytes written into packed B panels
   std::uint64_t c_bytes = 0;         // C panel traffic: read + write per GEBP
   double pack_a_seconds = 0;
   double pack_b_seconds = 0;
   double gebp_seconds = 0;
-  double small_seconds = 0;          // time inside the small-matrix fast path
+  double small_seconds = 0;          // time inside the unpacked small path
   double barrier_seconds = 0;        // time ranks waited at the B-panel barrier
   double total_seconds = 0;          // wall time inside dgemm (driver thread)
   double flops = 0;                  // 2*m*n*k per call

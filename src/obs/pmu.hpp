@@ -136,7 +136,7 @@ enum class PmuLayer : int {
   kPackB,
   kGebp,
   kBarrier,
-  kSmall,  // no-pack small-matrix fast path (whole multiply, one region)
+  kSmall,  // unpacked small path (whole multiply, one region)
   kCount
 };
 inline constexpr int kPmuLayerCount = static_cast<int>(PmuLayer::kCount);

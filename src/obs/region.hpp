@@ -33,7 +33,7 @@ namespace ag::obs {
 /// kBoundarySinks.
 enum class Boundary : int {
   kCall,           // one dgemm call, on its caller's lane
-  kSmall,          // the no-pack small-matrix nest
+  kSmall,          // the unpacked small path (whole multiply)
   kPackA,          // one packed mc x kc block of A
   kPackB,          // one rank's non-empty sliver range of a kc x nc panel of B
   kGebp,           // one block-panel multiply

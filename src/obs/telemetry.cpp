@@ -1,7 +1,6 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -771,10 +770,10 @@ int telemetry_write_metrics(const std::string& path) {
 
 int telemetry_dump_flight(const std::string& path) {
   if (path.empty()) return -1;
-  std::ofstream os(path);
-  if (!os) return -1;
-  os << flight_to_json(telemetry_snapshot().flight) << "\n";
-  return os ? 0 : -1;
+  // Published like the metrics files, so a reader polling the path sees
+  // the previous array or the new one whole.
+  const std::string body = flight_to_json(telemetry_snapshot().flight) + "\n";
+  return write_file_atomically(path, body) ? 0 : -1;
 }
 
 std::uint64_t telemetry_anomaly_count() {

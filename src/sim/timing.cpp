@@ -79,8 +79,8 @@ DgemmEstimate estimate_dgemm_mnk(const model::MachineConfig& machine, const Bloc
   auto ways_split = [](double resident_bytes, double stream_bytes,
                        const model::CacheGeometry& g) {
     const double way = static_cast<double>(g.way_bytes());
-    for (int k = 1; k < g.associativity; ++k) {
-      if (stream_bytes <= k * way && resident_bytes <= (g.associativity - k) * way)
+    for (int w = 1; w < g.associativity; ++w) {
+      if (stream_bytes <= w * way && resident_bytes <= (g.associativity - w) * way)
         return true;
     }
     return false;

@@ -84,7 +84,6 @@ std::string render_cache_json(const TuneCacheData& data) {
       .key("mu").value(data.fingerprint.mu)
       .key("pi").value(data.fingerprint.pi)
       .end_object();
-  w.key("small_mnk").value(data.small_mnk);
   w.key("prea").value(data.prea);
   w.key("preb").value(data.preb);
   w.key("entries").begin_array();
@@ -129,7 +128,6 @@ CacheLoadStatus parse_cache_json(const std::string& text, const HostFingerprint&
   data.fingerprint.pi = fp["pi"].as_number();
   if (!host.compatible(data.fingerprint)) return CacheLoadStatus::kFingerprintMismatch;
 
-  data.small_mnk = static_cast<index_t>(doc["small_mnk"].as_number(-1));
   data.prea = static_cast<index_t>(doc["prea"].as_number(0));
   data.preb = static_cast<index_t>(doc["preb"].as_number(0));
 

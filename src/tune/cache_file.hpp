@@ -6,7 +6,6 @@
 //     "schema": "armgemm-tune/1",
 //     "fingerprint": {"arch": "avx2-64bit", "cores": 8,
 //                     "peak_gflops": 12.1, "mu": 8.2e-11, "pi": 1.9e-9},
-//     "small_mnk": 8,              // probed crossover; -1 = not tuned
 //     "prea": 1024, "preb": 24576, // probed prefetch; 0 = not tuned
 //     "entries": [ {per-key winners, see TunedConfig fields} ]
 //   }
@@ -50,7 +49,6 @@ HostFingerprint host_fingerprint(double peak_gflops, double mu, double pi);
 
 struct TuneCacheData {
   HostFingerprint fingerprint;
-  index_t small_mnk = -1;     // -1: crossover not tuned
   index_t prea = 0, preb = 0;  // 0: prefetch not tuned
   std::vector<TunedConfig> entries;
 };

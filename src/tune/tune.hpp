@@ -1,7 +1,9 @@
 // Closed-loop autotuner (ROADMAP item 2): per (precision, shape-class)
-// key, selects the kernel shape, the kc/mc/nc cache blocking, the
-// PREA/PREB prefetch distances, and the small-path crossover, on the
-// machine the library actually runs on.
+// key, selects the kernel shape, the kc/mc/nc cache blocking and the
+// PREA/PREB prefetch distances on the machine the library actually runs
+// on. The small-path threshold (ARMGEMM_SMALL_MNK) is not tuned: the
+// small path is bitwise equal to the blocked one, so its threshold only
+// moves speed, and it is a fixed default from a committed sweep.
 //
 // The loop, per key, on the first tunable dgemm/sgemm/batch call that
 // lands there:
@@ -92,18 +94,16 @@ struct TunedConfig {
   }
 };
 
-/// One measured probe the tuner asks core to run. Blocked probes time
-/// the uninstrumented packing + GEBP nest with the given kernel and
-/// blocking; small_path probes time the no-pack axpy nest instead (the
-/// crossover search). prea/preb >= 0 ask the runner to apply those
-/// prefetch distances for the duration of the probe.
+/// One measured probe the tuner asks core to run: the uninstrumented
+/// packing + GEBP nest with the given kernel and blocking. prea/preb >= 0
+/// ask the runner to apply those prefetch distances for the duration of
+/// the probe.
 struct ProbeRequest {
   Precision precision = Precision::kF64;
   index_t m = 0, n = 0, k = 0;
   const Microkernel* kernel = nullptr;  // f64 blocked probes
   int mr = 8, nr = 6;
   index_t kc = 256, mc = 64, nc = 4096;
-  bool small_path = false;
   index_t prea = -1, preb = -1;
 };
 

@@ -102,8 +102,7 @@ struct Tuner {
   bool model_ready = false;
   double peak_gflops = 0, mu = 0, pi = 0;
   HostFingerprint fingerprint;
-  bool knobs_applied = false;  // small_mnk / prefetch applied once per process
-  bool crossover_probed = false;
+  bool knobs_applied = false;  // prefetch applied once per process
   bool prefetch_probed = false;
 
   double budget_spent_ms() const {
@@ -193,14 +192,12 @@ void ensure_cache_loaded(Tuner& t) {
   }
 }
 
-// Applies the cache's whole-process knobs (crossover, prefetch) once.
-// Explicitly pinned knobs (env / set_knob) always win — tuner_apply is a
-// no-op then.
+// Applies the cache's whole-process knobs (prefetch) once. Explicitly
+// pinned knobs (env / set_knob) always win — tuner_apply is a no-op then.
 void apply_process_knobs(Tuner& t) {
   if (t.knobs_applied) return;
   t.knobs_applied = true;
   if (tune_mode() != kTuneModeOn) return;
-  if (t.cache.small_mnk >= 0) tuner_apply(Knob::kSmallMnk, t.cache.small_mnk);
   if (t.cache.prea > 0 && t.cache.preb > 0) {
     tuner_apply(Knob::kPrea, t.cache.prea);
     tuner_apply(Knob::kPreb, t.cache.preb);
@@ -345,39 +342,8 @@ int probe_best(Tuner& t, Precision precision, index_t m, index_t n, index_t k,
   return best;
 }
 
-// One-shot whole-process searches that ride the first f64 tune session.
-
-// Small-path crossover: the largest cube where the no-pack nest beats
-// the blocked nest. Result clamped to a conservative range — the
-// crossover is shallow and a runaway threshold would reroute shapes that
-// tests and callers expect on the blocked path.
-void tune_crossover(Tuner& t, const Candidate& blocked) {
-  if (t.crossover_probed || tune_mode() != kTuneModeOn) return;
-  t.crossover_probed = true;
-  if (knob_pinned(Knob::kSmallMnk)) return;
-  index_t winner = -1;
-  for (index_t s = 4; s <= 12; s += 2) {
-    if (t.budget_remaining_ms() <= 0) break;
-    ProbeRequest small_req;
-    small_req.precision = Precision::kF64;
-    small_req.m = small_req.n = small_req.k = s;
-    small_req.small_path = true;
-    const double small_gflops = run_probe_timed(t, small_req);
-    const double blocked_gflops =
-        run_probe_timed(t, blocked_request(Precision::kF64, s, s, s, blocked));
-    if (small_gflops <= 0 || blocked_gflops <= 0) break;
-    if (small_gflops >= blocked_gflops)
-      winner = s;
-    else if (winner >= 0)
-      break;  // past the crossover
-  }
-  if (winner >= 0) {
-    t.cache.small_mnk = winner;
-    tuner_apply(Knob::kSmallMnk, winner);
-  }
-}
-
-// Prefetch distances: a small grid over PREA x PREB on the winning
+// Prefetch distances, a one-shot whole-process search that rides the
+// first f64 tune session: a small grid over PREA x PREB on the winning
 // blocked candidate. Perf-only knobs, so probing and applying them never
 // changes numerics.
 void tune_prefetch(Tuner& t, index_t m, index_t n, index_t k, const Candidate& best) {
@@ -457,7 +423,7 @@ const TunedConfig* tune_key(Tuner& t, Precision precision, int kind, int decade)
   probe_dims(kind, decade, &pm, &pn, &pk);
 
   // Measure. Small-kind keys skip blocked probing entirely: calls there
-  // take the no-pack path, the blocked config is a formality.
+  // take the small path, the blocked config is a formality.
   if (mode == kTuneModeOn && !small_kind && t.budget_remaining_ms() > 0) {
     std::vector<double> scores;
     const int best = probe_best(t, precision, pm, pn, pk, cands, &scores);
@@ -490,9 +456,8 @@ const TunedConfig* tune_key(Tuner& t, Precision precision, int kind, int decade)
   cfg->gflops = winner_gflops;
   cfg->source = winner_gflops > 0 ? TuneSource::kProbed : TuneSource::kAnalytic;
 
-  // Whole-process one-shot searches ride the first probed f64 session.
+  // The whole-process one-shot search rides the first probed f64 session.
   if (precision == Precision::kF64 && winner_gflops > 0 && !small_kind) {
-    tune_crossover(t, won);
     tune_prefetch(t, pm, pn, pk, won);
     cfg->prea = t.cache.prea;
     cfg->preb = t.cache.preb;
@@ -611,12 +576,10 @@ void force_retune() {
   for (auto& slot : t.table) slot.store(nullptr, std::memory_order_release);
   for (auto& flag : t.pending_invalidate) flag.store(false, std::memory_order_relaxed);
   t.cache.entries.clear();
-  t.cache.small_mnk = -1;
   t.cache.prea = 0;
   t.cache.preb = 0;
   t.cache_loaded = true;  // keep: do NOT re-read the stale file
   t.knobs_applied = true;
-  t.crossover_probed = false;
   t.prefetch_probed = false;
   counters().cache_entries_loaded.store(0, std::memory_order_relaxed);
 }

@@ -26,6 +26,7 @@
 #include "model/perf_model.hpp"
 #include "obs/forensics.hpp"
 #include "obs/telemetry.hpp"
+#include "scoped_knobs.hpp"
 
 namespace {
 
@@ -122,6 +123,8 @@ class ForensicsTest : public ::testing::Test {
  private:
   std::string prev_metrics_, prev_dir_;
   double prev_interval_ = 60.0, prev_factor_ = 8.0, prev_drift_ = 0.25;
+  // 48^3 warms the square class the 96^3 slow calls land in.
+  agtest::ScopedKnob blocked_path_{ag::Knob::kSmallMnk, 0};
 };
 
 TEST_F(ForensicsTest, InjectedDriftProducesOneSchemaValidBundle) {

@@ -7,6 +7,7 @@
 #include "blas/reference_gemm.hpp"
 #include "common/matrix.hpp"
 #include "core/gemm.hpp"
+#include "scoped_knobs.hpp"
 
 using ag::Context;
 using ag::index_t;
@@ -45,14 +46,19 @@ INSTANTIATE_TEST_SUITE_P(Counts, ThreadCounts, ::testing::Values(2, 3, 4, 8));
 
 TEST(ParallelGemm, MoreThreadsThanBlocks) {
   // M smaller than one mc block: most threads have no work.
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   check_parallel(16, 64, 32, 8);
   check_parallel(9, 30, 20, 8);
 }
 
-TEST(ParallelGemm, SingleRowFallsBackToSerial) { check_parallel(1, 50, 50, 4); }
+TEST(ParallelGemm, SingleRowFallsBackToSerial) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
+  check_parallel(1, 50, 50, 4);
+}
 
 TEST(ParallelGemm, MultiplePanelsExerciseBarriers) {
   // k and n larger than kc/nc force several pack-B phases with barriers.
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   Context ctx(ag::KernelShape{4, 4}, 4);
   ag::BlockSizes bs;
   bs.mr = 4;
@@ -96,6 +102,7 @@ TEST(ParallelGemm, TransposesUnderThreads) {
 
 TEST(ParallelGemm, RepeatedCallsReusePool) {
   // The context's pool persists across calls; repeated use must stay correct.
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   Context ctx(ag::KernelShape{8, 6}, 4);
   for (int rep = 0; rep < 5; ++rep) {
     auto a = ag::random_matrix(64, 32, 500 + rep);

@@ -9,6 +9,7 @@
 #include "blas/reference_gemm.hpp"
 #include "common/matrix.hpp"
 #include "core/gemm.hpp"
+#include "scoped_knobs.hpp"
 
 using ag::Context;
 using ag::index_t;
@@ -102,6 +103,7 @@ TEST(SerialGemm, RowMajor) {
 
 TEST(SerialGemm, CrossesEveryBlockingBoundary) {
   // Small custom block sizes make a modest matrix exercise all layers.
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   Context ctx(ag::KernelShape{4, 4}, 1);
   ag::BlockSizes bs;
   bs.mr = 4;

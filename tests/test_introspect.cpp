@@ -555,6 +555,8 @@ class TelemetryIntrospect : public ::testing::Test {
   }
 
   std::string saved_metrics_path_;
+  // The 48^3 batches run blocked tickets, so the panel cache sees them.
+  agtest::ScopedKnob blocked_path_{ag::Knob::kSmallMnk, 0};
 };
 
 TEST_F(TelemetryIntrospect, PrometheusExposesSchedulerAndCacheFamilies) {
@@ -680,6 +682,38 @@ TEST_F(TelemetryIntrospect, WriteMetricsPublishesAtomically) {
 
   std::remove(path.c_str());
   std::remove((path + ".json").c_str());
+}
+
+TEST_F(TelemetryIntrospect, FlightDumpPublishesAtomically) {
+  Context ctx(ag::KernelShape{8, 6}, 1);
+  const index_t s = 32;
+  auto a = ag::random_matrix(s, s, 1);
+  auto b = ag::random_matrix(s, s, 2);
+  auto c = ag::random_matrix(s, s, 3);
+  for (int i = 0; i < 3; ++i)
+    ag::dgemm(ag::Layout::ColMajor, ag::Trans::NoTrans, ag::Trans::NoTrans, s, s, s, 1.0,
+              a.data(), s, b.data(), s, 0.0, c.data(), s, ctx);
+  const std::string path = "introspect_flight.json";
+  {
+    std::ofstream stale(path);  // an earlier dump to publish over
+    stale << "[{\"torn\":";
+  }
+  for (int publish = 0; publish < 2; ++publish) {
+    ASSERT_EQ(obs::telemetry_dump_flight(path), 0);
+    // No staging file is left, and the published array is whole.
+    std::ifstream tmp(path + ".tmp");
+    EXPECT_FALSE(tmp.good()) << "staging file left behind";
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::string err;
+    const auto doc = ag::JsonValue::parse(buf.str(), &err);
+    ASSERT_TRUE(err.empty()) << err;
+    ASSERT_TRUE(doc.is_array());
+    EXPECT_GE(doc.items().size(), 3u);
+  }
+  std::remove(path.c_str());
 }
 
 TEST_F(TelemetryIntrospect, CapiSnapshotGetters) {

@@ -63,6 +63,7 @@ void expect_counts_match(const ag::obs::LayerCounters& got, const ag::obs::Layer
 
 TEST(ObsStats, ExactCountersOnTinyShapes) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
   const ag::BlockSizes bs = tiny_blocks(8, 6);
   ctx.set_block_sizes(bs);
@@ -271,6 +272,7 @@ TEST(ObsStats, TracerRecordsRegionsAndEmitsChromeTraceJson) {
 
 TEST(ObsStats, ReportTablesRender) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   ag::Context ctx(ag::KernelShape{8, 6}, 1);
   const ag::BlockSizes bs = tiny_blocks(8, 6);
   ctx.set_block_sizes(bs);

@@ -21,6 +21,7 @@
 #include "core/sgemm.hpp"
 #include "kernels/sgemm_kernels.hpp"
 #include "scoped_knobs.hpp"
+#include "strided_check.hpp"
 
 using ag::index_t;
 
@@ -74,6 +75,15 @@ TEST(SKernels, AllMatchScalarReference) {
         }
       }
     }
+  }
+}
+
+// The strided entry of each float kernel stores exactly the bits of its
+// packed entry (the f32 half of AllKernels.StridedEntryMatchesPackedBitwise).
+TEST(SKernels, StridedEntryMatchesPackedBitwise) {
+  for (const auto& k : ag::all_smicrokernels()) {
+    ASSERT_NE(k.strided, nullptr) << k.name;
+    agtest::check_strided_matches_packed<float>(k.name, k.mr, k.nr, k.fn, k.strided);
   }
 }
 

@@ -46,7 +46,6 @@ HostFingerprint test_host() { return ag::tune::host_fingerprint(10.0, 1e-10, 1e-
 TuneCacheData sample_cache() {
   TuneCacheData data;
   data.fingerprint = test_host();
-  data.small_mnk = 8;
   data.prea = 1024;
   data.preb = 24576;
   TunedConfig e;
@@ -79,9 +78,10 @@ void write_text(const std::string& path, const std::string& text) {
 }
 
 // Pins mode/model/probe runner for the tuner-level tests and resets the
-// key table so each test starts from its own cold state. Knob guards
-// (small-mnk, prefetch) pin the process knobs, so the fake probe session
-// cannot leak a tuned crossover or prefetch distance into other tests.
+// key table so each test starts from its own cold state. The small-mnk
+// guard keeps every test shape off the small kind; the prefetch guards
+// pin the process knobs, so the fake probe session cannot leak a tuned
+// prefetch distance into other tests.
 struct TunerFixture {
   agtest::ScopedKnob small{ag::Knob::kSmallMnk, 0};
   agtest::ScopedKnob prea{ag::Knob::kPrea, 1024};
@@ -111,7 +111,6 @@ TEST(TuneCache, RoundTripPreservesEntries) {
   ASSERT_EQ(ag::tune::parse_cache_json(text, test_host(), &back, &rejected),
             CacheLoadStatus::kOk);
   EXPECT_EQ(rejected, 0u);
-  EXPECT_EQ(back.small_mnk, 8);
   EXPECT_EQ(back.prea, 1024);
   EXPECT_EQ(back.preb, 24576);
   ASSERT_EQ(back.entries.size(), 1u);
