@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "common/math_util.hpp"
+
 namespace ag {
 
 namespace {
@@ -22,12 +24,13 @@ constexpr KnobRow kRows[kKnobCount] = {
     // env                           type       default  min  open   tune group
     {"ARMGEMM_SPIN_US",              kInt,      "50",     0, false, 0},
     // The unpacked small path stores the untuned blocked path's bits, so
-    // this threshold moves only speed and nothing tunes it. 50 is the
-    // largest n at which the serial small path beat the 4-thread blocked
-    // path, on calls of volume n^3 in mixed shapes and transposes with
-    // operands out of L2, in each of three sweeps on a 4-vCPU AVX2 host:
-    // `bench/fig14_thread_scaling --native=40,42,...,60` (EXPERIMENTS.md).
-    {"ARMGEMM_SMALL_MNK",            kInt,      "50",     0, false, 0},
+    // this threshold moves only speed and nothing tunes it. Above 50^3
+    // the small path runs on the context's ranks. 224 is the median of
+    // three sweeps' crossover against the 4-thread blocked path, on calls
+    // of volume n^3 in mixed shapes and transposes with operands out of
+    // L2, on a 4-vCPU AVX2 host: `bench/fig14_thread_scaling
+    // --native=64,96,...,320` (EXPERIMENTS.md).
+    {"ARMGEMM_SMALL_MNK",            kInt,      "224",    0, false, 0},
     // Paper Table III / Figure 8: the tuned prfm distances of the 8x6
     // kernel. The tuner probes the two together, so they pin together.
     {"ARMGEMM_PREA",                 kInt,      "1024",   0, false, 1},
@@ -404,15 +407,7 @@ std::int64_t cross_node_steal_threshold() { return int_knob(Knob::kCrossNodeStea
 
 bool use_small_gemm(std::int64_t m, std::int64_t n, std::int64_t k) {
   const std::int64_t t = small_gemm_mnk();
-  if (t <= 0 || m <= 0 || n <= 0 || k <= 0) return false;
-  // Decide m*n*k <= t^3 without overflow. For t >= 2^21, t^3 exceeds
-  // int64 range, so every representable product qualifies.
-  if (t >= (std::int64_t{1} << 21)) return true;
-  const std::int64_t t3 = t * t * t;
-  if (m > t3) return false;
-  if (n > t3 / m) return false;  // m*n > t3 implies the product does too
-  const std::int64_t mn = m * n;
-  return k <= t3 / mn;  // exact: k > floor(t3/mn) <=> k*mn > t3
+  return t > 0 && m > 0 && n > 0 && k > 0 && volume_at_most(m, n, k, t);
 }
 
 }  // namespace ag

@@ -29,6 +29,18 @@ constexpr T round_down(T a, T b) {
   return (a / b) * b;
 }
 
+/// True when m*n*k <= t^3, for positive m, n, k and t, without overflow
+/// at any int64 value.
+constexpr bool volume_at_most(std::int64_t m, std::int64_t n, std::int64_t k, std::int64_t t) {
+  // For t >= 2^21, t^3 exceeds int64 range, so every representable
+  // product qualifies.
+  if (t >= (std::int64_t{1} << 21)) return true;
+  const std::int64_t t3 = t * t * t;
+  if (m > t3) return false;
+  if (n > t3 / m) return false;  // m*n > t3 implies the product does too
+  return k <= t3 / (m * n);      // exact: k > floor(t3/mn) <=> k*mn > t3
+}
+
 constexpr bool is_pow2(std::uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 
 /// log2 of a power of two.

@@ -37,69 +37,125 @@ void scale_panel(T* c, index_t ldc, index_t m, index_t n, T beta) {
   }
 }
 
-// The unpacked small path (m*n*k <= ARMGEMM_SMALL_MNK^3). At these sizes
-// the operands are cold and barely reused, and packing is traffic that
-// only pays through reuse (Section III), so it is skipped wherever the
-// kernel can read an operand in place. The loops are the one-rank
-// blocked path's: nc panels, kc chunks with beta on the first and 1
-// after, mc row blocks, nr column tiles outside mr row tiles, so the
-// tile grid is the blocked path's even when mc or nc is not a multiple
-// of the register block. The register kernel's strided entry reads B in
-// place at any stride and A down its columns. Only what cannot be read
-// that way is packed, with the blocked path's packer: all of op(A) when
-// it is transposed, else the partial last mr-sliver (whose padding rows
-// are zeros, as in a packed block). Edge tiles go through a local tile
-// and merge_edge_tile as in GEBP, so every C element sees the blocked
-// path's operations in its order. The region counts one read + one
-// write of C; the operands stream from the caller's buffers.
+namespace {
+
+// One kc chunk of the unpacked small path over the mc rows of C at `ii`
+// and the nr tiles of columns [j0, j1), which start on a tile of their nc
+// panel and end on one or at the panel's end. The register kernel's
+// strided entry reads B in place at any stride and A down its columns.
+// Only what cannot be read that way is packed, with the blocked path's
+// packer: all of op(A) when it is transposed, else the partial last
+// mr-sliver (whose padding rows are zeros, as in a packed block). Edge
+// tiles go through a local tile and merge_edge_tile as in GEBP.
 template <typename T>
-void gemm_small(const GemmCall<T>& g, const SmallPlan<T>& plan, const obs::Sinks& sinks) {
-  obs::Region region(sinks, obs::Boundary::kSmall);
-  if (region) region.describe({}, {.bytes = static_cast<std::uint64_t>(2 * g.m * g.n) * sizeof(T)});
-  const BlockSizes& bs = plan.bs;
-  const int mr = bs.mr, nr = bs.nr;
-  AG_CHECK(mr <= kMaxMr && nr <= kMaxNr);
+void small_block(const GemmCall<T>& g, const SmallPlan<T>& plan, index_t ii, index_t mc,
+                 index_t kk, index_t kc, index_t j0, index_t j1) {
+  const int mr = plan.bs.mr, nr = plan.bs.nr;
   // op(B)(p, j) = b[p * rsb + j * csb].
   const index_t rsb = g.trans_b == Trans::NoTrans ? 1 : g.ldb;
   const index_t csb = g.trans_b == Trans::NoTrans ? g.ldb : 1;
+  const T beta = kk == 0 ? g.beta : T(1);
   thread_local AlignedBuffer<T> packed_a;  // the packed rows of op(A)
-
-  for (index_t jj = 0; jj < g.n; jj += bs.nc) {
-    const index_t nc = std::min(bs.nc, g.n - jj);
-    for (index_t kk = 0; kk < g.k; kk += bs.kc) {
-      const index_t kc = std::min(bs.kc, g.k - kk);
-      const T beta = kk == 0 ? g.beta : T(1);
-      for (index_t ii = 0; ii < g.m; ii += bs.mc) {
-        const index_t mc = std::min(bs.mc, g.m - ii);
-        // Rows [ii, ii + in_place) are read in place, the rest is packed.
-        const index_t in_place = g.trans_a == Trans::NoTrans ? mc / mr * mr : 0;
-        if (in_place < mc) {
-          packed_a.ensure(static_cast<std::size_t>(packed_a_size_t<T>(mc - in_place, kc, mr)));
-          pack_a_t(g.trans_a, g.a, g.lda, ii + in_place, kk, mc - in_place, kc, mr,
-                   packed_a.data());
-        }
-        for (index_t j0 = jj; j0 < jj + nc; j0 += nr) {
-          const int cols = static_cast<int>(std::min<index_t>(nr, jj + nc - j0));
-          const T* b = g.b + kk * rsb + j0 * csb;
-          for (index_t i0 = 0; i0 < mc; i0 += mr) {
-            const index_t rows = std::min<index_t>(mr, mc - i0);
-            const bool in = i0 < in_place;
-            const T* a =
-                in ? g.a + (ii + i0) + kk * g.lda : packed_a.data() + (i0 - in_place) * kc;
-            const index_t lda = in ? g.lda : mr;
-            T* c = g.c + (ii + i0) + j0 * g.ldc;
-            if (rows == mr && cols == nr) {
-              plan.kernel(kc, g.alpha, a, lda, b, rsb, csb, cols, beta, c, g.ldc);
-            } else {
-              alignas(64) T tile[kMaxMr * kMaxNr];
-              plan.kernel(kc, g.alpha, a, lda, b, rsb, csb, cols, T(0), tile, mr);
-              merge_edge_tile(rows, index_t{cols}, beta, tile, mr, c, g.ldc);
-            }
-          }
-        }
+  // Rows [ii, ii + in_place) are read in place, the rest is packed.
+  const index_t in_place = g.trans_a == Trans::NoTrans ? mc / mr * mr : 0;
+  if (in_place < mc) {
+    packed_a.ensure(static_cast<std::size_t>(packed_a_size_t<T>(mc - in_place, kc, mr)));
+    pack_a_t(g.trans_a, g.a, g.lda, ii + in_place, kk, mc - in_place, kc, mr, packed_a.data());
+  }
+  for (index_t j = j0; j < j1; j += nr) {
+    const int cols = static_cast<int>(std::min<index_t>(nr, j1 - j));
+    const T* b = g.b + kk * rsb + j * csb;
+    for (index_t i0 = 0; i0 < mc; i0 += mr) {
+      const index_t rows = std::min<index_t>(mr, mc - i0);
+      const bool in = i0 < in_place;
+      const T* a = in ? g.a + (ii + i0) + kk * g.lda : packed_a.data() + (i0 - in_place) * kc;
+      const index_t lda = in ? g.lda : mr;
+      T* c = g.c + (ii + i0) + j * g.ldc;
+      if (rows == mr && cols == nr) {
+        plan.kernel(kc, g.alpha, a, lda, b, rsb, csb, cols, beta, c, g.ldc);
+      } else {
+        alignas(64) T tile[kMaxMr * kMaxNr];
+        plan.kernel(kc, g.alpha, a, lda, b, rsb, csb, cols, T(0), tile, mr);
+        merge_edge_tile(rows, index_t{cols}, beta, tile, mr, c, g.ldc);
       }
     }
   }
+}
+
+// The small path's tickets. Ticket t is one mc row block of C by one run
+// of nr tiles inside one nc panel: a union of the blocked path's tiles.
+// Every row block of every panel is at least one ticket; when several
+// ranks would get fewer than two each, each panel's tiles are split into
+// enough runs to reach two per rank, at most one run per tile. Row blocks
+// vary fastest.
+class SmallTickets {
+ public:
+  struct Ticket {
+    index_t ii, mc, j0, j1;
+  };
+
+  SmallTickets(index_t m, index_t n, const BlockSizes& bs, int ranks)
+      : m_(m), n_(n), bs_(bs), rows_(ceil_div(m, bs.mc)), panels_(ceil_div(n, bs.nc)) {
+    const index_t blocks = rows_ * panels_;
+    const index_t want = 2 * index_t{ranks};
+    runs_ = ranks == 1 || blocks >= want ? 1 : ceil_div(want, blocks);
+    per_panel_ = rows_ * runs_in(0);
+  }
+
+  index_t count() const { return (panels_ - 1) * per_panel_ + rows_ * runs_in(panels_ - 1); }
+
+  Ticket at(index_t t) const {
+    const index_t p = t / per_panel_, local = t - p * per_panel_;
+    const index_t jj = p * bs_.nc, width = std::min(bs_.nc, n_ - jj);
+    const Range tiles = partition_range(ceil_div(width, index_t{bs_.nr}),
+                                        static_cast<int>(runs_in(p)),
+                                        static_cast<int>(local / rows_), 1);
+    const index_t ii = local % rows_ * bs_.mc;
+    return {ii, std::min(bs_.mc, m_ - ii), jj + tiles.begin * bs_.nr,
+            std::min(jj + tiles.end * bs_.nr, jj + width)};
+  }
+
+ private:
+  // Column runs in panel p: runs_, or one per tile of a narrower panel.
+  index_t runs_in(index_t p) const {
+    return std::min(runs_, ceil_div(std::min(bs_.nc, n_ - p * bs_.nc), index_t{bs_.nr}));
+  }
+
+  index_t m_, n_;
+  const BlockSizes& bs_;
+  index_t rows_, panels_, runs_ = 1, per_panel_ = 0;
+};
+
+}  // namespace
+
+// The unpacked small path (m*n*k <= ARMGEMM_SMALL_MNK^3). At these sizes
+// the operands are cold and barely reused, and packing is traffic that
+// only pays through reuse (Section III), so it is skipped wherever the
+// kernel can read an operand in place. The tile grid is the blocked
+// path's (mc row blocks and nr column tiles inside nc panels, even when
+// mc or nc is not a multiple of the register block), cut into
+// SmallTickets; each ticket runs its kc chunks in order, beta on the
+// first and 1 after, with no packed B, no shared buffer and no barrier.
+// So every C element sees the blocked path's operations in its order,
+// whichever rank runs its ticket. Without a pool the caller runs one
+// ticket per row block and panel. The region, on the caller, counts one
+// read + one write of C; the operands stream from the caller's buffers.
+template <typename T>
+int gemm_small(const GemmCall<T>& g, const SmallPlan<T>& plan, const obs::Sinks& sinks,
+               ThreadPool* pool) {
+  obs::Region region(sinks, obs::Boundary::kSmall);
+  if (region) region.describe({}, {.bytes = static_cast<std::uint64_t>(2 * g.m * g.n) * sizeof(T)});
+  const BlockSizes& bs = plan.bs;
+  AG_CHECK(bs.mr <= kMaxMr && bs.nr <= kMaxNr);
+  const SmallTickets cut(g.m, g.n, bs, pool != nullptr ? pool->num_threads() : 1);
+  const auto ticket = [&](std::int64_t t) {
+    const SmallTickets::Ticket tk = cut.at(t);
+    for (index_t kk = 0; kk < g.k; kk += bs.kc)
+      small_block(g, plan, tk.ii, tk.mc, kk, std::min(bs.kc, g.k - kk), tk.j0, tk.j1);
+  };
+  if (pool != nullptr) return pool->run_tickets(ticket, cut.count());
+  for (index_t t = 0; t < cut.count(); ++t) ticket(t);
+  return 1;
 }
 
 // Column-major blocked driver (Figure 9, pipelined): the (jj, kk) loop
@@ -372,7 +428,8 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
 
 #define AG_INSTANTIATE_DRIVER(T)                                                            \
   template void scale_panel(T*, index_t, index_t, index_t, T);                              \
-  template void gemm_small(const GemmCall<T>&, const SmallPlan<T>&, const obs::Sinks&);     \
+  template int gemm_small(const GemmCall<T>&, const SmallPlan<T>&, const obs::Sinks&,       \
+                          ThreadPool*);                                                     \
   template void gemm_blocked(const GemmCall<T>&, const GemmPlan<T>&, PackBuffers<T>&,       \
                              ThreadPool*, int, const obs::Sinks&, const PanelSource<T>&);
 AG_INSTANTIATE_DRIVER(double)

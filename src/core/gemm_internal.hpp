@@ -18,6 +18,7 @@
 
 #include "blas/gemm_types.hpp"
 #include "common/knobs.hpp"
+#include "common/math_util.hpp"
 #include "core/block_sizes.hpp"
 #include "core/context.hpp"
 #include "core/schedule.hpp"
@@ -104,14 +105,18 @@ struct RunInfo {
 template <typename T>
 void scale_panel(T* c, index_t ldc, index_t m, index_t n, T beta);
 
-/// The unpacked small path, serial, inside one obs::Region: the blocked
-/// path's tile loops and kc chunks with the register kernel's strided
+/// The unpacked small path inside one obs::Region on the caller: the
+/// blocked path's tiles and kc chunks with the register kernel's strided
 /// entry reading A and B in place. Only op(A) that is not column-
 /// contiguous, and the partial last mr-sliver of A, are packed (mc rows
-/// at a time); B is never packed. Output is bitwise equal to the blocked
-/// path's with plan.bs.kc.
+/// at a time); B is never packed. Serial without a pool; with one, the
+/// tiles are cut into about two tickets per pool rank (an mc row block by
+/// a run of nr tiles in one nc panel each) that run through
+/// ThreadPool::run_tickets. Output is bitwise equal to the blocked path's
+/// with plan.bs.kc either way. Returns the ranks that ran a ticket.
 template <typename T>
-void gemm_small(const GemmCall<T>& g, const SmallPlan<T>& plan, const obs::Sinks& sinks);
+int gemm_small(const GemmCall<T>& g, const SmallPlan<T>& plan, const obs::Sinks& sinks,
+               ThreadPool* pool = nullptr);
 
 /// The Figure 9 blocked driver on `ranks` ranks: rank 0 is the caller and
 /// ranks > 1 run on `pool`. At one rank there is no pool, no barrier and
@@ -122,20 +127,30 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
                   ThreadPool* pool, int ranks, const obs::Sinks& sinks,
                   const PanelSource<T>& panel_source = {});
 
+/// Small calls with m*n*k at or below kSerialSmallMnk^3 run on the
+/// caller alone, and never touch the pool, at any thread count. 50 is
+/// where the one-rank small path tied the nproc-rank blocked path on a
+/// 4-vCPU AVX2 host (`bench/fig14_thread_scaling --native`,
+/// EXPERIMENTS.md): below it, waking workers costs more than they save.
+inline constexpr index_t kSerialSmallMnk = 50;
+
 /// Runs one column-major call with m, n, k > 0 and alpha != 0: the
-/// unpacked small path when use_small_gemm says so, else the blocked
-/// driver on up to ctx.threads() ranks, clamped to the blocks the widest
-/// panel offers (surplus ranks would only add barrier traffic; one block
-/// runs serially). `resolve(m, n, k)` returns the GemmPlan and is called
-/// only on the blocked path, so a small call never consults the tuner,
-/// borrows scratch or starts the pool.
+/// unpacked small path when use_small_gemm says so, on ctx's ranks above
+/// the serial floor, else gemm_blocked on up to ctx.threads() ranks,
+/// clamped to the blocks the widest panel offers (surplus ranks would
+/// only add barrier traffic; one block runs serially). `resolve(m, n, k)`
+/// returns the GemmPlan and is called only on the blocked path, so a
+/// small call never consults the tuner or borrows scratch.
+/// RunInfo::threads is the ranks that ran: on the small path, the ranks
+/// that ran at least one ticket.
 template <typename T, typename Resolve>
 RunInfo run_gemm(const GemmCall<T>& g, const Context& ctx, const SmallPlan<T>& small,
                  const obs::Sinks& sinks, Resolve&& resolve) {
   RunInfo info;
   info.bs = small.bs;
   if (use_small_gemm(g.m, g.n, g.k)) {
-    gemm_small(g, small, sinks);
+    const bool spread = ctx.threads() > 1 && !volume_at_most(g.m, g.n, g.k, kSerialSmallMnk);
+    info.threads = gemm_small(g, small, sinks, spread ? &ctx.pool() : nullptr);
     info.schedule = obs::ScheduleKind::kSmall;
     return info;
   }

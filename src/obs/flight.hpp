@@ -21,6 +21,10 @@ namespace ag::obs {
 
 /// How the driver executed a call (core/gemm.cpp dispatch; kBatch marks
 /// one entry of a dgemm_batch call run through the persistent queue).
+/// kSmall is the unpacked small path: serial up to 50^3, above it on the
+/// context's ranks, where a record's `threads` counts the ranks that ran
+/// at least one of the call's tickets, so efficiency and expected Gflops
+/// price the ranks that did the work.
 enum class ScheduleKind : int { kSmall = 0, kSerial, kParallel, kBatch, kCount };
 const char* to_string(ScheduleKind k);
 
@@ -28,7 +32,7 @@ const char* to_string(ScheduleKind k);
 struct CallRecord {
   double t = 0;  // seconds since the telemetry epoch (enable/reset)
   std::int64_t m = 0, n = 0, k = 0;
-  int threads = 1;          // context thread count the call ran under
+  int threads = 1;          // ranks that ran the call (kSmall: ranks that ran a ticket)
   ScheduleKind schedule = ScheduleKind::kSerial;
   int shape_class = 0;      // ShapeClass::index()
   double seconds = 0;       // wall time of the call

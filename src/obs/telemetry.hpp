@@ -57,12 +57,14 @@ namespace ag::obs {
 
 /// Coarse call-shape kinds. kSmall tracks the driver's small-path
 /// dispatch (common/knobs use_small_gemm, a fixed threshold nothing
-/// writes at run time); kSkinny/kSquare/kLarge
-/// split on aspect ratio and problem volume. kBatch is never produced by
-/// classify(): entries of a dgemm_batch call land there explicitly (via
-/// telemetry_record_batch_entry) so serving traffic through the
-/// persistent queue is distinguishable from loose calls of the same
-/// shape.
+/// writes at run time): calls up to ARMGEMM_SMALL_MNK^3, which above 50^3
+/// run on several ranks and record the ranks that ran a ticket as their
+/// threads. kSkinny/kSquare/kLarge split the rest on aspect ratio and
+/// problem volume, so kSquare holds only calls above the threshold.
+/// kBatch is never produced by classify(): entries of a dgemm_batch call
+/// land there explicitly (via telemetry_record_batch_entry) so serving
+/// traffic through the persistent queue is distinguishable from loose
+/// calls of the same shape.
 enum class ShapeKind : int { kSmall = 0, kSkinny, kSquare, kLarge, kBatch, kCount };
 inline constexpr int kShapeKindCount = static_cast<int>(ShapeKind::kCount);
 const char* to_string(ShapeKind k);

@@ -7,6 +7,7 @@
 // with the thread count, which would legitimately change the result.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -67,19 +68,23 @@ TEST(GemmDeterminism, BitwiseIdenticalAcrossRunsAndThreadCounts) {
 }
 
 TEST(GemmDeterminism, SmallFastPathIsDeterministicToo) {
-  // The fast path is serial, so this mostly guards against accidental
-  // future parallelization changing the accumulation order.
-  const index_t m = 24, n = 20, k = 16;
-  agtest::ScopedKnob fast_path(ag::Knob::kSmallMnk, 32);
-  const auto a = ag::random_matrix(m, k, 201);
-  const auto b = ag::random_matrix(k, n, 202);
-  const auto c0 = ag::random_matrix(m, n, 203);
-  const std::vector<double> golden = run_once(1, m, n, k, a, b, c0);
-  for (int threads : {1, 4}) {
-    for (int rep = 0; rep < 5; ++rep) {
-      const std::vector<double> got = run_once(threads, m, n, k, a, b, c0);
-      ASSERT_EQ(std::memcmp(got.data(), golden.data(), golden.size() * sizeof(double)), 0)
-          << "threads=" << threads << " rep=" << rep;
+  // 24x20x16 is under the serial floor and runs on the caller at any
+  // thread count. 200x96x80 is above it: its mc x nr-run tickets (7 row
+  // blocks by 2 panels, column runs at 8 threads) run on whichever ranks
+  // claim them, and each tile must still accumulate its kc chunks in
+  // order.
+  agtest::ScopedKnob fast_path(ag::Knob::kSmallMnk, 224);
+  for (const auto& [m, n, k] : {std::array<index_t, 3>{24, 20, 16}, {200, 96, 80}}) {
+    const auto a = ag::random_matrix(m, k, 201);
+    const auto b = ag::random_matrix(k, n, 202);
+    const auto c0 = ag::random_matrix(m, n, 203);
+    const std::vector<double> golden = run_once(1, m, n, k, a, b, c0);
+    for (int threads : {1, 2, 4, 8}) {
+      for (int rep = 0; rep < 20; ++rep) {
+        const std::vector<double> got = run_once(threads, m, n, k, a, b, c0);
+        ASSERT_EQ(std::memcmp(got.data(), golden.data(), golden.size() * sizeof(double)), 0)
+            << m << "x" << n << "x" << k << " threads=" << threads << " rep=" << rep;
+      }
     }
   }
 }

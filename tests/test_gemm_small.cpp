@@ -2,15 +2,19 @@
 // under the small-path threshold (k past kc, m = 1, n = 1 and leading
 // dimensions above their minimum among them), dgemm, sgemm and
 // dgemm_batch must store exactly the bits the same call stores with the
-// small path switched off (ARMGEMM_SMALL_MNK = 0), at 1 and 4 threads,
-// for every registered kernel: where the threshold sits may move speed,
-// never results. Each test pins the threshold, so the shapes drawn do
-// not depend on the environment. Operands are allocated to their exact
-// extent, so a sanitizer build catches a read past op(A) or op(B).
+// small path switched off (ARMGEMM_SMALL_MNK = 0), for every registered
+// kernel: where the threshold sits may move speed, never results. Calls
+// up to 50^3 run serially; above it the small path runs on the context's
+// ranks, so those shapes run at 2 and 4 threads, wider than one nc panel
+// among them, and the flight recorder shows which schedule and how many
+// ranks each call took. Each test pins the threshold, so the shapes drawn
+// do not depend on the environment. Operands are allocated to their
+// exact extent, so a sanitizer build catches a read past op(A) or op(B).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "core/gemm_batch.hpp"
 #include "core/sgemm.hpp"
 #include "kernels/microkernel.hpp"
+#include "obs/telemetry.hpp"
 #include "scoped_knobs.hpp"
 #include "strided_check.hpp"
 
@@ -34,8 +39,12 @@ struct Shape {
   index_t m, n, k;
 };
 
-/// The threshold every test pins: the default.
+/// The threshold the serial-shape tests pin: the serial floor, up to
+/// which the small path runs on the caller alone at any thread count.
 constexpr index_t kThreshold = 50;
+
+/// The threshold the multi-rank tests pin: the default.
+constexpr index_t kDefaultThreshold = 224;
 
 /// A shape with m*n*k under kThreshold^3: m and n are 1 a quarter of the
 /// time, and k runs up to 1500 when m*n is small, past every default kc.
@@ -44,6 +53,26 @@ Shape small_shape(ag::Xoshiro256& rng) {
   const index_t n = rng.next_below(4) == 0 ? 1 : 1 + static_cast<index_t>(rng.next_below(64));
   const index_t kmax = std::min<index_t>(kThreshold * kThreshold * kThreshold / (m * n), 1500);
   return {m, n, 1 + static_cast<index_t>(rng.next_below(kmax))};
+}
+
+/// A shape with kThreshold^3 < m*n*k <= kDefaultThreshold^3, run on the
+/// context's ranks: m and n up to 96 (1 an eighth of the time) and k up
+/// to 400, redrawn until the volume is in range.
+Shape multi_rank_shape(ag::Xoshiro256& rng) {
+  const auto dim = [&](index_t hi) {
+    return rng.next_below(8) == 0 ? index_t{1} : 1 + static_cast<index_t>(rng.next_below(hi));
+  };
+  for (;;) {
+    const Shape s{dim(96), dim(96), 1 + static_cast<index_t>(rng.next_below(400))};
+    if (s.m * s.n * s.k > kThreshold * kThreshold * kThreshold) return s;
+  }
+}
+
+/// A shape wider than one nc panel of `bs` just above the serial floor:
+/// n is one and a half panels, m a few rows.
+Shape wide_shape(const ag::BlockSizes& bs) {
+  const index_t n = bs.nc + bs.nc / 2 + 5, m = 3;
+  return {m, n, kThreshold * kThreshold * kThreshold / (m * n) + 1};
 }
 
 /// The 24 (trans_a, trans_b, alpha, beta) combinations each suite covers.
@@ -99,15 +128,15 @@ std::string describe(const std::string& who, const Shape& s, const Combo& cb) {
          std::to_string(cb.alpha) + " beta=" + std::to_string(cb.beta);
 }
 
-/// Contexts under test: every registered kernel at 1 and 4 threads, plus
-/// blockings whose kc, mc and nc are small, and mc and nc not multiples
-/// of the register block, so the small path crosses every blocking
-/// boundary of the blocked path's tile grid.
-std::vector<ag::Context> contexts() {
+/// Contexts under test: every registered kernel at each thread count,
+/// plus blockings whose kc, mc and nc are small, and mc and nc not
+/// multiples of the register block, so the small path crosses every
+/// blocking boundary of the blocked path's tile grid.
+std::vector<ag::Context> contexts(std::initializer_list<int> thread_counts = {1, 4}) {
   std::vector<ag::Context> out;
   for (const ag::Microkernel& k : ag::all_microkernels())
-    for (const int threads : {1, 4}) out.emplace_back(k.name, threads);
-  for (const int threads : {1, 4}) {
+    for (const int threads : thread_counts) out.emplace_back(k.name, threads);
+  for (const int threads : thread_counts) {
     ag::BlockSizes odd;  // 8x6, mc and nc off the register grid
     odd.kc = 16;
     odd.mc = 20;
@@ -142,6 +171,121 @@ TEST(SmallPath, DgemmBitwiseEqualsBlockedPath) {
                       ctx);
           },
           label);
+    }
+  }
+}
+
+// Above the serial floor each call's tiles are cut into tickets that
+// run on whichever ranks claim them; every C element must still see the
+// blocked path's kernel calls in its kc order.
+TEST(SmallPath, MultiRankDgemmBitwiseEqualsBlockedPath) {
+  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, kDefaultThreshold);
+  ag::Xoshiro256 rng(4545);
+  for (const ag::Context& ctx : contexts({2, 4})) {
+    const std::string who = ctx.kernel().name + " t=" + std::to_string(ctx.threads()) + " " +
+                            ctx.block_sizes().to_string();
+    const std::vector<Combo> cbs = combos();
+    for (std::size_t i = 0; i < cbs.size(); ++i) {
+      const Combo& cb = cbs[i];
+      // Every fourth call is wider than one nc panel.
+      const Shape s = i % 4 == 3 ? wide_shape(ctx.block_sizes()) : multi_rank_shape(rng);
+      const Operands<double> op(s, cb, rng);
+      expect_small_matches_blocked<double>(
+          s, op.c,
+          [&](double* c) {
+            ag::dgemm(ag::Layout::ColMajor, cb.ta, cb.tb, s.m, s.n, s.k, cb.alpha,
+                      op.a.data.data(), op.a.ld, op.b.data.data(), op.b.ld, cb.beta, c, op.ldc,
+                      ctx);
+          },
+          describe(who, s, cb));
+    }
+  }
+}
+
+TEST(SmallPath, MultiRankSgemmBitwiseEqualsBlockedPath) {
+  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, kDefaultThreshold);
+  ag::Xoshiro256 rng(4646);
+  for (const int threads : {2, 4}) {
+    for (const index_t kc : {index_t{0}, index_t{16}}) {  // 0: sgemm's default kc
+      ag::SgemmOptions opts;
+      opts.threads = threads;
+      opts.kc = kc;
+      for (const Combo& cb : combos()) {
+        const Shape s = multi_rank_shape(rng);
+        const Operands<float> op(s, cb, rng);
+        expect_small_matches_blocked<float>(
+            s, op.c,
+            [&](float* c) {
+              ag::sgemm(ag::Layout::ColMajor, cb.ta, cb.tb, s.m, s.n, s.k,
+                        static_cast<float>(cb.alpha), op.a.data.data(), op.a.ld,
+                        op.b.data.data(), op.b.ld, static_cast<float>(cb.beta), c, op.ldc,
+                        opts);
+            },
+            describe("sgemm t=" + std::to_string(threads) + " kc=" + std::to_string(kc), s,
+                     cb));
+      }
+    }
+  }
+}
+
+/// Turns serving telemetry on for one test, with a fixed model so it never
+/// calibrates, and off again after.
+class SmallPathFlight : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "built with -DARMGEMM_STATS=OFF";
+    ag::obs::telemetry_set_model(10.0, ag::model::CostParams{1e-10, 1e-9, 0.125}, 1.0);
+    ag::obs::telemetry_enable();
+    ag::obs::telemetry_reset();
+  }
+  void TearDown() override {
+    if (!ag::obs::stats_compiled_in) return;
+    ag::obs::telemetry_disable();
+    ag::obs::telemetry_reset();
+  }
+
+  /// Runs `calls` dgemm calls of shape `s` on `ctx` and returns their
+  /// flight records.
+  static std::vector<ag::obs::CallRecord> record(const ag::Context& ctx, const Shape& s,
+                                                 int calls) {
+    ag::obs::telemetry_reset();
+    ag::Xoshiro256 rng(4747);
+    const Operands<double> op(s, {Trans::NoTrans, Trans::NoTrans, 1.0, 0.0}, rng);
+    std::vector<double> c = op.c;
+    for (int i = 0; i < calls; ++i)
+      ag::dgemm(ag::Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, s.m, s.n, s.k, 1.0,
+                op.a.data.data(), op.a.ld, op.b.data.data(), op.b.ld, 0.0, c.data(), op.ldc,
+                ctx);
+    return ag::obs::telemetry_snapshot().flight;
+  }
+};
+
+TEST_F(SmallPathFlight, SmallCallsAboveTheFloorRunOnTheContextsRanks) {
+  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, kDefaultThreshold);
+  // Workers that never park see every region, so some call finds one.
+  agtest::ScopedKnob spin(ag::Knob::kSpinUs, 1'000'000);
+  const ag::Context ctx(ag::KernelShape{8, 6}, 4);
+  int most = 0;
+  for (int round = 0; round < 25 && most < 2; ++round) {
+    const std::vector<ag::obs::CallRecord> flight = record(ctx, {96, 96, 96}, 20);
+    ASSERT_EQ(flight.size(), 20u);
+    for (const ag::obs::CallRecord& rec : flight) {
+      EXPECT_EQ(rec.schedule, ag::obs::ScheduleKind::kSmall);
+      EXPECT_GE(rec.threads, 1);
+      EXPECT_LE(rec.threads, ctx.threads());
+      most = std::max(most, rec.threads);
+    }
+  }
+  EXPECT_GE(most, 2) << "no 96^3 call of 500 ran a ticket on a worker";
+}
+
+TEST_F(SmallPathFlight, SmallCallsAtTheFloorRunOnOneRank) {
+  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, kDefaultThreshold);
+  const ag::Context ctx(ag::KernelShape{8, 6}, 4);
+  for (const Shape& s : {Shape{50, 50, 50}, Shape{25, 100, 50}, Shape{1, 1, 125000}}) {
+    for (const ag::obs::CallRecord& rec : record(ctx, s, 8)) {
+      EXPECT_EQ(rec.schedule, ag::obs::ScheduleKind::kSmall);
+      EXPECT_EQ(rec.threads, 1) << s.m << "x" << s.n << "x" << s.k;
     }
   }
 }

@@ -366,6 +366,7 @@ TEST(BatchIntrospect, TicketsRecordLayerStatsLikeOneThreadDgemm) {
   if (!obs::stats_compiled_in)
     GTEST_SKIP() << "-DARMGEMM_STATS=OFF: Context::stats() is compiled to nullptr";
   agtest::ScopedKnob cache_on(ag::Knob::kPanelCacheMb, 64);
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);  // blocked tickets and dgemm calls
   ag::BlockSizes bs;
   bs.mr = 8;
   bs.nr = 6;

@@ -130,7 +130,6 @@ void verify_dataflow(const GeneratedKernel& gk, int iterations) {
   }
 
   const int f = gk.shape.mr * gk.shape.nr / 2;
-  const int a_halves = gk.shape.mr / 2;
   for (int iter = 0; iter < iterations; ++iter) {
     const std::int64_t a_base = iter * gk.a_bytes_per_body();
     const std::int64_t b_base = iter * gk.b_bytes_per_body();

@@ -50,9 +50,10 @@ TEST(SchedulerTest, LoadsNeverPrecedeLastRead) {
     const auto& cur = rotation.table[static_cast<std::size_t>(copy)];
     for (const auto& l : plan.copies[static_cast<std::size_t>(copy)].loads) {
       for (int role = 0; role < rotation.num_roles; ++role) {
-        if (cur[role] == l.reg)
+        if (cur[role] == l.reg) {
           EXPECT_GT(l.raw_gap, sched.last_read[role])
               << "load overwrites role " << role << " before its last read";
+        }
       }
     }
   }

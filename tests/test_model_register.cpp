@@ -23,8 +23,9 @@ TEST(RegisterGamma, SymmetricAndMonotone) {
   for (int mr = 2; mr <= 16; mr += 2)
     for (int nr = 2; nr <= 16; nr += 2) {
       EXPECT_DOUBLE_EQ(agm::register_gamma(mr, nr), agm::register_gamma(nr, mr));
-      if (nr + 2 <= 16)
+      if (nr + 2 <= 16) {
         EXPECT_LT(agm::register_gamma(mr, nr), agm::register_gamma(mr, nr + 2));
+      }
     }
 }
 

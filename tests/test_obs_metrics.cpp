@@ -19,6 +19,7 @@
 #include "metrics_snapshots.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "scoped_knobs.hpp"
 
 namespace obs = ag::obs;
 
@@ -106,7 +107,8 @@ TEST(MetricsEscape, LaneNameIsEscapedInItsLabelValue) {
   obs::telemetry_reset();
 
   // A fresh thread gets its own lane; rank 0 of its 2-thread call
-  // records the barrier wait there.
+  // records the barrier wait there, on the blocked path.
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   const std::string lane = "svc \"a\\b\"\n lane";
   std::thread([&lane] {
     obs::telemetry_register_thread(lane);

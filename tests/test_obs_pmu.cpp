@@ -207,6 +207,7 @@ TEST(PmuCollector, SerialDgemmAttributesRegionsPerLayer) {
 
 TEST(PmuCollector, ParallelDgemmAttributesBarriersWithoutDiscards) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);  // barriers are the blocked path's
   ag::Context ctx(ag::KernelShape{8, 6}, 2);
   ctx.set_block_sizes(tiny_blocks());
   ag::obs::GemmStats stats;

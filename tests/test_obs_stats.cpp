@@ -52,7 +52,9 @@ void expect_counts_match(const ag::obs::LayerCounters& got, const ag::obs::Layer
                          bool check_pack_b_calls, const std::string& label) {
   EXPECT_EQ(got.gemm_calls, want.gemm_calls) << label;
   EXPECT_EQ(got.pack_a_calls, want.pack_a_calls) << label;
-  if (check_pack_b_calls) EXPECT_EQ(got.pack_b_calls, want.pack_b_calls) << label;
+  if (check_pack_b_calls) {
+    EXPECT_EQ(got.pack_b_calls, want.pack_b_calls) << label;
+  }
   EXPECT_EQ(got.gebp_calls, want.gebp_calls) << label;
   EXPECT_EQ(got.kernel_calls, want.kernel_calls) << label;
   EXPECT_EQ(got.pack_a_bytes, want.pack_a_bytes) << label;
@@ -150,6 +152,9 @@ TEST(ObsStats, ParallelAggregationMatchesSerial) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
   const index_t m = 180, n = 96, k = 64;
   const ag::BlockSizes bs = tiny_blocks(8, 6);
+  // The counters compared are the blocked path's, which this shape takes
+  // only with the small path off.
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);
 
   ag::Context serial(ag::KernelShape{8, 6}, 1);
   serial.set_block_sizes(bs);
@@ -247,6 +252,7 @@ TEST(ObsStats, JsonContainsCountersAndDerivedMetrics) {
 
 TEST(ObsStats, TracerRecordsRegionsAndEmitsChromeTraceJson) {
   if (!ag::obs::stats_compiled_in) GTEST_SKIP() << "stats compiled out";
+  agtest::ScopedKnob pack_path(ag::Knob::kSmallMnk, 0);  // pack and GEBP spans
   ag::Context ctx(ag::KernelShape{8, 6}, 2);
   ag::obs::GemmStats stats;
   ag::obs::Tracer tracer;
@@ -364,8 +370,7 @@ TEST(GemmStatsSnapshot, NoTornReadsUnderConcurrentRecording) {
       slot.add(kCall, 1.0, {.flops = 2.0});
       // Brief quiescent window between calls (as real traffic has), so
       // the bounded-retry reader can always find a consistent read.
-      for (volatile int spin = 0; spin < 64; ++spin) {
-      }
+      for (volatile int spin = 0; spin < 64;) spin = spin + 1;
     } while (!stop.load(std::memory_order_relaxed));
   });
 
@@ -397,8 +402,7 @@ TEST(GemmStatsSnapshot, ResetIsAtomicAgainstSnapshots) {
     while (!stop.load(std::memory_order_relaxed)) {
       slot.add(kCall, 1.0, {.flops = 2.0});
       slot.reset();
-      for (volatile int spin = 0; spin < 64; ++spin) {
-      }
+      for (volatile int spin = 0; spin < 64;) spin = spin + 1;
     }
   });
 

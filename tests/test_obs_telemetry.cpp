@@ -25,6 +25,7 @@
 #include "obs/drift.hpp"
 #include "obs/histogram.hpp"
 #include "obs/telemetry.hpp"
+#include "scoped_knobs.hpp"
 
 namespace obs = ag::obs;
 using ag::Context;
@@ -423,6 +424,9 @@ std::string slurp(const std::string& path) {
 }  // namespace
 
 TEST_F(TelemetryE2E, RecordsCallsIntoSnapshot) {
+  // The 2-thread burst must wait at barriers, which only the blocked
+  // path has.
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   run_burst(8, 64, 1);
   run_burst(4, 160, 2);
 

@@ -89,7 +89,9 @@ TEST(PanelScheduleTest, ColumnGroupsAreSliverAligned) {
         EXPECT_EQ(b.jb % 6, 0) << "nc=" << nc << " t=" << t;
         EXPECT_EQ(b.sliver0, b.jb / 6) << "nc=" << nc << " t=" << t;
         // Interior groups span whole slivers; only the last is ragged.
-        if (b.jb + b.nb < nc) EXPECT_EQ(b.nb % 6, 0) << "nc=" << nc << " t=" << t;
+        if (b.jb + b.nb < nc) {
+          EXPECT_EQ(b.nb % 6, 0) << "nc=" << nc << " t=" << t;
+        }
       }
     }
   }

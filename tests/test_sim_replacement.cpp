@@ -69,7 +69,7 @@ TEST(RandomTest, ThrashesResidentSetMoreThanLru) {
   Cache lru("lru", lru_g), rnd("rnd", rnd_g);
   for (Cache* c : {&lru, &rnd}) {
     for (addr_t a = 0; a < 24 * 1024; a += 64) c->access(a, false);
-    for (int rep = 0; rep < 8; ++rep) {
+    for (addr_t rep = 0; rep < 8; ++rep) {
       // Re-touch the resident set, then stream.
       for (addr_t a = 0; a < 24 * 1024; a += 64) c->access(a, false);
       for (addr_t a = 0x100000 + rep * 4096; a < 0x100000 + (rep + 1) * 4096; a += 64)

@@ -1,8 +1,12 @@
 // Thread pool, barrier and range partitioning tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <string>
@@ -142,6 +146,91 @@ TEST(ThreadPoolTest, RejectsActiveOutOfRange) {
   EXPECT_THROW(pool.run([](int) {}, 3), ag::InvalidArgument);
 }
 
+// 10^4 back-to-back ticket regions, every seventh iteration a run()
+// region too. Each region's function and its hit counts live in the loop
+// body, so a worker that touched a region after it returned would race
+// with the next iteration under TSan. The counts are plain ints: only the
+// join orders the workers' writes before the caller's reads.
+void ticket_stress(std::int64_t spin_us) {
+  agtest::ScopedKnob spin(ag::Knob::kSpinUs, spin_us);
+  ThreadPool pool(4);
+  int run_regions = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::int64_t tickets = i % 13;
+    std::vector<int> hits(static_cast<std::size_t>(tickets), 0);
+    const std::function<void(std::int64_t)> fn = [&hits](std::int64_t t) {
+      ++hits[static_cast<std::size_t>(t)];
+    };
+    const int ranks = pool.run_tickets(fn, tickets);
+    for (std::int64_t t = 0; t < tickets; ++t)
+      ASSERT_EQ(hits[static_cast<std::size_t>(t)], 1) << "region " << i << " ticket " << t;
+    ASSERT_GE(ranks, tickets == 0 ? 0 : 1) << "region " << i;
+    ASSERT_LE(ranks, std::min<std::int64_t>(tickets, 4)) << "region " << i;
+    if (i % 7 == 0) {
+      std::array<int, 4> ran{};
+      pool.run([&ran](int rank) { ++ran[static_cast<std::size_t>(rank)]; });
+      for (const int r : ran) ASSERT_EQ(r, 1) << "run() region after " << i;
+      ++run_regions;
+    }
+  }
+  EXPECT_EQ(run_regions, 1429);
+}
+
+TEST(ThreadPoolTest, TicketRegionsRunEveryTicketOnce) { ticket_stress(/*spin_us=*/50); }
+
+TEST(ThreadPoolTest, TicketRegionsRunEveryTicketOnceWhenWorkersPark) {
+  ticket_stress(/*spin_us=*/0);
+}
+
+TEST(ThreadPoolTest, TicketExceptionReachesCaller) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(40);
+  EXPECT_THROW(pool.run_tickets(
+                   [&](std::int64_t t) {
+                     hits[static_cast<std::size_t>(t)]++;
+                     if (t == 17) throw std::runtime_error("ticket boom");
+                   },
+                   40),
+               std::runtime_error);
+  // The other tickets still ran, once each, and the pool stays usable.
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  std::atomic<int> counter{0};
+  pool.run([&](int) { counter++; });
+  pool.run_tickets([&](std::int64_t) { counter++; }, 8);
+  EXPECT_EQ(counter.load(), 12);
+}
+
+// The caller holds each ticket it claims until another rank has started
+// one, so a worker must come out of its spin, or its park, and enter.
+// The region returns the number of threads that ran a ticket.
+TEST(ThreadPoolTest, WorkersClaimTicketsBesideTheCaller) {
+  for (const std::int64_t spin_us : {50, 0}) {
+    agtest::ScopedKnob spin(ag::Knob::kSpinUs, spin_us);
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::set<std::thread::id> ran_on;
+    std::atomic<int> on_workers{0};
+    const int ranks = pool.run_tickets(
+        [&](std::int64_t) {
+          {
+            std::lock_guard lock(mutex);
+            ran_on.insert(std::this_thread::get_id());
+          }
+          if (std::this_thread::get_id() != caller) {
+            on_workers++;
+            return;
+          }
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (on_workers.load() == 0 && std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+        },
+        8);
+    EXPECT_GE(on_workers.load(), 1) << "spin_us=" << spin_us;
+    EXPECT_EQ(ranks, static_cast<int>(ran_on.size())) << "spin_us=" << spin_us;
+  }
+}
+
 TEST(BarrierTest, SynchronisesPhases) {
   ThreadPool pool(4);
   Barrier barrier(4);
@@ -210,7 +299,9 @@ TEST(PartitionTest, CoversRangeWithoutOverlap) {
           prev_end = r.end;
           covered += r.size();
           // Every part that does not contain the ragged tail is aligned.
-          if (r.end < total) EXPECT_EQ(r.size() % align, 0) << "interior chunk alignment";
+          if (r.end < total) {
+            EXPECT_EQ(r.size() % align, 0) << "interior chunk alignment";
+          }
         }
         EXPECT_EQ(prev_end, total);
         EXPECT_EQ(covered, total);

@@ -63,7 +63,7 @@ TEST(ProportionalSpans, ZeroWeightRankGetsAnEmptySpan) {
 TEST(ProportionalSpans, DegenerateWeightsReduceToEqualPartition) {
   // All-equal and all-zero weights must both reproduce the unweighted
   // schedule bit-for-bit: partition_range(total, n, r, 1).
-  for (const std::vector<double> weights :
+  for (const std::vector<double>& weights :
        {std::vector<double>{1.0, 1.0, 1.0, 1.0}, std::vector<double>{0.0, 0.0, 0.0, 0.0},
         std::vector<double>{0.7, 0.7, 0.7, 0.7}}) {
     for (index_t total : {0, 1, 3, 4, 7, 64, 1000}) {
