@@ -131,7 +131,10 @@ void gemm_blocked(const GemmCall<T>& g, const GemmPlan<T>& plan, PackBuffers<T>&
 /// caller alone, and never touch the pool, at any thread count. 50 is
 /// where the one-rank small path tied the nproc-rank blocked path on a
 /// 4-vCPU AVX2 host (`bench/fig14_thread_scaling --native`,
-/// EXPERIMENTS.md): below it, waking workers costs more than they save.
+/// EXPERIMENTS.md), so every call that skipped the pool then still skips
+/// it. A 32^3 floor read perfbench small_calls' call_p50_us worse in 4 of
+/// 4 pairs on that host under a 4-job build. Where the serial path ties
+/// the ticketed one has not been swept (ROADMAP item 5).
 inline constexpr index_t kSerialSmallMnk = 50;
 
 /// Runs one column-major call with m, n, k > 0 and alpha != 0: the

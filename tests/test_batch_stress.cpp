@@ -177,6 +177,9 @@ void stress_many_callers(int pool_threads, std::int64_t spin_us) {
   constexpr int kBatchesPerCaller = 5;
   constexpr int kEntriesPerBatch = 4;
   agtest::ScopedKnob spin(ag::Knob::kSpinUs, spin_us);
+  // Threshold 50 puts this battery's entries on both sides of it, so
+  // small and blocked tickets race on the one pool.
+  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, 50);
 
   std::vector<CallerProblem> problems(kCallers);
   for (int t = 0; t < kCallers; ++t) {

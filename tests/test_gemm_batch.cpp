@@ -208,6 +208,7 @@ TEST(GemmBatch, RowMajorNormalization) {
 TEST(GemmBatch, SharedBAcrossEntries) {
   // The serving pattern: one B (weights) against many A panels. All
   // entries share B bytes, so blocked tickets reuse cached panels.
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   const index_t m = 64, n = 96, k = 72;
   const auto b = ag::random_matrix(k, n, 2000);
   std::vector<Problem> problems;

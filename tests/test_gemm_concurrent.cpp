@@ -18,6 +18,7 @@
 #include "common/matrix.hpp"
 #include "core/gemm.hpp"
 #include "core/gemm_batch.hpp"
+#include "scoped_knobs.hpp"
 #include "threading/persistent_pool.hpp"
 
 using ag::index_t;
@@ -48,6 +49,7 @@ void verify(const Problem& p) {
 }
 
 TEST(ConcurrentGemm, SharedSerialContext) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);  // the path that leases scratch
   const ag::Context ctx(ag::KernelShape{8, 6}, 1);  // read-only, shared
   std::vector<Problem> problems;
   for (int i = 0; i < 6; ++i)

@@ -1,6 +1,8 @@
 // Parallel dgemm (Figure 9): results identical to serial for every thread
 // count, including ragged partitions, small matrices (fewer blocks than
-// threads), and the paper's threaded block sizes.
+// threads), and the paper's threaded block sizes. Every call here is at
+// most the default ARMGEMM_SMALL_MNK^3, so each test switches the small
+// path off to check the blocked driver.
 #include <gtest/gtest.h>
 
 #include "blas/compare.hpp"
@@ -17,22 +19,25 @@ using ag::Trans;
 
 namespace {
 
-void check_parallel(index_t m, index_t n, index_t k, int threads,
-                    ag::KernelShape shape = {8, 6}) {
+void check_parallel(const Context& ctx, index_t m, index_t n, index_t k) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   auto a = ag::random_matrix(m, k, 201);
   auto b = ag::random_matrix(k, n, 202);
   auto c = ag::random_matrix(m, n, 203);
   Matrix<double> c_ref(c);
 
-  Context ctx(shape, threads);
   ag::dgemm(Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, m, n, k, 1.0, a.data(), a.ld(),
             b.data(), b.ld(), 1.0, c.data(), c.ld(), ctx);
   ag::blocked_dgemm(Layout::ColMajor, Trans::NoTrans, Trans::NoTrans, m, n, k, 1.0, a.data(),
                     a.ld(), b.data(), b.ld(), 1.0, c_ref.data(), c_ref.ld());
 
   const auto cmp = ag::compare_gemm_result(c.view(), c_ref.view(), k, 1.0, 1.0, 1.0, 1.0, 1.0);
-  EXPECT_TRUE(cmp.ok) << "m=" << m << " n=" << n << " k=" << k << " threads=" << threads
+  EXPECT_TRUE(cmp.ok) << "m=" << m << " n=" << n << " k=" << k << " threads=" << ctx.threads()
                       << " diff=" << cmp.max_diff << " bound=" << cmp.bound;
+}
+
+void check_parallel(index_t m, index_t n, index_t k, int threads) {
+  check_parallel(Context(ag::KernelShape{8, 6}, threads), m, n, k);
 }
 
 class ThreadCounts : public ::testing::TestWithParam<int> {};
@@ -46,13 +51,11 @@ INSTANTIATE_TEST_SUITE_P(Counts, ThreadCounts, ::testing::Values(2, 3, 4, 8));
 
 TEST(ParallelGemm, MoreThreadsThanBlocks) {
   // M smaller than one mc block: most threads have no work.
-  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   check_parallel(16, 64, 32, 8);
   check_parallel(9, 30, 20, 8);
 }
 
 TEST(ParallelGemm, SingleRowFallsBackToSerial) {
-  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   check_parallel(1, 50, 50, 4);
 }
 
@@ -83,10 +86,11 @@ TEST(ParallelGemm, MultiplePanelsExerciseBarriers) {
 TEST(ParallelGemm, PaperEightThreadBlockSizes) {
   Context ctx(ag::KernelShape{8, 6}, 8);
   ctx.set_block_sizes(ag::paper_block_sizes({8, 6}, 8));
-  check_parallel(300, 200, 100, 8);
+  check_parallel(ctx, 300, 200, 100);
 }
 
 TEST(ParallelGemm, TransposesUnderThreads) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   Context ctx(ag::KernelShape{8, 6}, 4);
   auto a = ag::random_matrix(60, 80, 401);  // op(A) = A^T: 80 x 60
   auto b = ag::random_matrix(50, 60, 402);  // op(B) = B^T: 60 x 50... sizes below

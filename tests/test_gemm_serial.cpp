@@ -45,6 +45,9 @@ void check_case(const Context& ctx, index_t m, index_t n, index_t k, double alph
 class SerialSizes : public ::testing::TestWithParam<index_t> {};
 
 TEST_P(SerialSizes, SquareMatchesReference) {
+  // Threshold 50 puts sizes up to 48 on the small path, the rest on the
+  // blocked path.
+  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, 50);
   Context ctx(ag::KernelShape{8, 6}, 1);
   const index_t s = GetParam();
   check_case(ctx, s, s, s, 1.0, 1.0);
@@ -55,6 +58,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SerialSizes,
                                            256, 300));
 
 TEST(SerialGemm, AllKernelShapes) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   for (ag::KernelShape s : ag::paper_kernel_shapes()) {
     Context ctx(s, 1);
     check_case(ctx, 97, 83, 59, 1.0, 1.0);
@@ -62,6 +66,7 @@ TEST(SerialGemm, AllKernelShapes) {
 }
 
 TEST(SerialGemm, AllRegisteredKernels) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   for (const auto& k : ag::all_microkernels()) {
     Context ctx(ag::KernelShape{8, 6}, 1);
     ctx.set_kernel(k.name);
@@ -70,6 +75,7 @@ TEST(SerialGemm, AllRegisteredKernels) {
 }
 
 TEST(SerialGemm, TransposeCombos) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   Context ctx(ag::KernelShape{8, 6}, 1);
   for (Trans ta : {Trans::NoTrans, Trans::Trans})
     for (Trans tb : {Trans::NoTrans, Trans::Trans}) check_case(ctx, 70, 54, 38, 1.0, 1.0, ta, tb);

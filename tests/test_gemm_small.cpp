@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
@@ -132,7 +133,7 @@ std::string describe(const std::string& who, const Shape& s, const Combo& cb) {
 /// plus blockings whose kc, mc and nc are small, and mc and nc not
 /// multiples of the register block, so the small path crosses every
 /// blocking boundary of the blocked path's tile grid.
-std::vector<ag::Context> contexts(std::initializer_list<int> thread_counts = {1, 4}) {
+std::vector<ag::Context> contexts(const std::vector<int>& thread_counts) {
   std::vector<ag::Context> out;
   for (const ag::Microkernel& k : ag::all_microkernels())
     for (const int threads : thread_counts) out.emplace_back(k.name, threads);
@@ -152,77 +153,74 @@ std::vector<ag::Context> contexts(std::initializer_list<int> thread_counts = {1,
   return out;
 }
 
+/// The bitwise tests' two sweeps. Up to the serial floor every call runs
+/// on the caller, at 1 and 4 threads. Between the floor and the default
+/// each call's tiles are cut into tickets that run on whichever ranks
+/// claim them, at 2 and 4 threads; every C element must still see the
+/// blocked path's kernel calls in its kc order.
+struct Sweep {
+  index_t threshold;  // ARMGEMM_SMALL_MNK for the sweep
+  std::vector<int> threads;
+  bool above_floor;    // multi_rank_shape, else small_shape
+  std::uint64_t seed;  // dgemm's; sgemm draws from seed + 101
+};
+const Sweep kSweeps[] = {{kThreshold, {1, 4}, false, 4242},
+                         {kDefaultThreshold, {2, 4}, true, 4545}};
+
+Shape sweep_shape(const Sweep& sw, ag::Xoshiro256& rng) {
+  return sw.above_floor ? multi_rank_shape(rng) : small_shape(rng);
+}
+
 TEST(SmallPath, DgemmBitwiseEqualsBlockedPath) {
-  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, kThreshold);
-  ag::Xoshiro256 rng(4242);
-  for (const ag::Context& ctx : contexts()) {
-    for (const Combo& cb : combos()) {
-      const Shape s = small_shape(rng);
-      const Operands<double> op(s, cb, rng);
-      const std::string label = describe(ctx.kernel().name + " t=" +
-                                             std::to_string(ctx.threads()) + " " +
-                                             ctx.block_sizes().to_string(),
-                                         s, cb);
-      expect_small_matches_blocked<double>(
-          s, op.c,
-          [&](double* c) {
-            ag::dgemm(ag::Layout::ColMajor, cb.ta, cb.tb, s.m, s.n, s.k, cb.alpha,
-                      op.a.data.data(), op.a.ld, op.b.data.data(), op.b.ld, cb.beta, c, op.ldc,
-                      ctx);
-          },
-          label);
-    }
-  }
-}
-
-// Above the serial floor each call's tiles are cut into tickets that
-// run on whichever ranks claim them; every C element must still see the
-// blocked path's kernel calls in its kc order.
-TEST(SmallPath, MultiRankDgemmBitwiseEqualsBlockedPath) {
-  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, kDefaultThreshold);
-  ag::Xoshiro256 rng(4545);
-  for (const ag::Context& ctx : contexts({2, 4})) {
-    const std::string who = ctx.kernel().name + " t=" + std::to_string(ctx.threads()) + " " +
-                            ctx.block_sizes().to_string();
-    const std::vector<Combo> cbs = combos();
-    for (std::size_t i = 0; i < cbs.size(); ++i) {
-      const Combo& cb = cbs[i];
-      // Every fourth call is wider than one nc panel.
-      const Shape s = i % 4 == 3 ? wide_shape(ctx.block_sizes()) : multi_rank_shape(rng);
-      const Operands<double> op(s, cb, rng);
-      expect_small_matches_blocked<double>(
-          s, op.c,
-          [&](double* c) {
-            ag::dgemm(ag::Layout::ColMajor, cb.ta, cb.tb, s.m, s.n, s.k, cb.alpha,
-                      op.a.data.data(), op.a.ld, op.b.data.data(), op.b.ld, cb.beta, c, op.ldc,
-                      ctx);
-          },
-          describe(who, s, cb));
-    }
-  }
-}
-
-TEST(SmallPath, MultiRankSgemmBitwiseEqualsBlockedPath) {
-  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, kDefaultThreshold);
-  ag::Xoshiro256 rng(4646);
-  for (const int threads : {2, 4}) {
-    for (const index_t kc : {index_t{0}, index_t{16}}) {  // 0: sgemm's default kc
-      ag::SgemmOptions opts;
-      opts.threads = threads;
-      opts.kc = kc;
-      for (const Combo& cb : combos()) {
-        const Shape s = multi_rank_shape(rng);
-        const Operands<float> op(s, cb, rng);
-        expect_small_matches_blocked<float>(
+  for (const Sweep& sw : kSweeps) {
+    agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, sw.threshold);
+    ag::Xoshiro256 rng(sw.seed);
+    for (const ag::Context& ctx : contexts(sw.threads)) {
+      const std::string who = ctx.kernel().name + " t=" + std::to_string(ctx.threads()) + " " +
+                              ctx.block_sizes().to_string();
+      const std::vector<Combo> cbs = combos();
+      for (std::size_t i = 0; i < cbs.size(); ++i) {
+        const Combo& cb = cbs[i];
+        // Above the floor every fourth call is wider than one nc panel.
+        const Shape s = sw.above_floor && i % 4 == 3 ? wide_shape(ctx.block_sizes())
+                                                     : sweep_shape(sw, rng);
+        const Operands<double> op(s, cb, rng);
+        expect_small_matches_blocked<double>(
             s, op.c,
-            [&](float* c) {
-              ag::sgemm(ag::Layout::ColMajor, cb.ta, cb.tb, s.m, s.n, s.k,
-                        static_cast<float>(cb.alpha), op.a.data.data(), op.a.ld,
-                        op.b.data.data(), op.b.ld, static_cast<float>(cb.beta), c, op.ldc,
-                        opts);
+            [&](double* c) {
+              ag::dgemm(ag::Layout::ColMajor, cb.ta, cb.tb, s.m, s.n, s.k, cb.alpha,
+                        op.a.data.data(), op.a.ld, op.b.data.data(), op.b.ld, cb.beta, c,
+                        op.ldc, ctx);
             },
-            describe("sgemm t=" + std::to_string(threads) + " kc=" + std::to_string(kc), s,
-                     cb));
+            describe(who, s, cb));
+      }
+    }
+  }
+}
+
+TEST(SmallPath, SgemmBitwiseEqualsBlockedPath) {
+  for (const Sweep& sw : kSweeps) {
+    agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, sw.threshold);
+    ag::Xoshiro256 rng(sw.seed + 101);
+    for (const int threads : sw.threads) {
+      for (const index_t kc : {index_t{0}, index_t{16}}) {  // 0: sgemm's default kc
+        ag::SgemmOptions opts;
+        opts.threads = threads;
+        opts.kc = kc;
+        for (const Combo& cb : combos()) {
+          const Shape s = sweep_shape(sw, rng);
+          const Operands<float> op(s, cb, rng);
+          expect_small_matches_blocked<float>(
+              s, op.c,
+              [&](float* c) {
+                ag::sgemm(ag::Layout::ColMajor, cb.ta, cb.tb, s.m, s.n, s.k,
+                          static_cast<float>(cb.alpha), op.a.data.data(), op.a.ld,
+                          op.b.data.data(), op.b.ld, static_cast<float>(cb.beta), c, op.ldc,
+                          opts);
+              },
+              describe("sgemm t=" + std::to_string(threads) + " kc=" + std::to_string(kc), s,
+                       cb));
+        }
       }
     }
   }
@@ -286,32 +284,6 @@ TEST_F(SmallPathFlight, SmallCallsAtTheFloorRunOnOneRank) {
     for (const ag::obs::CallRecord& rec : record(ctx, s, 8)) {
       EXPECT_EQ(rec.schedule, ag::obs::ScheduleKind::kSmall);
       EXPECT_EQ(rec.threads, 1) << s.m << "x" << s.n << "x" << s.k;
-    }
-  }
-}
-
-TEST(SmallPath, SgemmBitwiseEqualsBlockedPath) {
-  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, kThreshold);
-  ag::Xoshiro256 rng(4343);
-  for (const int threads : {1, 4}) {
-    for (const index_t kc : {index_t{0}, index_t{16}}) {  // 0: sgemm's default kc
-      ag::SgemmOptions opts;
-      opts.threads = threads;
-      opts.kc = kc;
-      for (const Combo& cb : combos()) {
-        const Shape s = small_shape(rng);
-        const Operands<float> op(s, cb, rng);
-        expect_small_matches_blocked<float>(
-            s, op.c,
-            [&](float* c) {
-              ag::sgemm(ag::Layout::ColMajor, cb.ta, cb.tb, s.m, s.n, s.k,
-                        static_cast<float>(cb.alpha), op.a.data.data(), op.a.ld,
-                        op.b.data.data(), op.b.ld, static_cast<float>(cb.beta), c, op.ldc,
-                        opts);
-            },
-            describe("sgemm t=" + std::to_string(threads) + " kc=" + std::to_string(kc), s,
-                     cb));
-      }
     }
   }
 }

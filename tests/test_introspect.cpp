@@ -308,6 +308,7 @@ TEST(BatchIntrospect, TracerRecordsTicketSpansAcrossLanes) {
   // alone, so keep submitting, up to a bound, until a second lane has run
   // a ticket (every lane that runs a blocked ticket records into its own
   // stats slot).
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   const index_t s = 96;
   const std::int64_t count = 32;
   auto a = ag::random_matrix(s, s * count, 710);

@@ -117,17 +117,24 @@ void check_sgemm(index_t m, index_t n, index_t k, int threads, float alpha = 1.0
 
 class SgemmSizes : public ::testing::TestWithParam<index_t> {};
 
-TEST_P(SgemmSizes, SquareSerial) { check_sgemm(GetParam(), GetParam(), GetParam(), 1); }
+TEST_P(SgemmSizes, SquareSerial) {
+  // Threshold 50 puts sizes up to 33 on the small path, the rest on the
+  // blocked path.
+  agtest::ScopedKnob threshold(ag::Knob::kSmallMnk, 50);
+  check_sgemm(GetParam(), GetParam(), GetParam(), 1);
+}
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SgemmSizes,
                          ::testing::Values(1, 3, 15, 16, 17, 33, 64, 100, 129, 200));
 
 TEST(Sgemm, Threads) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   check_sgemm(200, 150, 80, 2);
   check_sgemm(333, 90, 61, 4);
 }
 
 TEST(Sgemm, Transposes) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   for (ag::Trans ta : {ag::Trans::NoTrans, ag::Trans::Trans})
     for (ag::Trans tb : {ag::Trans::NoTrans, ag::Trans::Trans})
       check_sgemm(70, 55, 40, 1, 1.0f, 1.0f, ta, tb);
@@ -151,6 +158,7 @@ TEST(Sgemm, RowMajor) {
 }
 
 TEST(Sgemm, CustomBlockSizes) {
+  agtest::ScopedKnob blocked_path(ag::Knob::kSmallMnk, 0);
   ag::SgemmOptions opts;
   opts.kc = 16;
   opts.mc = 32;
