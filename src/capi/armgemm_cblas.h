@@ -186,9 +186,10 @@ int armgemm_stats_write_json(const char* path);
  * per-thread flight recorder of recent calls, Prometheus/JSON metrics
  * exposition, and a model-drift anomaly detector comparing measured
  * efficiency against the paper's Section III expectation. The first
- * enable calibrates the expected-efficiency model (~tens of ms) unless
- * armgemm_telemetry_set_model() injected one. SIGUSR2 requests a metrics
- * dump to the ARMGEMM_METRICS_PATH file at the next recorded call. In a
+ * enable calibrates the expected-efficiency model (tens of ms, once per
+ * process, shared with the autotuner) unless armgemm_telemetry_set_model()
+ * injected one. SIGUSR2 requests a metrics dump to the
+ * ARMGEMM_METRICS_PATH file at the next recorded call. In a
  * library built with -DARMGEMM_STATS=OFF these calls succeed but record
  * nothing. */
 
@@ -203,7 +204,7 @@ void armgemm_telemetry_reset(void);
 /* Injects the expected-efficiency model instead of calibrating:
  * peak Gflops of one core, mu (s/flop), pi (s/word), kappa, and the c of
  * psi(gamma) = 1/(1 + c*gamma). peak <= 0 clears the model (the next
- * enable re-calibrates). */
+ * enable re-derives it from the process's one calibration). */
 void armgemm_telemetry_set_model(double peak_gflops_per_core, double mu, double pi,
                                  double kappa, double psi_c);
 

@@ -19,9 +19,14 @@
 //         pure-memory times; the unhidden fraction of memory time fits
 //         the model's psi(gamma) = 1/(1 + c*gamma) at the probe's gamma.
 //
-// All probes report wall seconds (the unit of mu/pi); when hardware
-// counters are available a PmuGroup additionally attributes cycles to the
-// probes (cycles_per_fma), cross-checking the timestamp path.
+// All probes report seconds on the probe clock (the task clock when the
+// kernel grants one, wall time otherwise); when hardware counters are
+// available a PmuGroup additionally attributes cycles to the probes
+// (cycles_per_fma), cross-checking the timestamp path.
+//
+// The runtime readers of the model (telemetry's expected efficiency and
+// the tuner's host fingerprint) share one lean calibration per process,
+// host_calibration(): mu, pi and psi only, on one reused footprint.
 #pragma once
 
 #include <string>
@@ -31,8 +36,10 @@
 namespace ag::obs {
 
 struct CalibrationOptions {
-  /// Wall-time budget per micro-probe. The default keeps a full
-  /// calibrate() under ~0.5 s; tests shrink it further.
+  /// Budget per micro-probe, in probe-clock seconds: each probe ramps its
+  /// repetitions until one timed window reaches the budget. A full
+  /// calibrate() at the defaults takes about 0.8 s on a 4-vCPU x86-64
+  /// host; tests shrink the budget further.
   double seconds_per_probe = 0.05;
   /// Pointer-chase / streaming footprint; must exceed the last-level
   /// cache for pi to measure memory, not cache.
@@ -68,8 +75,30 @@ struct CalibrationResult {
   std::string to_json() const;
 };
 
-/// Runs every probe. Deterministic given the options; ~3x probe budget.
+/// Runs every probe and fills every field.
 CalibrationResult calibrate(const CalibrationOptions& opts = {});
+
+/// The probes the runtime model needs: mu, then pi and psi on one
+/// footprint allocation (peak_gflops and psi_c derived). Skips the FMA
+/// latency probe and the cycle attribution, so fma_latency_s and
+/// cycles_per_fma stay 0 and used_hardware_counters false.
+CalibrationResult calibrate_model(const CalibrationOptions& opts);
+
+/// The process's one host calibration: calibrate_model at a 1.5 ms probe
+/// budget over 16 MB (tens of ms in all), run by its first caller.
+/// Telemetry's expected-efficiency model and the tuner's host fingerprint
+/// both read it, so a process measures the host once. Once published the
+/// result never changes. While another thread of this process runs the probes, a
+/// caller with `wait` waits for them and one without returns nullptr at
+/// once. A claim made in another process (a child forked while its parent
+/// calibrated) is taken over, since the thread running it does not exist
+/// in the child.
+const CalibrationResult* host_calibration(bool wait);
+
+/// How many times this process has started host_calibration's probes: 0
+/// before its first caller, 1 after (2 in a child that took over its
+/// parent's claim).
+int host_calibration_runs();
 
 /// Individual probes (each returns the quantity documented above).
 double measure_fma_throughput(const CalibrationOptions& opts);   // s/flop

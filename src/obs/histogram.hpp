@@ -21,6 +21,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 
 namespace ag::obs {
@@ -36,8 +37,7 @@ inline constexpr int kLatencyBuckets = 128;
 constexpr int latency_bucket(std::uint64_t ns) {
   constexpr std::uint64_t kSub = std::uint64_t{1} << kLatencySubBits;  // 4
   if (ns < kSub) return static_cast<int>(ns);
-  int msb = 63;
-  while (!(ns >> msb)) --msb;  // position of the highest set bit, >= 2
+  const int msb = std::bit_width(ns) - 1;  // position of the highest set bit, >= 2
   const int sub = static_cast<int>((ns >> (msb - kLatencySubBits)) & (kSub - 1));
   const int idx = static_cast<int>(kSub) + (msb - kLatencySubBits) * static_cast<int>(kSub) + sub;
   return idx < kLatencyBuckets ? idx : kLatencyBuckets - 1;

@@ -163,16 +163,18 @@ struct DriftState {
 constexpr std::size_t kMaxAnomalyEvents = 64;
 
 struct Telemetry {
-  // Hot-path fields first: every record_call reads epoch, model_state and
+  // Hot-path fields first: every record_call reads epoch, have_model and
   // peak_gflops and checks dump_requested, so they share the leading cache
   // lines instead of sitting after the multi-KB drift array.
   std::atomic<double> epoch{0};
 
-  // Expected-efficiency model. model_state: 0 = absent, 1 = one thread is
-  // building it, 2 = ready. The parameters are individually atomic so a
-  // concurrent set_model never tears a reader.
-  std::atomic<int> model_state{0};
-  std::atomic<bool> model_injected{false};
+  // Expected-efficiency model, published under model_mutex (by
+  // ensure_model from the host calibration, or by telemetry_set_model);
+  // have_model turns true once the parameters are in place. The
+  // parameters are individually atomic so a concurrent set_model never
+  // tears a reader.
+  std::atomic<bool> have_model{false};
+  std::mutex model_mutex;
   std::atomic<double> peak_gflops{0};
   std::atomic<double> mu{0}, pi{0}, kappa{0.125}, psi_c{1.0};
 
@@ -202,6 +204,9 @@ Telemetry& T() {
   return *t;
 }
 
+// The recording helpers below run only in the stats-on bodies of the
+// entry points, so a -DARMGEMM_STATS=OFF build compiles none of them.
+#ifndef ARMGEMM_STATS_DISABLED
 thread_local Lane* t_lane = nullptr;
 
 Lane& local_lane() {
@@ -217,6 +222,7 @@ Lane& local_lane() {
   t.lanes.push_back(std::move(lane));
   return *t_lane;
 }
+#endif
 
 #if !defined(_WIN32)
 void sigusr2_handler(int) {
@@ -239,32 +245,31 @@ void ensure_signal_handler() {
 #endif
 }
 
-/// Builds the expected-efficiency model once per process: injected
-/// parameters win; otherwise a short obs/calibrate run (~tens of ms)
-/// derives mu/pi/psi from the host. Only the CAS winner pays; concurrent
-/// recorders skip model-derived metrics until state turns ready.
+/// Publishes the expected-efficiency model unless one is in place (an
+/// injected model wins): mu/pi/psi from the process's one host calibration
+/// (obs/calibrate host_calibration), whose probes run here if no thread has
+/// started them. It never waits: while another thread runs the probes, or
+/// holds model_mutex, it returns and recorders skip the model-derived
+/// fields until a later call finds the calibration ready.
 void ensure_model() {
   Telemetry& t = T();
-  int expected = 0;
-  if (!t.model_state.compare_exchange_strong(expected, 1, std::memory_order_acq_rel))
-    return;  // ready (2) or another thread is building (1)
+  if (t.have_model.load(std::memory_order_acquire)) return;
+  const CalibrationResult* cal = host_calibration(/*wait=*/false);
+  if (cal == nullptr) return;
+  std::unique_lock lock(t.model_mutex, std::try_to_lock);
+  if (!lock.owns_lock() || t.have_model.load(std::memory_order_relaxed)) return;
   ensure_signal_handler();
-  if (!t.model_injected.load(std::memory_order_acquire)) {
-    CalibrationOptions opts;
-    opts.seconds_per_probe = 0.004;   // keep first-call stall in the tens of ms
-    opts.memory_bytes = 16ll << 20;
-    const CalibrationResult cal = calibrate(opts);
-    t.peak_gflops.store(cal.peak_gflops, std::memory_order_relaxed);
-    t.mu.store(cal.mu, std::memory_order_relaxed);
-    t.pi.store(cal.pi, std::memory_order_relaxed);
-    t.kappa.store(0.125, std::memory_order_relaxed);
-    t.psi_c.store(cal.psi_c, std::memory_order_relaxed);
-  }
-  t.model_state.store(2, std::memory_order_release);
+  t.peak_gflops.store(cal->peak_gflops, std::memory_order_relaxed);
+  t.mu.store(cal->mu, std::memory_order_relaxed);
+  t.pi.store(cal->pi, std::memory_order_relaxed);
+  t.kappa.store(0.125, std::memory_order_relaxed);
+  t.psi_c.store(cal->psi_c, std::memory_order_relaxed);
+  t.have_model.store(true, std::memory_order_release);
 }
 
-bool model_ready() { return T().model_state.load(std::memory_order_acquire) == 2; }
+bool model_ready() { return T().have_model.load(std::memory_order_acquire); }
 
+#ifndef ARMGEMM_STATS_DISABLED
 /// Expected Gflops for one call under the Section III model, memoized per
 /// thread (direct-mapped, 8 entries) so shape-repeating serving traffic
 /// pays a few compares per call.
@@ -356,6 +361,7 @@ void note_anomaly(Telemetry& t, const AnomalyEvent& ev) {
     t.anomalies.erase(t.anomalies.begin());
   t.anomalies.push_back(ev);
 }
+#endif
 
 }  // namespace
 
@@ -370,7 +376,7 @@ void telemetry_record_call(std::int64_t m, std::int64_t n, std::int64_t k, int t
 #else
   if (!telemetry_active()) return;
   Telemetry& t = T();
-  if (t.model_state.load(std::memory_order_acquire) == 0) ensure_model();
+  if (!t.have_model.load(std::memory_order_acquire)) ensure_model();
 
   Lane& lane = local_lane();
   const ShapeClass sc = ShapeClass::classify(m, n, k);
@@ -491,7 +497,7 @@ void telemetry_record_batch_entry(std::int64_t m, std::int64_t n, std::int64_t k
 #else
   if (!telemetry_active()) return;
   Telemetry& t = T();
-  if (t.model_state.load(std::memory_order_acquire) == 0) ensure_model();
+  if (!t.have_model.load(std::memory_order_acquire)) ensure_model();
   Lane& lane = local_lane();
 
   // Same decade as classify() would assign, but forced into the batch kind.
@@ -606,10 +612,10 @@ void telemetry_reset() {
 void telemetry_set_model(double peak_gflops_per_core, const model::CostParams& cost,
                          double psi_c) {
   Telemetry& t = T();
+  std::lock_guard lock(t.model_mutex);
   if (peak_gflops_per_core <= 0) {
-    t.model_injected.store(false, std::memory_order_release);
+    t.have_model.store(false, std::memory_order_release);
     t.peak_gflops.store(0, std::memory_order_relaxed);
-    t.model_state.store(0, std::memory_order_release);
     return;
   }
   t.peak_gflops.store(peak_gflops_per_core, std::memory_order_relaxed);
@@ -617,14 +623,13 @@ void telemetry_set_model(double peak_gflops_per_core, const model::CostParams& c
   t.pi.store(cost.pi, std::memory_order_relaxed);
   t.kappa.store(cost.kappa, std::memory_order_relaxed);
   t.psi_c.store(psi_c, std::memory_order_relaxed);
-  t.model_injected.store(true, std::memory_order_release);
-  t.model_state.store(2, std::memory_order_release);
+  t.have_model.store(true, std::memory_order_release);
 }
 
 bool telemetry_model_params(double* peak_gflops_per_core, model::CostParams* cost,
                             double* psi_c) {
   Telemetry& t = T();
-  if (t.model_state.load(std::memory_order_acquire) != 2) return false;
+  if (!model_ready()) return false;
   if (peak_gflops_per_core)
     *peak_gflops_per_core = t.peak_gflops.load(std::memory_order_relaxed);
   if (cost) {

@@ -29,9 +29,11 @@
 // accessors.
 //
 // Cost contract: with telemetry disabled the dgemm hook is one relaxed
-// atomic load; enabled, a 64x64x64 call pays well under 1% (verified by
-// bench/telemetry_overhead). Under -DARMGEMM_STATS=OFF telemetry_active()
-// folds to a compile-time false and the whole layer is dead code.
+// atomic load. Enabled, a 64x64x64 call pays a median of +3.6-4.4% in
+// bench/telemetry_overhead's gate (EXPERIMENTS.md), against a 1% target
+// that the record path does not yet meet. Under -DARMGEMM_STATS=OFF
+// telemetry_active() folds to a compile-time false and the whole layer is
+// dead code.
 #pragma once
 
 #include <atomic>
@@ -145,10 +147,13 @@ void telemetry_register_thread(const std::string& name);
 
 // ---- lifecycle -----------------------------------------------------------
 
-/// Turns recording on. The first enable (or the first enable after a
-/// model reset) derives the expected-efficiency model: from
-/// telemetry_set_model() if it was called, otherwise from a short
-/// obs/calibrate run (~tens of milliseconds, once per process).
+/// Turns recording on. Unless telemetry_set_model() injected one, the
+/// first enable (or the first enable after a model reset) derives the
+/// expected-efficiency model from the process's one host calibration
+/// (obs/calibrate host_calibration), which it runs if no thread has
+/// started it: tens of milliseconds, once per process, shared with the
+/// tuner. If another thread is running the probes, enable returns at once
+/// and recorded calls carry no model-derived fields until they finish.
 /// Also installs the SIGUSR2 dump handler (POSIX hosts).
 void telemetry_enable();
 void telemetry_disable();
@@ -160,9 +165,11 @@ bool telemetry_enabled();
 void telemetry_reset();
 
 /// Injects the performance model used for expected efficiency (tests and
-/// benchmarks use this to stay deterministic and skip calibration).
-/// peak_gflops_per_core <= 0 clears the model so the next enable
-/// re-calibrates.
+/// benchmarks use this to stay deterministic and skip calibration). An
+/// injected model wins over the host calibration whether that ran before
+/// or after it. peak_gflops_per_core <= 0 clears the model: the next
+/// enable or recorded call re-derives it from the host calibration,
+/// cached if it already ran (the probes never run twice in a process).
 void telemetry_set_model(double peak_gflops_per_core, const model::CostParams& cost,
                          double psi_c);
 

@@ -9,9 +9,10 @@
 // lands there:
 //
 //   1. propose — the Section III analytic model (model/cache_blocking on
-//      the paper machine description, priced with obs/calibrate machine
-//      constants) and the host-heuristic defaults span a small candidate
-//      neighborhood across the registered kernel shapes;
+//      the paper machine description, priced with the process's one
+//      obs/calibrate host calibration, which telemetry shares) and the
+//      host-heuristic defaults span a small candidate neighborhood
+//      across the registered kernel shapes;
 //   2. measure — short probes (capped representative problem sizes, the
 //      real packing + GEBP nest, no instrumentation) rank the
 //      candidates, budgeted process-wide by ARMGEMM_TUNE_BUDGET_MS; once
@@ -119,8 +120,10 @@ void set_probe_runner(ProbeFn fn);
 void install_default_probe_runner(ProbeFn fn);
 
 /// Test hook: pins the machine model (peak Gflops/core, mu s/flop, pi
-/// s/word) so resolution never runs obs/calibrate. peak <= 0 clears the
-/// pin and the next resolution re-calibrates.
+/// s/word) so resolution never reads obs/calibrate's host calibration.
+/// peak <= 0 clears the pin and the next resolution reads the host
+/// calibration (running it if no thread has: once per process, shared
+/// with telemetry).
 void set_machine_model(double peak_gflops, double mu, double pi);
 
 /// Per-core-class mc blocking — the paper's Eq. 19 mc sizing generalized

@@ -41,7 +41,8 @@ Counters& counters() {
 
 std::atomic<ProbeFn> g_probe_runner{nullptr};
 
-// Test-pinned machine model (peak, mu, pi); peak <= 0 means "calibrate".
+// Test-pinned machine model (peak, mu, pi); peak <= 0 means "read the host
+// calibration".
 struct PinnedModel {
   std::atomic<double> peak{0}, mu{0}, pi{0};
 };
@@ -149,6 +150,14 @@ void on_drift_anomaly(int shape_class) {
   }
 }
 
+// Runs (or waits for) the host calibration before the tuner mutex is
+// taken, so no thread holds the mutex across the probes: a child forked
+// meanwhile would inherit it locked.
+void prime_host_calibration() {
+  if (pinned_model().peak.load(std::memory_order_relaxed) <= 0)
+    obs::host_calibration(/*wait=*/true);
+}
+
 void ensure_model(Tuner& t) {
   if (t.model_ready) return;
   const double pinned_peak = pinned_model().peak.load(std::memory_order_relaxed);
@@ -157,12 +166,10 @@ void ensure_model(Tuner& t) {
     t.mu = pinned_model().mu.load(std::memory_order_relaxed);
     t.pi = pinned_model().pi.load(std::memory_order_relaxed);
   } else {
-    // Reduced-budget calibration: the fingerprint and the probe cost
-    // estimates need ballpark constants, not publication-grade ones.
-    obs::CalibrationOptions opts;
-    opts.seconds_per_probe = 0.004;
-    opts.memory_bytes = 16ll << 20;
-    const obs::CalibrationResult cal = obs::calibrate(opts);
+    // The process's one host calibration, shared with telemetry. The
+    // fingerprint gates only on peak > 0, and the probe cost estimates
+    // need ballpark constants, not publication-grade ones.
+    const obs::CalibrationResult& cal = *obs::host_calibration(/*wait=*/true);
     t.peak_gflops = cal.peak_gflops;
     t.mu = cal.mu;
     t.pi = cal.pi;
@@ -534,7 +541,7 @@ void set_machine_model(double peak_gflops, double mu, double pi) {
   if (g_tuner_constructed.load(std::memory_order_acquire)) {
     Tuner& t = tuner();
     std::lock_guard lock(t.mutex);
-    t.model_ready = false;  // next resolution re-derives (or re-calibrates)
+    t.model_ready = false;  // next resolution re-derives the model
   }
 }
 
@@ -551,6 +558,7 @@ const TunedConfig* resolve(Precision precision, index_t m, index_t n, index_t k,
   const TunedConfig* cfg = t.table[idx].load(std::memory_order_acquire);
   if (cfg != nullptr) return cfg;
 
+  prime_host_calibration();
   std::lock_guard lock(t.mutex);
   cfg = t.table[idx].load(std::memory_order_acquire);
   if (cfg != nullptr) return cfg;
@@ -587,6 +595,7 @@ void force_retune() {
 int save_cache(const std::string& path) {
   Tuner& t = tuner();
   g_tuner_constructed.store(true, std::memory_order_release);
+  prime_host_calibration();
   std::lock_guard lock(t.mutex);
   ensure_model(t);
   ensure_cache_loaded(t);

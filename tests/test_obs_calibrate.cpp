@@ -76,6 +76,31 @@ TEST(ObsCalibrate, FullCalibrationIsConsistent) {
   EXPECT_DOUBLE_EQ(p.kappa, 0.25);
 }
 
+TEST(ObsCalibrate, ModelCalibrationSkipsLatencyAndCycles) {
+  const ag::obs::CalibrationResult cal = ag::obs::calibrate_model(fast_options());
+  ASSERT_GT(cal.mu, 0.0);
+  EXPECT_NEAR(cal.peak_gflops, 1e-9 / cal.mu, 1e-9 / cal.mu * 1e-6);
+  EXPECT_GT(cal.pi, cal.mu);
+  EXPECT_GE(cal.psi_c, 0.0);
+  EXPECT_GE(cal.measured_psi, 0.0);
+  EXPECT_LE(cal.measured_psi, 1.0 + 1e-9);
+  EXPECT_EQ(cal.gamma_probe, 1.0);
+  EXPECT_EQ(cal.fma_latency_s, 0.0);
+  EXPECT_EQ(cal.cycles_per_fma, 0.0);
+  EXPECT_FALSE(cal.used_hardware_counters);
+}
+
+TEST(ObsCalibrate, ChaseWalksFootprintsOfAnyLineCount) {
+  // Line counts off a power of two exercise the chain order's walk back
+  // into range; a line the order missed would hold an unset pointer.
+  for (const std::int64_t lines : {1025, 1500, 3001}) {
+    ag::obs::CalibrationOptions opts = fast_options();
+    opts.seconds_per_probe = 0.0005;
+    opts.memory_bytes = lines * 64;
+    EXPECT_GT(ag::obs::measure_memory_word_cost(opts), 0.0) << lines << " lines";
+  }
+}
+
 TEST(ObsCalibrate, ForcedFallbackStillCalibrates) {
   const bool saved = ag::obs::pmu_forced_fallback();
   ag::obs::pmu_set_forced_fallback(true);

@@ -81,6 +81,39 @@ TEST(TelemetryHistogramBuckets, OverflowBucket) {
   EXPECT_EQ(obs::latency_bucket(obs::latency_bucket_lower_ns(last) - 1), last - 1);
 }
 
+// The bucket index as first written: a scan down from bit 63 for the
+// highest set bit. latency_bucket finds that bit with std::bit_width and
+// must map every value to the same bucket.
+int scanned_latency_bucket(std::uint64_t ns) {
+  if (ns < 4) return static_cast<int>(ns);
+  int msb = 63;
+  while (!(ns >> msb)) --msb;
+  const int idx = 4 + (msb - 2) * 4 + static_cast<int>((ns >> (msb - 2)) & 3);
+  return idx < obs::kLatencyBuckets ? idx : obs::kLatencyBuckets - 1;
+}
+
+TEST(TelemetryHistogramBuckets, MatchesTheBitScanFormula) {
+  for (int e = 0; e < 64; ++e) {
+    const std::uint64_t p = std::uint64_t{1} << e;
+    for (const std::uint64_t ns : {p - 1, p, p + 1})
+      EXPECT_EQ(obs::latency_bucket(ns), scanned_latency_bucket(ns)) << "ns=" << ns;
+  }
+  for (int b = 1; b < obs::kLatencyBuckets; ++b) {
+    const std::uint64_t lo = obs::latency_bucket_lower_ns(b);
+    for (const std::uint64_t ns : {lo - 1, lo, lo + 1})
+      EXPECT_EQ(obs::latency_bucket(ns), scanned_latency_bucket(ns)) << "ns=" << ns;
+  }
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 100000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    // Spread the draws over every octave, not just the top few.
+    const std::uint64_t ns = x >> (x % 64);
+    ASSERT_EQ(obs::latency_bucket(ns), scanned_latency_bucket(ns)) << "ns=" << ns;
+  }
+}
+
 TEST(TelemetryHistogramBuckets, RelativeWidthBounded) {
   // The HDR-lite geometry promises <= 25% relative bucket width once past
   // the exact-value buckets.
