@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
     std::string gaps;
     int copy_min = INT32_MAX;
     for (const auto& l : plan.copies[static_cast<std::size_t>(c)].loads) {
-      gaps += (gaps.empty() ? "" : ",") + std::to_string(l.gap);
+      if (!gaps.empty()) gaps += ',';
+      gaps += std::to_string(l.gap);
       copy_min = std::min(copy_min, l.raw_distance_fmla);
     }
     t.add_row({std::to_string(c), gaps, std::to_string(copy_min)});

@@ -20,9 +20,10 @@
 // two batched points (64 small squares, 8 tall-skinny entries sharing
 // one B) through dgemm_strided_batch, gated on aggregate Gflops.
 // Schema 5 adds one autotune point per thread count (256^3 through a
-// pinned context vs a tunable one), gated live — the closed-loop tuner
-// must never lose to the paper/host defaults — and against the
-// baseline's tuned Gflops. Schema 6 adds topology-schedule points:
+// pinned context vs a tunable one), gated live — the configuration a
+// tunable call resolves (the cache file's entry, or the anchor) must
+// never lose to the paper/host defaults — and against the baseline's
+// tuned Gflops. Schema 6 adds topology-schedule points:
 // the analytic big.LITTLE schedule simulator (sim/biglittle) replays
 // the runtime's exact panel/ticket arithmetic for 256^3..512^3 under an
 // emulated 2-class 2:1 topology and records the weighted-vs-round-robin
@@ -293,7 +294,8 @@ std::vector<BatchResult> run_batch_points(const std::vector<int>& threads, int r
 
 // Autotune point (schema 5): the same dgemm timed through a pinned
 // context (paper/host defaults, exactly the pre-tuner behavior) and a
-// tunable one (the closed-loop tuner resolves kernel + blocking). Gated
+// tunable one (kernel + blocking from the ARMGEMM_TUNE_CACHE entry of
+// its key, or the anchor, which equals the defaults). Gated
 // LIVE — tuned must not lose to default beyond the threshold even without
 // a baseline — and against the baseline's tuned Gflops when present.
 // The two contexts run in interleaved pairs, alternating which goes
@@ -333,7 +335,7 @@ TuneResult run_tune_point(std::int64_t n, int threads, int reps, double inject) 
     return flops / t.seconds() * 1e-9;
   };
   gflops(pinned);  // warm-up
-  gflops(tuned);   // warm-up: runs the tuner's probes
+  gflops(tuned);   // warm-up: resolves the key (reads the cache file)
   // Floor of 7 pairs regardless of --reps: this point feeds a live gate,
   // and one noisy pair must not fail the run.
   std::vector<double> def, tun, ratio;

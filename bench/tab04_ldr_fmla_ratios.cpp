@@ -86,11 +86,12 @@ int main(int argc, char** argv) {
         shape.mr > 0 && peak_gflops > 0
             ? measure_kernel_efficiency(shape, size, peak_gflops, &hw)
             : -1;
+    std::string gebp;
+    if (shape.mr > 0) gebp.append("~").append(shape.to_string()).append(" GEBP");
     t.add_row({std::to_string(p.ldrs) + ":" + std::to_string(p.fmlas),
                ag::Table::fmt_pct(eff, 1), ag::Table::fmt_pct(p.efficiency, 1),
                measured >= 0 ? ag::Table::fmt_pct(measured, 1) : "-",
-               measured >= 0 ? (hw ? "hw" : "sim") : "sim",
-               shape.mr > 0 ? "~" + shape.to_string() + " GEBP" : ""});
+               measured >= 0 ? (hw ? "hw" : "sim") : "sim", gebp});
   }
   agbench::emit(args, t);
 

@@ -14,7 +14,7 @@
 #include "core/gemm.hpp"
 #include "core/gemm_batch.hpp"
 #include "core/sgemm.hpp"
-#include "core/tuning.hpp"
+#include "tune/tune.hpp"
 #include "obs/forensics.hpp"
 #include "obs/gemm_stats.hpp"
 #include "obs/pmu.hpp"
@@ -394,18 +394,11 @@ int armgemm_scheduler_stats_get(armgemm_scheduler_stats* out) {
   return 1;
 }
 
-void armgemm_tune_force_retune(void) { ag::tune::force_retune(); }
-
-int armgemm_tune_save(const char* path) {
-  return ag::tune::save_cache(path ? path : "");
-}
-
 int armgemm_tune_resolve(int precision, long long m, long long n, long long k,
                          int threads, armgemm_tuned_config* out) {
   if (!out) return 0;
   *out = armgemm_tuned_config{};
   if (m <= 0 || n <= 0 || k <= 0 || threads < 1) return 0;
-  ag::ensure_tune_probe_runner();
   const ag::tune::Precision prec =
       precision == 1 ? ag::tune::Precision::kF32 : ag::tune::Precision::kF64;
   const ag::tune::TunedConfig* cfg = ag::tune::resolve(prec, m, n, k, threads);
@@ -418,8 +411,6 @@ int armgemm_tune_resolve(int precision, long long m, long long n, long long k,
   out->nc = cfg->nc;
   out->mc_mt = cfg->mc_mt;
   out->nc_mt = cfg->nc_mt;
-  out->prea = cfg->prea;
-  out->preb = cfg->preb;
   out->source = static_cast<int>(cfg->source);
   out->gflops = cfg->gflops;
   return 1;

@@ -88,8 +88,8 @@ int armgemm_get_num_threads(void);
  *
  * armgemm_config_set parses `value` as the environment is parsed: a
  * base-10 integer, a finite decimal, or for the on/off knobs 1/0, on/off,
- * true/false or yes/no in any case (ARMGEMM_TUNE also takes "analytic");
- * the path and spec knobs take the text itself, "" meaning unset. Numbers
+ * true/false or yes/no in any case; the path and spec knobs take the
+ * text itself, "" meaning unset. Numbers
  * outside a knob's range are clamped into it. Returns 0, or -1 and
  * changes nothing for a NULL or unknown name, a NULL value, or text that
  * is not a value of the knob's type.
@@ -187,8 +187,7 @@ int armgemm_stats_write_json(const char* path);
  * exposition, and a model-drift anomaly detector comparing measured
  * efficiency against the paper's Section III expectation. The first
  * enable calibrates the expected-efficiency model (tens of ms, once per
- * process, shared with the autotuner) unless armgemm_telemetry_set_model()
- * injected one. SIGUSR2 requests a metrics dump to the
+ * process) unless armgemm_telemetry_set_model() injected one. SIGUSR2 requests a metrics dump to the
  * ARMGEMM_METRICS_PATH file at the next recorded call. In a
  * library built with -DARMGEMM_STATS=OFF these calls succeed but record
  * nothing. */
@@ -296,29 +295,20 @@ typedef struct armgemm_panel_cache_stats {
 
 int armgemm_panel_cache_stats_get(armgemm_panel_cache_stats* out);
 
-/* ---- Closed-loop autotuner ----
+/* ---- Autotuner ----
  *
- * Per (precision, shape-class) key, the tuner picks the register kernel,
- * the kc/mc/nc cache blocking, the prefetch distances and the small-path
- * crossover: an analytic proposal from the paper's Section III model,
- * refined by short measured probes (budgeted by ARMGEMM_TUNE_BUDGET_MS),
- * persisted per host to a versioned JSON cache at ARMGEMM_TUNE_CACHE and
- * invalidated when telemetry's drift detector fires. cblas_* calls use
- * tuned configurations automatically; contexts configured through the
- * explicit C++ API are pins the tuner never overrides. */
+ * Per (precision, shape-class) key, a tunable call (every cblas_* call)
+ * runs the register kernel and kc/mc/nc cache blocking of the key's
+ * entry in the per-host cache file at ARMGEMM_TUNE_CACHE, or, without
+ * one, the analytic anchor: the host-default kernel and blocking that a
+ * default pinned context runs. The library only reads the file; the
+ * offline search `bench/abl_autotune --native` writes it. Nothing is
+ * timed, calibrated or re-tuned at run time, so one host and one cache
+ * file give every process the same configuration. Contexts configured
+ * through the explicit C++ API are pins the tuner never overrides. */
 
-/* Drops every resolved key and the in-memory cache image; each key
- * re-tunes on its next call (probe budget permitting). The cache file is
- * untouched until the next save. */
-void armgemm_tune_force_retune(void);
-
-/* Writes the resolved tuning state to `path` (NULL or "" uses the
- * ARMGEMM_TUNE_CACHE knob). Atomic .tmp+rename. Returns 0 on success, -1
- * when no path is configured or the write fails. */
-int armgemm_tune_save(const char* path);
-
-/* The configuration the tuner would use for one (m, n, k) call right now
- * (resolving — and possibly probing — the key if this is its first
+/* The configuration the tuner gives one (m, n, k) call (resolving the
+ * key — reading the cache file once per process — if this is its first
  * visit). precision: 0 double, 1 float. Returns 1 and fills `out`, or 0
  * when the tuner is off. */
 typedef struct armgemm_tuned_config {
@@ -326,9 +316,8 @@ typedef struct armgemm_tuned_config {
   int mr, nr;
   long long kc, mc, nc;       /* single-thread blocking */
   long long mc_mt, nc_mt;     /* blocking when the call runs parallel */
-  long long prea, preb;       /* probed prefetch distances; 0 not probed */
-  int source;                 /* 1 analytic, 2 probed, 3 cached */
-  double gflops;              /* best probe measurement; 0 when analytic */
+  int source;                 /* 1 analytic (the anchor), 2 cached */
+  double gflops;              /* the offline search's measurement; 0 when analytic */
 } armgemm_tuned_config;
 
 int armgemm_tune_resolve(int precision, long long m, long long n, long long k,

@@ -21,8 +21,8 @@ using enum KnobType;
 // The knob table. Defaults are text, so the defaults, the environment and
 // set_knob all go through one parser.
 constexpr KnobRow kRows[kKnobCount] = {
-    // env                           type       default  min  open   tune group
-    {"ARMGEMM_SPIN_US",              kInt,      "50",     0, false, 0},
+    // env                           type       default  min  open
+    {"ARMGEMM_SPIN_US",              kInt,      "50",     0, false},
     // The unpacked small path stores the untuned blocked path's bits, so
     // this threshold moves only speed and nothing tunes it. Above 50^3
     // the small path runs on the context's ranks. 224 is the median of
@@ -30,62 +30,59 @@ constexpr KnobRow kRows[kKnobCount] = {
     // of volume n^3 in mixed shapes and transposes with operands out of
     // L2, on a 4-vCPU AVX2 host: `bench/fig14_thread_scaling
     // --native=64,96,...,320` (EXPERIMENTS.md).
-    {"ARMGEMM_SMALL_MNK",            kInt,      "224",    0, false, 0},
+    {"ARMGEMM_SMALL_MNK",            kInt,      "224",    0, false},
     // Paper Table III / Figure 8: the tuned prfm distances of the 8x6
-    // kernel. The tuner probes the two together, so they pin together.
-    {"ARMGEMM_PREA",                 kInt,      "1024",   0, false, 1},
-    {"ARMGEMM_PREB",                 kInt,      "24576",  0, false, 1},
-    {"ARMGEMM_TELEMETRY",            kOnOff,    "0",      0, false, 0},
-    {"ARMGEMM_METRICS_PATH",         kText,     "",       0, false, 0},
-    {"ARMGEMM_FLIGHT_DEPTH",         kInt,      "256",    0, false, 0},
-    {"ARMGEMM_DRIFT_THRESHOLD",      kDouble,   "0.25",   0, true,  0},
+    // kernel.
+    {"ARMGEMM_PREA",                 kInt,      "1024",   0, false},
+    {"ARMGEMM_PREB",                 kInt,      "24576",  0, false},
+    {"ARMGEMM_TELEMETRY",            kOnOff,    "0",      0, false},
+    {"ARMGEMM_METRICS_PATH",         kText,     "",       0, false},
+    {"ARMGEMM_FLIGHT_DEPTH",         kInt,      "256",    0, false},
+    {"ARMGEMM_DRIFT_THRESHOLD",      kDouble,   "0.25",   0, true},
     // The queue depth bounds memory held by outstanding tickets, not
     // parallelism: a batch of small entries enqueues one ticket per
     // entry, so 1024 covers the serving sweet spot while still shedding
     // load (inline execution) under pathological fan-in.
-    {"ARMGEMM_QUEUE_DEPTH",          kInt,      "1024",   1, false, 0},
+    {"ARMGEMM_QUEUE_DEPTH",          kInt,      "1024",   1, false},
     // Packed-B panels of the default blocking are kc*nc*8 bytes (a few
     // MiB); 64 MiB holds the panels of a few dozen distinct B operands.
-    {"ARMGEMM_PANEL_CACHE_MB",       kInt,      "64",     0, false, 0},
-    {"ARMGEMM_TUNE",                 kTuneMode, "on",     0, false, 0},
-    {"ARMGEMM_TUNE_CACHE",           kText,     "",       0, false, 0},
-    // Enough wall time for one key's candidate neighborhood at the capped
-    // probe sizes on a mid-range host, small enough that a cold first
-    // call stays interactive.
-    {"ARMGEMM_TUNE_BUDGET_MS",       kInt,      "120",    0, false, 0},
+    {"ARMGEMM_PANEL_CACHE_MB",       kInt,      "64",     0, false},
+    {"ARMGEMM_TUNE",                 kOnOff,    "1",      0, false},
+    {"ARMGEMM_TUNE_CACHE",           kText,     "",       0, false},
+    // Bounds one key's offline search (bench/abl_autotune --native),
+    // which no library call pays: about seven interleaved rounds of the
+    // twelve f64 candidates at 512^3 on a 4-vCPU AVX2 host.
+    {"ARMGEMM_TUNE_BUDGET_MS",       kInt,      "2000",   0, false},
     // The phase clock reads are a few ns per call and only taken while
     // telemetry is already recording.
-    {"ARMGEMM_PHASES",               kOnOff,    "1",      0, false, 0},
+    {"ARMGEMM_PHASES",               kOnOff,    "1",      0, false},
     // 8x the class p99 is far outside scheduler jitter but still catches
     // a call that hit a cold cache, a stolen core, or a pathological
     // stall.
-    {"ARMGEMM_SLOW_CALL_FACTOR",     kDouble,   "8",      0, false, 0},
-    {"ARMGEMM_FORENSICS_DIR",        kText,     "",       0, false, 0},
+    {"ARMGEMM_SLOW_CALL_FACTOR",     kDouble,   "8",      0, false},
+    {"ARMGEMM_FORENSICS_DIR",        kText,     "",       0, false},
     // One bundle a minute bounds forensics I/O even when a whole class
     // goes bad at once.
-    {"ARMGEMM_FORENSICS_INTERVAL",   kDouble,   "60",     0, false, 0},
-    {"ARMGEMM_CPU_CLASSES",          kText,     "",       0, false, 0},
-    {"ARMGEMM_NUMA_NODES",           kInt,      "0",      0, false, 0},
+    {"ARMGEMM_FORENSICS_INTERVAL",   kDouble,   "60",     0, false},
+    {"ARMGEMM_CPU_CLASSES",          kText,     "",       0, false},
+    {"ARMGEMM_NUMA_NODES",           kInt,      "0",      0, false},
     // A library must not fight the host's scheduler unless the operator
     // opted in.
-    {"ARMGEMM_AFFINITY",             kOnOff,    "0",      0, false, 0},
+    {"ARMGEMM_AFFINITY",             kOnOff,    "0",      0, false},
     // A replica costs one extra pack and its resident bytes per node;
     // panels under ~1 MiB travel the interconnect cheaply enough that the
     // copy is not worth the cache capacity.
-    {"ARMGEMM_PANEL_REPLICATE_KB",   kInt,      "1024",   0, false, 0},
-    {"ARMGEMM_WEIGHTED_SCHEDULE",    kOnOff,    "1",      0, false, 0},
+    {"ARMGEMM_PANEL_REPLICATE_KB",   kInt,      "1024",   0, false},
+    {"ARMGEMM_WEIGHTED_SCHEDULE",    kOnOff,    "1",      0, false},
     // Two full same-node sweeps tolerate transient emptiness before a
     // worker pays the interconnect for a remote ticket.
-    {"ARMGEMM_CROSS_NODE_STEAL",     kInt,      "2",      0, false, 0},
-    {"ARMGEMM_PMU",                  kOnOff,    "1",      0, false, 0},
+    {"ARMGEMM_CROSS_NODE_STEAL",     kInt,      "2",      0, false},
+    {"ARMGEMM_PMU",                  kOnOff,    "1",      0, false},
 };
 
-constexpr int kTuneGroups = 2;
 static_assert(std::ranges::all_of(kRows, [](const KnobRow& r) {
-  return r.tune_group < kTuneGroups && (r.type == kDouble || !r.open_min);
+  return r.type == kDouble || !r.open_min;
 }));
-
-constexpr const char* kTuneModeNames[] = {"off", "analytic", "on"};
 
 constexpr std::size_t index(Knob k) { return static_cast<std::size_t>(k); }
 
@@ -147,17 +144,6 @@ bool iequals(std::string_view a, std::string_view b) {
   });
 }
 
-// The value of an on/off or ARMGEMM_TUNE row that `text` spells.
-std::optional<std::int64_t> parse_switch(KnobType type, std::string_view text) {
-  if (const std::optional<bool> on = detail::parse_on_off(text)) {
-    if (!*on) return 0;
-    return type == kTuneMode ? kTuneModeOn : 1;
-  }
-  if (type == kTuneMode && iequals(trim(text), "analytic"))
-    return kTuneModeAnalytic;
-  return std::nullopt;
-}
-
 // `text` as a number of a numeric or on/off row's type.
 std::optional<KnobValue> parse_number(KnobType type, const std::string& text) {
   if (type == kInt) {
@@ -170,7 +156,8 @@ std::optional<KnobValue> parse_number(KnobType type, const std::string& text) {
     if (parse_double(text.c_str(), v) != nullptr) return std::nullopt;
     return v;
   }
-  if (const std::optional<std::int64_t> v = parse_switch(type, text)) return *v;
+  if (const std::optional<bool> on = detail::parse_on_off(text))
+    return std::int64_t{*on ? 1 : 0};
   return std::nullopt;
 }
 
@@ -194,9 +181,6 @@ std::optional<std::uint64_t> code_bits(const KnobRow& r, const KnobValue& v) {
   const auto* i = std::get_if<std::int64_t>(&v);
   if (i == nullptr) return std::nullopt;
   if (r.type == kOnOff) return *i != 0 ? 1 : 0;
-  if (r.type == kTuneMode)
-    return *i >= kTuneModeOff && *i <= kTuneModeOn ? static_cast<std::uint64_t>(*i)
-                                                   : default_bits(r);
   return static_cast<std::uint64_t>(std::max(*i, r.min));
 }
 
@@ -212,10 +196,8 @@ std::uint64_t env_bits(const KnobRow& r, const char* raw) {
     return double_bits(detail::parse_env_double(r.env, raw, std::bit_cast<double>(fallback),
                                                 /*allow_zero=*/!r.open_min));
   if (raw == nullptr || raw[0] == '\0') return fallback;
-  if (const std::optional<std::int64_t> v = parse_switch(r.type, raw))
-    return static_cast<std::uint64_t>(*v);
-  warn_rejected(r.env, raw, r.type == kOnOff ? "not on/off" : "not on/off/analytic",
-                r.fallback);
+  if (const std::optional<bool> on = detail::parse_on_off(raw)) return *on ? 1 : 0;
+  warn_rejected(r.env, raw, "not on/off", r.fallback);
   return fallback;
 }
 
@@ -232,9 +214,6 @@ TextStore& text_store() {
   return *store;
 }
 
-// Pinned flag per tune group (group 0 is never pinned).
-std::atomic<bool> g_pinned[kTuneGroups];
-
 bool load_environment() {
   TextStore& texts = text_store();
   std::lock_guard lock(texts.mutex);
@@ -247,10 +226,6 @@ bool load_environment() {
       texts.value[i] = present ? raw : "";
     else
       detail::g_knob_bits[i].store(env_bits(r, raw), std::memory_order_relaxed);
-    // An environment value is an explicit choice, even one the parser
-    // rejected: the tuner leaves its group alone.
-    if (present && r.tune_group != 0)
-      g_pinned[r.tune_group].store(true, std::memory_order_relaxed);
     if (present && static_cast<Knob>(i) == Knob::kTelemetry) telemetry_set = true;
   }
   // Setting a metrics path without ARMGEMM_TELEMETRY asks for the
@@ -347,7 +322,6 @@ bool set_knob(Knob k, const KnobValue& v) {
   }
   const std::optional<std::uint64_t> bits = code_bits(r, v);
   if (!bits) return false;
-  if (r.tune_group != 0) g_pinned[r.tune_group].store(true, std::memory_order_relaxed);
   detail::g_knob_bits[index(k)].store(*bits, std::memory_order_relaxed);
   return true;
 }
@@ -361,25 +335,11 @@ std::string knob_text(Knob k) {
     return texts.value[index(k)];
   }
   const std::uint64_t bits = detail::knob_bits(k);
-  if (r.type == kTuneMode) return kTuneModeNames[bits];
   char buf[32];
   const std::to_chars_result end =
       r.type == kDouble ? std::to_chars(buf, buf + sizeof buf, std::bit_cast<double>(bits))
                         : std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(bits));
   return std::string(buf, end.ptr);
-}
-
-bool knob_pinned(Knob k) {
-  ensure_loaded();
-  const std::uint8_t group = knob_row(k).tune_group;
-  return group != 0 && g_pinned[group].load(std::memory_order_relaxed);
-}
-
-bool tuner_apply(Knob k, std::int64_t v) {
-  const KnobRow& r = knob_row(k);
-  if (r.tune_group == 0 || knob_pinned(k)) return false;
-  detail::g_knob_bits[index(k)].store(*code_bits(r, v), std::memory_order_relaxed);
-  return true;
 }
 
 std::int64_t spin_wait_us() { return int_knob(Knob::kSpinUs); }

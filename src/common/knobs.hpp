@@ -52,11 +52,10 @@ enum class Knob : int {
 constexpr int kKnobCount = static_cast<int>(Knob::kCount);
 
 enum class KnobType : std::uint8_t {
-  kInt,       // a base-10 integer
-  kDouble,    // a finite decimal
-  kOnOff,     // 1/0, on/off, true/false or yes/no, in any case
-  kTuneMode,  // an on/off spelling, or "analytic"
-  kText,      // a path or spec; "" means unset
+  kInt,     // a base-10 integer
+  kDouble,  // a finite decimal
+  kOnOff,   // 1/0, on/off, true/false or yes/no, in any case
+  kText,    // a path or spec; "" means unset
 };
 
 struct KnobRow {
@@ -66,8 +65,6 @@ struct KnobRow {
   std::int64_t min;      // the smallest value in range (numeric rows)
   bool open_min;         // decimal rows: the value must exceed min, and
                          // code values that do not store the default
-  std::uint8_t tune_group;  // nonzero: the autotuner may write the row
-                            // until an explicit value pins its group
 };
 
 const KnobRow& knob_row(Knob k);
@@ -81,25 +78,16 @@ std::optional<Knob> find_knob(std::string_view env);
 using KnobValue = std::variant<std::int64_t, double, std::string>;
 
 /// The one setter. Stores `v` process-wide, clamped into the row's range
-/// (on/off rows store any nonzero integer as on; ARMGEMM_TUNE stores an
-/// integer outside 0..2 as its default). Setting a row of a tune group
-/// pins the group against the autotuner. Returns false, changing
-/// nothing, when `v` is not a value of the row's type.
+/// (on/off rows store any nonzero integer as on). Returns false, changing
+/// nothing, when `v` is not a value of the row's type. Only the
+/// environment and callers of this setter write a knob; the library
+/// never does.
 bool set_knob(Knob k, const KnobValue& v);
 
 /// The current value as text that set_knob and the environment accept:
 /// integers in base 10, decimals in their shortest exact form, on/off
-/// rows as 1 or 0, ARMGEMM_TUNE as off, analytic or on.
+/// rows as 1 or 0.
 std::string knob_text(Knob k);
-
-/// True once the environment or set_knob chose a value for the row's
-/// tune group (ARMGEMM_PREA with ARMGEMM_PREB, the only group).
-bool knob_pinned(Knob k);
-
-/// The autotuner's write: stores `v` (clamped) without pinning and
-/// returns true, or returns false and changes nothing when the row has no
-/// tune group or its group is pinned.
-bool tuner_apply(Knob k, std::int64_t v);
 
 // ---- typed getters: one relaxed load each ----------------------------------
 
@@ -149,16 +137,17 @@ std::string forensics_dir();
 double forensics_interval_s();
 
 /// Autotuner mode: off (paper/host defaults, bit-for-bit the pre-tuner
-/// behavior), analytic proposals only, or analytic + measured probes.
+/// behavior) or on (tunable calls read the cache file's entry for their
+/// key, or the analytic anchor).
 constexpr int kTuneModeOff = 0;
-constexpr int kTuneModeAnalytic = 1;
-constexpr int kTuneModeOn = 2;
+constexpr int kTuneModeOn = 1;
 int tune_mode();
 
-/// Persistent tuning-cache path ("" = persistence disabled).
+/// Per-host tuning-cache path ("" = no cache file).
 std::string tune_cache_path();
 
-/// Process-wide measured-probe budget in milliseconds.
+/// Wall-time budget of one key's offline search in `bench/abl_autotune
+/// --native`, in milliseconds. No library call reads it.
 std::int64_t tune_budget_ms();
 
 /// Core-class override spec ("" = discover from sysfs). Changing it does

@@ -42,7 +42,7 @@ BlockSizes default_block_sizes(KernelShape shape, int threads);
 
 /// sgemm's untuned blocking for an mr x nr float kernel, at any thread
 /// count: kc 512, mc 64 rounded up to a multiple of mr, nc 4096 rounded
-/// down to a multiple of nr. Also the tuner's first f32 candidate.
+/// down to a multiple of nr. Also the tuner's f32 anchor (tune::anchor).
 BlockSizes default_sgemm_block_sizes(KernelShape shape);
 
 }  // namespace ag

@@ -77,14 +77,16 @@ class Context {
   Context& set_block_sizes(const BlockSizes& bs);
   Context& set_threads(int threads);
 
-  /// Opts this context into the closed-loop autotuner (src/tune): each
-  /// call resolves its kernel shape and cache blocking per (precision,
-  /// shape-class) key instead of using the context's fixed configuration.
-  /// Off by default — explicitly constructed contexts keep exactly what
-  /// they were configured with (the tuner counts their calls under the
-  /// "pinned" source). set_kernel / set_block_sizes also clear the flag:
-  /// an explicit configuration is a pin. The C API's thread-local
-  /// contexts and default_context() are tunable.
+  /// Opts this context into the autotuner (src/tune): each call runs the
+  /// kernel shape and cache blocking of its (precision, shape-class) key
+  /// — the ARMGEMM_TUNE_CACHE file's entry, or without one the anchor,
+  /// which is this default configuration — instead of the context's
+  /// fixed configuration. Resolution only reads; it never times or
+  /// re-tunes. Off by default — explicitly constructed contexts keep
+  /// exactly what they were configured with (the tuner counts their calls
+  /// under the "pinned" source). set_kernel / set_block_sizes also clear
+  /// the flag: an explicit configuration is a pin. The C API's
+  /// thread-local contexts and default_context() are tunable.
   Context& set_tunable(bool tunable) {
     tunable_ = tunable;
     return *this;

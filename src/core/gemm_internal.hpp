@@ -1,15 +1,14 @@
-// The GEMM driver shared by dgemm (core/gemm.cpp), sgemm (core/sgemm.cpp),
-// the autotuner's probes (core/tuning.cpp) and batch tickets
-// (core/gemm_batch.cpp), templated on the element type like the packing
-// and GEBP it drives. A batch ticket runs the small path or the blocked
-// driver at one rank over its row slice, fetching B panels through the
-// panel cache. Not part of the public surface.
+// The GEMM driver shared by dgemm (core/gemm.cpp), sgemm (core/sgemm.cpp)
+// and batch tickets (core/gemm_batch.cpp), templated on the element type
+// like the packing and GEBP it drives. A batch ticket runs the small path
+// or the blocked driver at one rank over its row slice, fetching B panels
+// through the panel cache. Not part of the public surface.
 //
 // Both paths run the same register kernel over the same tile grid with
 // the same kc chunks, so the small path stores the bits the untuned
 // blocked path would: where the crossover sits moves only speed, never
-// results. (A tunable context's blocked path may run the tuner's kernel
-// and kc, which the small path never consults.)
+// results. (A tunable context's blocked path may run a cache file's
+// kernel and kc, which the small path never consults.)
 #pragma once
 
 #include <algorithm>

@@ -6,7 +6,6 @@
 #include "common/knobs.hpp"
 #include "core/context.hpp"
 #include "core/gemm_internal.hpp"
-#include "core/tuning.hpp"
 #include "kernels/sgemm_kernels.hpp"
 #include "tune/tune.hpp"
 
@@ -32,7 +31,6 @@ detail::GemmPlan<float> resolve_plan(const SgemmOptions& options, int threads, i
   bs = untuned_block_sizes(k, options);
   if (options.tunable && options.kc == 0 && options.mc == 0 && options.nc == 0 &&
       tune_mode() != kTuneModeOff) {
-    ensure_tune_probe_runner();
     const tune::TunedConfig* tc = tune::resolve(tune::Precision::kF32, m, n, k_dim, threads);
     if (tc != nullptr && tc->mr == bs.mr && tc->nr == bs.nr) {
       bs.kc = tc->kc;

@@ -17,9 +17,10 @@ struct SgemmOptions {
   int threads = 1;
   /// Cache blocks; zero fields take default_sgemm_block_sizes().
   std::int64_t kc = 0, mc = 0, nc = 0;
-  /// Opts the call into the closed-loop autotuner: when set (and kc/mc/nc
-  /// are all zero and ARMGEMM_TUNE is not off) the f32 shape-class key's
-  /// tuned blocking replaces the host defaults. The C API sets it;
+  /// Opts the call into the autotuner: when set (and kc/mc/nc are all
+  /// zero and ARMGEMM_TUNE is not off) the f32 shape-class key's blocking
+  /// from the ARMGEMM_TUNE_CACHE file replaces the host defaults (without
+  /// a file entry the key's anchor is the defaults). The C API sets it;
   /// explicitly blocked calls are pins.
   bool tunable = false;
 };

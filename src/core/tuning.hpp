@@ -1,10 +1,5 @@
-// Core's side of the closed-loop autotuner (src/tune): per-call
-// configuration resolution and the real measured-probe runner.
-//
-// The tune library cannot run GEMMs itself (core links tune, not the
-// reverse), so core injects run_probe via install_default_probe_runner
-// the first time a tunable call resolves. Tests that injected a fake
-// runner first keep theirs — the install is a one-shot CAS.
+// Core's side of the autotuner (src/tune): per-call configuration
+// resolution for a dgemm or batch-entry call.
 #pragma once
 
 #include "blas/gemm_types.hpp"
@@ -34,13 +29,10 @@ struct ExecConfig {
 ///     untouched and unrecorded — bit-for-bit the pre-tuner behavior;
 ///   - context not tunable (explicitly configured): the context's
 ///     configuration, counted under the "pinned" source;
-///   - tunable: tune::resolve picks kernel + blocking per
-///     (precision, shape-class) key, falling back to the context's
-///     configuration if resolution yields nothing usable.
+///   - tunable: tune::resolve gives the kernel + blocking of the
+///     (precision, shape-class) key — the cache file's entry or the
+///     anchor — falling back to the context's configuration if
+///     resolution yields nothing usable.
 ExecConfig resolve_exec_config(const Context& ctx, index_t m, index_t n, index_t k);
-
-/// Installs the real probe runner into the tune library (one-shot CAS;
-/// a test-injected fake wins). Called on the first tunable resolution.
-void ensure_tune_probe_runner();
 
 }  // namespace ag

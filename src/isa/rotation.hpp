@@ -29,7 +29,9 @@ struct Role {
   int half;  // index within A or B halves
 
   std::string name() const {
-    return std::string(kind == Kind::A ? "a" : "b") + std::to_string(half);
+    std::string text = kind == Kind::A ? "a" : "b";
+    text += std::to_string(half);
+    return text;
   }
 };
 

@@ -73,7 +73,12 @@ struct KernelShape {
   /// gamma = 2*mr*nr / (mr + nr) = 2 / (1/mr + 1/nr).
   double gamma() const { return 2.0 * mr * nr / static_cast<double>(mr + nr); }
 
-  std::string to_string() const { return std::to_string(mr) + "x" + std::to_string(nr); }
+  std::string to_string() const {
+    std::string text = std::to_string(mr);
+    text += 'x';
+    text += std::to_string(nr);
+    return text;
+  }
 };
 
 enum class KernelIsa { Scalar, Avx2, Neon };
@@ -105,7 +110,7 @@ const std::vector<Microkernel>& all_microkernels();
 const Microkernel& best_microkernel(KernelShape shape);
 
 /// Non-throwing variant: nullptr when no kernel covers the shape (the
-/// autotuner uses this to trim its candidate list to what's registered).
+/// tuning cache uses this to reject entries for unregistered shapes).
 const Microkernel* find_best_microkernel(KernelShape shape);
 
 /// Look up by exact name (e.g. "avx2_8x6", "generic_5x5"); throws if absent.

@@ -25,14 +25,18 @@ namespace ag::obs {
 
 namespace {
 
-// Keep a value alive without memory traffic (the calibration loops must
-// not be folded away; a volatile store per iteration would perturb them).
+// Keeps a value opaque to the optimizer, so the calibration loops cannot
+// be folded away: the empty asm reads and may write `v` in memory, so the
+// compiler must store it first and reload it after. Called outside the
+// timed loops (a volatile store per iteration would perturb them). The
+// operand is memory-only on purpose: with the two-alternative "+m,r",
+// GCC 12.2 at -O3 picked the memory form but dropped the stores of the
+// FMA probes' x and y, which then read whatever an earlier frame had
+// left in those stack slots.
 template <typename T>
 inline void keep(T& v) {
-#if defined(__clang__)
-  asm volatile("" : "+r,m"(v) : : "memory");
-#elif defined(__GNUC__)
-  asm volatile("" : "+m,r"(v) : : "memory");
+#if defined(__GNUC__)  // GCC and Clang
+  asm volatile("" : "+m"(v) : : "memory");
 #else
   volatile T sink = v;
   (void)sink;
@@ -139,32 +143,23 @@ void fma_latency_body(std::int64_t trips, double* out) {
 
 }  // namespace
 
-// CPU-bound probes take the best over repeated attempts AND over two
-// loop variants. Repeats guard against transiently slow windows on
-// shared/virtualized hosts; the second variant (64 chains, which spills
-// accumulators to the stack instead of staying register-resident) guards
-// against environments where one code shape is pathologically slow —
-// observed on a virtualized host where the register-resident loop ran
-// ~250x below peak for entire process lifetimes while the spilled loop
-// was unaffected. Peak is a max over honest measurements, so taking the
-// best variant never overstates it.
+// CPU-bound probes take the best over repeated attempts: a transiently
+// slow window on a shared or virtualized host then costs one attempt,
+// not the peak. One loop shape suffices: a 64-chain variant (which spills
+// accumulators) read within noise of the 32-chain loop over 24 fresh
+// processes on a 4-vCPU x86-64 KVM guest.
 constexpr int kProbeAttempts = 2;
 
 double measure_fma_throughput(const CalibrationOptions& opts) {
   double sink = 0;
   double best = 1e300;
-  const int configured = fma_chains_used(std::max(1, opts.fma_chains));
-  const int variants[2] = {configured, 64};
-  for (int v = 0; v < (variants[0] == variants[1] ? 1 : 2); ++v) {
-    const int chains = variants[v];
-    for (int attempt = 0; attempt < kProbeAttempts; ++attempt) {
-      const auto [secs, trips] =
-          auto_range(opts.seconds_per_probe, 1024, [&](std::int64_t n) {
-            fma_throughput_body(n, chains, &sink);
-          });
-      const double flops = 2.0 * static_cast<double>(trips) * kUnroll * chains;
-      best = std::min(best, secs / flops);
-    }
+  const int chains = fma_chains_used(std::max(1, opts.fma_chains));
+  for (int attempt = 0; attempt < kProbeAttempts; ++attempt) {
+    const auto [secs, trips] = auto_range(opts.seconds_per_probe, 1024, [&](std::int64_t n) {
+      fma_throughput_body(n, chains, &sink);
+    });
+    const double flops = 2.0 * static_cast<double>(trips) * kUnroll * chains;
+    best = std::min(best, secs / flops);
   }
   return best;
 }

@@ -24,9 +24,9 @@
 // available a PmuGroup additionally attributes cycles to the probes
 // (cycles_per_fma), cross-checking the timestamp path.
 //
-// The runtime readers of the model (telemetry's expected efficiency and
-// the tuner's host fingerprint) share one lean calibration per process,
-// host_calibration(): mu, pi and psi only, on one reused footprint.
+// The runtime reader of the model (telemetry's expected efficiency)
+// takes one lean calibration per process, host_calibration(): mu, pi and
+// psi only, on one reused footprint.
 #pragma once
 
 #include <string>
@@ -86,11 +86,10 @@ CalibrationResult calibrate_model(const CalibrationOptions& opts);
 
 /// The process's one host calibration: calibrate_model at a 1.5 ms probe
 /// budget over 16 MB (tens of ms in all), run by its first caller.
-/// Telemetry's expected-efficiency model and the tuner's host fingerprint
-/// both read it, so a process measures the host once. Once published the
-/// result never changes. While another thread of this process runs the probes, a
-/// caller with `wait` waits for them and one without returns nullptr at
-/// once. A claim made in another process (a child forked while its parent
+/// Telemetry's expected-efficiency model reads it, so a process measures
+/// the host once. Once published the result never changes. While another
+/// thread of this process runs the probes, a caller with `wait` waits for
+/// them and one without returns nullptr at once. A claim made in another process (a child forked while its parent
 /// calibrated) is taken over, since the thread running it does not exist
 /// in the child.
 const CalibrationResult* host_calibration(bool wait);

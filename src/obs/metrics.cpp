@@ -305,30 +305,18 @@ const Row kRows[] = {
      "armgemm_panel_cache_class_misses_total", kCounter, "Cache misses by requesting shape class."},
 
     {kTune, "mode", GET(i.s->tune.mode),
-     "armgemm_tune_mode", kGauge, "Autotuner mode (0 off, 1 analytic, 2 on)."},
+     "armgemm_tune_mode", kGauge, "Autotuner mode (0 off, 1 on)."},
     {kTune, "cache_path_set", GET(i.s->tune.cache_path_set)},
     // How many (precision, shape-class) keys each source resolves now: a
-    // warm second process shows "cached" keys with no probes run.
+    // process with a matching cache file shows "cached" keys.
     {kTuneSource, "resolutions", GET(i.s->tune.resolutions[i.index]),
      "armgemm_tune_source", kGauge, "Resolved tuning keys by configuration source."},
     {kTuneSource, "calls", GET(i.s->tune.calls[i.index]),
      "armgemm_tune_calls_total", kCounter, "GEMM calls by the source of their configuration."},
-    {kTune, "probes_run", GET(i.s->tune.probes_run),
-     "armgemm_tune_probes_total", kCounter, "Measured probes run this process."},
-    {kTune, "probe_ms_spent", GET(i.s->tune.probe_ms_spent),
-     "armgemm_tune_probe_ms", kGauge, "Wall milliseconds spent in probes."},
-    {kTune, "budget_ms", GET(i.s->tune.budget_ms),
-     "armgemm_tune_budget_ms", kGauge, "Probe budget (ARMGEMM_TUNE_BUDGET_MS)."},
     {kTune, "cache_entries_loaded", GET(i.s->tune.cache_entries_loaded),
      "armgemm_tune_cache_entries_loaded", kGauge, "Entries accepted from the tuning cache."},
     {kTune, "cache_rejected", GET(i.s->tune.cache_rejected),
      "armgemm_tune_cache_rejected_total", kCounter, "Cache files or entries refused."},
-    {kTune, "invalidations", GET(i.s->tune.invalidations),
-     "armgemm_tune_invalidations_total", kCounter, "Drift-triggered entry invalidations."},
-    {kTune, "saves", GET(i.s->tune.saves),
-     "armgemm_tune_saves_total", kCounter, "Successful cache writes."},
-    {kTune, "save_failures", GET(i.s->tune.save_failures),
-     "armgemm_tune_save_failures_total", kCounter, "Cache writes that failed."},
 
     {kTopology, "cpus", GET(i.s->topology.cpus),
      "armgemm_topology_cpus", kGauge, "Logical cpus in the topology snapshot."},

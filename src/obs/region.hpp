@@ -45,9 +45,8 @@ enum class Boundary : int {
 };
 
 /// The sinks one call (or one rank of it) records into. The default
-/// records nothing: sgemm and the tuner's probes pass it, because f32
-/// calls would give the f64-calibrated drift model false anomalies and a
-/// probe must not perturb the serving counters.
+/// records nothing: sgemm passes it, because f32 calls would give the
+/// f64-calibrated drift model false anomalies.
 struct Sinks {
   GemmStats* stats = nullptr;    // per-lane counters, and its Tracer and PmuCollector
   CallPhases* phases = nullptr;  // phase timeline

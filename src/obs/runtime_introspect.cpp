@@ -10,7 +10,6 @@ std::atomic<SchedulerStatsFn> g_scheduler_source{nullptr};
 std::atomic<PanelCacheStatsFn> g_panel_cache_source{nullptr};
 std::atomic<TuneStatsFn> g_tune_source{nullptr};
 std::atomic<TopologyStatsFn> g_topology_source{nullptr};
-std::atomic<DriftAnomalyListener> g_drift_listener{nullptr};
 
 }  // namespace
 
@@ -18,9 +17,8 @@ const char* tune_source_name(int source) {
   switch (source) {
     case 0: return "none";
     case 1: return "analytic";
-    case 2: return "probed";
-    case 3: return "cached";
-    case 4: return "pinned";
+    case 2: return "cached";
+    case 3: return "pinned";
   }
   return "?";
 }
@@ -84,15 +82,6 @@ bool topology_stats_available() {
 TopologyStats topology_stats() {
   const TopologyStatsFn fn = g_topology_source.load(std::memory_order_acquire);
   return fn ? fn() : TopologyStats{};
-}
-
-void set_drift_anomaly_listener(DriftAnomalyListener fn) {
-  g_drift_listener.store(fn, std::memory_order_release);
-}
-
-void notify_drift_anomaly(int shape_class) {
-  const DriftAnomalyListener fn = g_drift_listener.load(std::memory_order_acquire);
-  if (fn) fn(shape_class);
 }
 
 }  // namespace ag::obs

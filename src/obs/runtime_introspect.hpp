@@ -1,7 +1,6 @@
 // Runtime introspection: snapshot types and source registration for the
 // serving runtime's scheduler (threading/persistent_pool), packed-B
-// panel cache (core/panel_cache), and the closed-loop autotuner
-// (src/tune).
+// panel cache (core/panel_cache), and the autotuner (src/tune).
 //
 // Layering: obs never links threading, core, or tune, so it cannot call
 // PersistentPool::instance() itself. Instead the pool, the cache, and
@@ -10,13 +9,6 @@
 // exposition pulls through that indirection. Until a source registers
 // (i.e. until the first batch / tunable call touches the runtime) the
 // snapshots report `registered == false` and renderers skip the section.
-//
-// The drift-anomaly listener runs the other direction: telemetry's drift
-// detector notifies the tuner (if one registered) that a shape class's
-// measured efficiency diverged from the model, so cached tuning entries
-// for that class can be invalidated and re-probed. The listener must be
-// async-signal-light: it is called from the dgemm record path and may
-// only do atomic work.
 //
 // The structs are plain data: safe to copy out of locks, serialize, and
 // mirror into the C API.
@@ -134,10 +126,10 @@ struct PanelCacheStats {
 
 /// Autotuner snapshot (src/tune registers the source). Sources of a
 /// resolved configuration, mirrored from tune::TuneSource so obs stays
-/// layer-clean: 0 none, 1 analytic (model proposal, no probes), 2 probed
-/// (measured this process), 3 cached (loaded from the persistent cache),
-/// 4 pinned (context explicitly configured; tuner bypassed).
-inline constexpr int kTuneSourceCount = 5;
+/// layer-clean: 0 none, 1 analytic (the anchor; no cache entry), 2
+/// cached (loaded from the per-host cache file), 3 pinned (context
+/// explicitly configured; tuner bypassed).
+inline constexpr int kTuneSourceCount = 4;
 const char* tune_source_name(int source);  // "none" | "analytic" | ...
 
 struct TuneStats {
@@ -147,12 +139,6 @@ struct TuneStats {
   std::uint64_t cache_rejected = 0;        // files/entries refused (schema, fingerprint, parse)
   std::uint64_t resolutions[kTuneSourceCount] = {};  // keys resolved, by source
   std::uint64_t calls[kTuneSourceCount] = {};        // dgemm/sgemm calls, by config source
-  std::uint64_t probes_run = 0;
-  double probe_ms_spent = 0;
-  double budget_ms = 0;
-  std::uint64_t invalidations = 0;  // drift-triggered entry invalidations
-  std::uint64_t saves = 0;          // successful cache writes
-  std::uint64_t save_failures = 0;
 };
 
 /// One core class of the host topology (threading/topology registers the
@@ -188,13 +174,6 @@ using SchedulerStatsFn = SchedulerStats (*)();
 using PanelCacheStatsFn = PanelCacheStats (*)();
 using TuneStatsFn = TuneStats (*)();
 using TopologyStatsFn = TopologyStats (*)();
-
-/// Drift-anomaly fan-out: telemetry calls notify_drift_anomaly(class)
-/// on every drift onset; the registered listener (the tuner) reacts with
-/// atomic work only (no locks — the caller is the dgemm record path).
-using DriftAnomalyListener = void (*)(int shape_class);
-void set_drift_anomaly_listener(DriftAnomalyListener fn);
-void notify_drift_anomaly(int shape_class);
 
 /// Registers the process-wide scheduler / panel-cache snapshot source.
 /// Called once by PersistentPool::instance() / PanelCache::instance();

@@ -449,12 +449,10 @@ void telemetry_record_call(std::int64_t m, std::int64_t n, std::int64_t k, int t
         anomaly.trigger = rec;
         note_anomaly(t, anomaly);
         // Drift onset auto-dumps the flight recorder + metrics (when a
-        // metrics path is configured) and tells the autotuner (if one
-        // registered) that the class's tuned entry may be stale.
+        // metrics path is configured).
         if (!anomaly.recovered) {
           drift_onset = true;
           t.dump_requested.store(true, std::memory_order_relaxed);
-          notify_drift_anomaly(ci);
         }
       }
     }

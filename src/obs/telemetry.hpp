@@ -151,9 +151,9 @@ void telemetry_register_thread(const std::string& name);
 /// first enable (or the first enable after a model reset) derives the
 /// expected-efficiency model from the process's one host calibration
 /// (obs/calibrate host_calibration), which it runs if no thread has
-/// started it: tens of milliseconds, once per process, shared with the
-/// tuner. If another thread is running the probes, enable returns at once
-/// and recorded calls carry no model-derived fields until they finish.
+/// started it: tens of milliseconds, once per process. If another thread
+/// is running the probes, enable returns at once and recorded calls
+/// carry no model-derived fields until they finish.
 /// Also installs the SIGUSR2 dump handler (POSIX hosts).
 void telemetry_enable();
 void telemetry_disable();

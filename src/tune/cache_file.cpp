@@ -39,25 +39,16 @@ bool valid_entry(const TunedConfig& e) {
 }  // namespace
 
 // Arch and core count identify the machine and are stable run to run.
-// The calibrated constants are recorded for inspection but deliberately
-// NOT gated on: the reduced-budget calibration jitters by large factors
-// on shared/virtualized hosts, and a flaky fingerprint would turn every
-// other process start into a cold one. Finer-grained staleness (thermal
-// state, co-tenancy) is the runtime drift detector's job.
 bool HostFingerprint::compatible(const HostFingerprint& other) const {
-  if (arch != other.arch || cores != other.cores) return false;
-  return peak_gflops > 0 && other.peak_gflops > 0;
+  return arch == other.arch && cores == other.cores;
 }
 
-HostFingerprint host_fingerprint(double peak_gflops, double mu, double pi) {
+HostFingerprint host_fingerprint() {
   HostFingerprint fp;
   const Microkernel* best = find_best_microkernel({8, 6});
   fp.arch = std::string(best ? to_string(best->isa) : "none") + "-" +
             std::to_string(sizeof(void*) * 8) + "bit";
   fp.cores = static_cast<int>(std::thread::hardware_concurrency());
-  fp.peak_gflops = peak_gflops;
-  fp.mu = mu;
-  fp.pi = pi;
   return fp;
 }
 
@@ -80,12 +71,7 @@ std::string render_cache_json(const TuneCacheData& data) {
       .begin_object()
       .key("arch").value(data.fingerprint.arch)
       .key("cores").value(data.fingerprint.cores)
-      .key("peak_gflops").value(data.fingerprint.peak_gflops)
-      .key("mu").value(data.fingerprint.mu)
-      .key("pi").value(data.fingerprint.pi)
       .end_object();
-  w.key("prea").value(data.prea);
-  w.key("preb").value(data.preb);
   w.key("entries").begin_array();
   for (const TunedConfig& e : data.entries) {
     w.begin_object()
@@ -100,11 +86,7 @@ std::string render_cache_json(const TuneCacheData& data) {
         .key("nc").value(e.nc)
         .key("mc_mt").value(e.mc_mt)
         .key("nc_mt").value(e.nc_mt)
-        .key("prea").value(e.prea)
-        .key("preb").value(e.preb)
-        .key("source").value(to_string(e.source))
         .key("gflops").value(e.gflops)
-        .key("probe_ms").value(e.probe_ms)
         .end_object();
   }
   w.end_array();
@@ -123,13 +105,7 @@ CacheLoadStatus parse_cache_json(const std::string& text, const HostFingerprint&
   TuneCacheData data;
   data.fingerprint.arch = fp["arch"].as_string();
   data.fingerprint.cores = static_cast<int>(fp["cores"].as_number());
-  data.fingerprint.peak_gflops = fp["peak_gflops"].as_number();
-  data.fingerprint.mu = fp["mu"].as_number();
-  data.fingerprint.pi = fp["pi"].as_number();
   if (!host.compatible(data.fingerprint)) return CacheLoadStatus::kFingerprintMismatch;
-
-  data.prea = static_cast<index_t>(doc["prea"].as_number(0));
-  data.preb = static_cast<index_t>(doc["preb"].as_number(0));
 
   for (const JsonValue& item : doc["entries"].items()) {
     TunedConfig e;
@@ -145,10 +121,7 @@ CacheLoadStatus parse_cache_json(const std::string& text, const HostFingerprint&
     e.nc = static_cast<index_t>(item["nc"].as_number());
     e.mc_mt = static_cast<index_t>(item["mc_mt"].as_number());
     e.nc_mt = static_cast<index_t>(item["nc_mt"].as_number());
-    e.prea = static_cast<index_t>(item["prea"].as_number());
-    e.preb = static_cast<index_t>(item["preb"].as_number());
     e.gflops = item["gflops"].as_number();
-    e.probe_ms = item["probe_ms"].as_number();
     e.source = TuneSource::kCached;
     if (e.precision == Precision::kF64) {
       const Microkernel* k = find_best_microkernel({e.mr, e.nr});

@@ -4,22 +4,20 @@
 //
 //   {
 //     "schema": "armgemm-tune/1",
-//     "fingerprint": {"arch": "avx2-64bit", "cores": 8,
-//                     "peak_gflops": 12.1, "mu": 8.2e-11, "pi": 1.9e-9},
-//     "prea": 1024, "preb": 24576, // probed prefetch; 0 = not tuned
-//     "entries": [ {per-key winners, see TunedConfig fields} ]
+//     "fingerprint": {"arch": "avx2-64bit", "cores": 8},
+//     "entries": [ {per-key configurations, see TunedConfig fields} ]
 //   }
 //
-// A cache is only trusted when its fingerprint matches the running host:
+// `bench/abl_autotune --native` writes it; the library only reads it. A
+// cache is only trusted when its fingerprint matches the running host:
 // same arch string (best-kernel ISA + pointer width) and same logical
-// core count, plus a positive recorded peak as a sanity floor. The
-// calibrated constants ride along for inspection but are not gated on —
-// quick calibration jitters by large factors on shared hosts, and the
-// drift detector guards the finer-grained staleness at runtime anyway.
-// Everything else — wrong schema, parse errors, truncation, entries with
-// impossible blockings — rejects the file or entry without touching the
-// caller's state, so a corrupt cache degrades to a cold start, never a
-// crash.
+// core count. Both are read without timing anything, so every process on
+// a host agrees on whether the file applies. Keys the parser does not
+// know (older files also carry calibrated constants, prefetch distances
+// and probe timings) are ignored. Everything else — wrong schema, parse
+// errors, truncation, entries with impossible blockings — rejects the
+// file or entry without touching the caller's state, so a corrupt cache
+// degrades to a cold start, never a crash.
 //
 // Writes publish atomically: the document goes to <path>.tmp and renames
 // over <path>, so concurrent readers (another process starting up) see
@@ -36,20 +34,16 @@ namespace ag::tune {
 struct HostFingerprint {
   std::string arch;  // "<isa>-<bits>bit" of the best 8x6 kernel
   int cores = 0;
-  double peak_gflops = 0;
-  double mu = 0;  // calibrated s/flop
-  double pi = 0;  // calibrated s/word
 
-  /// True when `other` plausibly describes this machine (see header).
+  /// True when `other` describes this machine (see header).
   bool compatible(const HostFingerprint& other) const;
 };
 
-/// The running host's fingerprint given its calibrated constants.
-HostFingerprint host_fingerprint(double peak_gflops, double mu, double pi);
+/// The running host's fingerprint.
+HostFingerprint host_fingerprint();
 
 struct TuneCacheData {
   HostFingerprint fingerprint;
-  index_t prea = 0, preb = 0;  // 0: prefetch not tuned
   std::vector<TunedConfig> entries;
 };
 

@@ -1,40 +1,32 @@
-// Closed-loop autotuner (ROADMAP item 2): per (precision, shape-class)
-// key, selects the kernel shape, the kc/mc/nc cache blocking and the
-// PREA/PREB prefetch distances on the machine the library actually runs
-// on. The small-path threshold (ARMGEMM_SMALL_MNK) is not tuned: the
-// small path is bitwise equal to the blocked one, so its threshold only
-// moves speed, and it is a fixed default from a committed sweep.
+// Autotuner resolution: per (precision, shape-class) key, the kernel
+// shape and the kc/mc/nc cache blocking a tunable call runs with. The
+// small-path threshold (ARMGEMM_SMALL_MNK) is not tuned: the small path
+// is bitwise equal to the blocked one, so its threshold only moves speed,
+// and it is a fixed default from a committed sweep.
 //
-// The loop, per key, on the first tunable dgemm/sgemm/batch call that
-// lands there:
+// Tuning is offline; resolution is read-only. On the first tunable call
+// that lands on a key, resolve() takes:
 //
-//   1. propose — the Section III analytic model (model/cache_blocking on
-//      the paper machine description, priced with the process's one
-//      obs/calibrate host calibration, which telemetry shares) and the
-//      host-heuristic defaults span a small candidate neighborhood
-//      across the registered kernel shapes;
-//   2. measure — short probes (capped representative problem sizes, the
-//      real packing + GEBP nest, no instrumentation) rank the
-//      candidates, budgeted process-wide by ARMGEMM_TUNE_BUDGET_MS; once
-//      the budget is spent resolution stays analytic;
-//   3. persist — winners are appended to a versioned JSON cache at
-//      ARMGEMM_TUNE_CACHE (atomic .tmp+rename; host fingerprint = arch +
-//      calibrated machine constants), so the next process starts warm:
-//      fingerprint-matching entries resolve as "cached" with zero probes;
-//   4. watch — telemetry's drift detector (obs/drift) notifies the tuner
-//      on sustained measured-vs-model divergence and the affected class
-//      is invalidated and re-tuned on its next call.
+//   1. cached — the key's entry in the per-host cache file at
+//      ARMGEMM_TUNE_CACHE, when the file's fingerprint (arch + logical
+//      core count) matches this host. `bench/abl_autotune --native`
+//      writes that file: it times candidates through the public
+//      dgemm/sgemm on pinned contexts and keeps the anchor unless a
+//      candidate beats it beyond the anchor's own spread;
+//   2. analytic — otherwise the anchor(): the host-default kernel and
+//      blocking (default_block_sizes, the Section III residency rules
+//      at typical L1/L2 sizes), exactly what a default pinned context
+//      runs.
 //
-// Layering: tune sits between obs/model/kernels and core. It cannot call
-// the GEMM drivers itself (core links tune, not vice versa); instead
-// core installs a probe runner (a plain function pointer) the first time
-// it resolves a tunable call, and tests may inject a deterministic fake.
+// Nothing here times a kernel, calibrates the host or writes a knob, so
+// one host and one cache file give every process the same configuration
+// for a key, and a tunable call without a file is bitwise equal to a
+// pinned default context.
 //
 // Thread-safety: resolution is an atomic pointer load on the hot path;
-// the slow path (first call per key) serializes on one mutex, so
-// concurrent first calls tune once and share the winner. Returned
-// TunedConfig pointers live forever (leaky), so readers never race a
-// re-tune; an invalidated key simply publishes a fresh pointer.
+// the first call per key serializes on one mutex (which also reads the
+// cache file, once per process), so concurrent first calls share one
+// immortal TunedConfig.
 #pragma once
 
 #include <cstdint>
@@ -55,19 +47,18 @@ const char* to_string(Precision p);  // "f64" | "f32"
 /// obs::TuneStats (obs cannot include this header).
 enum class TuneSource : int {
   kNone = 0,      // tuner off / not consulted
-  kAnalytic = 1,  // model + host-heuristic proposal, no probes ran
-  kProbed = 2,    // measured probes ranked the neighborhood this process
-  kCached = 3,    // loaded from the persistent per-host cache
-  kPinned = 4,    // context explicitly configured; tuner bypassed
+  kAnalytic = 1,  // the anchor: no cache entry for the key
+  kCached = 2,    // loaded from the per-host cache file
+  kPinned = 3,    // context explicitly configured; tuner bypassed
 };
-inline constexpr int kTuneSourceCount = 5;
+inline constexpr int kTuneSourceCount = 4;
 const char* to_string(TuneSource s);
 
-/// One key's winning configuration. `kc`/`mr`/`nr`/`kernel` are
-/// invariant across thread counts (they fix the per-element accumulation
-/// order, keeping results bitwise identical whatever the thread count);
-/// mc/nc carry a multi-thread variant since shrinking them only re-tiles
-/// C spatially.
+/// One key's configuration. `kc`/`mr`/`nr`/`kernel` are invariant
+/// across thread counts (they fix the per-element accumulation order,
+/// keeping results bitwise identical whatever the thread count); mc/nc
+/// carry a multi-thread variant since shrinking them only re-tiles C
+/// spatially.
 struct TunedConfig {
   Precision precision = Precision::kF64;
   int kind = 0;    // obs::ShapeKind as int
@@ -78,10 +69,8 @@ struct TunedConfig {
   index_t kc = 256;
   index_t mc = 64, nc = 4096;        // single-thread blocking
   index_t mc_mt = 64, nc_mt = 4096;  // blocking when the call runs parallel
-  index_t prea = 0, preb = 0;        // probed prefetch distances (0 = not probed)
   TuneSource source = TuneSource::kNone;
-  double gflops = 0;    // best probe measurement (0 when analytic)
-  double probe_ms = 0;  // wall time the key's probes cost
+  double gflops = 0;  // the offline search's measurement (0 when analytic)
 
   /// The blocking for a call running with `threads` ranks.
   BlockSizes block_sizes(int threads) const {
@@ -93,38 +82,23 @@ struct TunedConfig {
     bs.nc = threads > 1 ? nc_mt : nc;
     return bs;
   }
+
+  /// Sets mr/nr/kc/mc/nc from a single-thread blocking and derives the
+  /// multi-thread variant: the same kc (the accumulation order stays
+  /// thread-count invariant), mc and nc halved and re-rounded to the
+  /// register grid, as default_block_sizes scales them.
+  void set_blocking(const BlockSizes& bs);
 };
 
-/// One measured probe the tuner asks core to run: the uninstrumented
-/// packing + GEBP nest with the given kernel and blocking. prea/preb >= 0
-/// ask the runner to apply those prefetch distances for the duration of
-/// the probe.
-struct ProbeRequest {
-  Precision precision = Precision::kF64;
-  index_t m = 0, n = 0, k = 0;
-  const Microkernel* kernel = nullptr;  // f64 blocked probes
-  int mr = 8, nr = 6;
-  index_t kc = 256, mc = 64, nc = 4096;
-  index_t prea = -1, preb = -1;
-};
-
-/// Returns the probe's measured Gflops; 0 reports failure (the candidate
-/// is skipped).
-using ProbeFn = double (*)(const ProbeRequest&);
-
-/// Test hook: replaces the probe runner unconditionally.
-void set_probe_runner(ProbeFn fn);
-
-/// Core's hook: installs the real runner only when none is present, so a
-/// test-injected fake survives the first tunable call.
-void install_default_probe_runner(ProbeFn fn);
-
-/// Test hook: pins the machine model (peak Gflops/core, mu s/flop, pi
-/// s/word) so resolution never reads obs/calibrate's host calibration.
-/// peak <= 0 clears the pin and the next resolution reads the host
-/// calibration (running it if no thread has: once per process, shared
-/// with telemetry).
-void set_machine_model(double peak_gflops, double mu, double pi);
+/// The analytic anchor for a precision: f64 runs the best registered
+/// 8x6 kernel with default_block_sizes(8x6, 1), f32 the sgemm kernel
+/// with default_sgemm_block_sizes. This is what a default pinned
+/// context (or untuned sgemm) runs, so an anchor-resolved call is
+/// bitwise equal to one. (Untuned sgemm keeps its mc and nc at any
+/// thread count, where the anchor halves them as for f64; that re-tiles
+/// C but never changes a bit.) Its kind/decade are left 0 and its source
+/// is kAnalytic.
+TunedConfig anchor(Precision precision);
 
 /// Per-core-class mc blocking — the paper's Eq. 19 mc sizing generalized
 /// to asymmetric (big.LITTLE) hosts: each class's mc is the key's `mc`
@@ -140,9 +114,10 @@ void set_machine_model(double peak_gflops, double mu, double pi);
 std::vector<index_t> per_class_mc(index_t mc, int mr);
 
 /// Resolves the key covering (m, n, k): the hot path is one atomic load;
-/// the first call per key loads the cache / proposes / probes / saves.
-/// Returns nullptr only when the tuner is off (common/knobs tune_mode).
-/// The pointer is immortal — safe to hold across calls and threads.
+/// the first call per key reads the cache file (once per process) or
+/// takes the anchor. Returns nullptr only when the tuner is off
+/// (common/knobs tune_mode). The pointer is immortal — safe to hold
+/// across calls and threads.
 const TunedConfig* resolve(Precision precision, index_t m, index_t n, index_t k,
                            int threads);
 
@@ -150,16 +125,11 @@ const TunedConfig* resolve(Precision precision, index_t m, index_t n, index_t k,
 /// armgemm_tune_calls_total counter). One relaxed fetch_add.
 void record_call(TuneSource source);
 
-/// Drops every resolved key and the loaded cache contents; the next call
-/// per key re-tunes from scratch (probe budget permitting). The
-/// persistent file is untouched until the next save.
-void force_retune();
-
-/// Writes the resolved state to ARMGEMM_TUNE_CACHE (or `path` when
-/// non-empty). Returns 0 on success, -1 when no path is configured or
-/// the write fails. Saves also happen automatically after a tune session
-/// that produced probed winners.
-int save_cache(const std::string& path = "");
+/// Test hook: forgets every resolved key and the cache file's contents,
+/// so the next resolution reads ARMGEMM_TUNE_CACHE afresh. Configs
+/// already handed out stay valid (immortal); nothing calls this at run
+/// time.
+void reset_for_testing();
 
 /// Snapshot for telemetry / the C API.
 obs::TuneStats stats();

@@ -30,10 +30,7 @@ inline std::string typed_getter_text(ag::Knob k) {
     case Knob::kDriftThreshold: return decimal(ag::drift_threshold());
     case Knob::kQueueDepth: return std::to_string(ag::queue_depth());
     case Knob::kPanelCacheMb: return std::to_string(ag::panel_cache_mb());
-    case Knob::kTune:
-      return ag::tune_mode() == ag::kTuneModeOff        ? "off"
-             : ag::tune_mode() == ag::kTuneModeAnalytic ? "analytic"
-                                                         : "on";
+    case Knob::kTune: return on(ag::tune_mode() != ag::kTuneModeOff);
     case Knob::kTuneCache: return ag::tune_cache_path();
     case Knob::kTuneBudgetMs: return std::to_string(ag::tune_budget_ms());
     case Knob::kPhases: return on(ag::phase_attribution_enabled());

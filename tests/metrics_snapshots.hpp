@@ -174,21 +174,17 @@ inline ag::obs::TelemetrySnapshot full_snapshot() {
 
   s.tune_available = true;
   TuneStats& tu = s.tune;
-  tu.mode = 2;
+  tu.mode = 1;
   tu.cache_path_set = true;
   tu.cache_entries_loaded = 6;
   tu.cache_rejected = 1;
+  // none, analytic, cached, pinned
+  const std::uint64_t resolutions[kTuneSourceCount] = {0, 1, 3, 4};
+  const std::uint64_t calls[kTuneSourceCount] = {1, 1001, 6000000000ull, 4001};
   for (int src = 0; src < kTuneSourceCount; ++src) {
-    tu.resolutions[src] = static_cast<std::uint64_t>(src);
-    tu.calls[src] = 1000u * static_cast<unsigned>(src) + 1;
+    tu.resolutions[src] = resolutions[src];
+    tu.calls[src] = calls[src];
   }
-  tu.calls[3] = 6000000000ull;
-  tu.probes_run = 48;
-  tu.probe_ms_spent = 117.5;
-  tu.budget_ms = 120;
-  tu.invalidations = 1;
-  tu.saves = 2;
-  tu.save_failures = 0;
 
   s.topology_available = true;
   s.topology.cpus = 4;

@@ -32,7 +32,7 @@ std::string non_default_text(Knob k) {
     case Knob::kDriftThreshold: return "0.1";
     case Knob::kQueueDepth: return "33";
     case Knob::kPanelCacheMb: return "5";
-    case Knob::kTune: return "analytic";
+    case Knob::kTune: return "0";
     case Knob::kTuneCache: return "/nonexistent/tune.json";
     case Knob::kTuneBudgetMs: return "250";
     case Knob::kPhases: return "0";
@@ -57,7 +57,6 @@ std::vector<std::string> invalid_texts(ag::KnobType type) {
     case ag::KnobType::kInt: return {"", "abc", "12abc", "1.5", "0x10", "99999999999999999999"};
     case ag::KnobType::kDouble: return {"", "lots", "3x", "nan", "inf", "1e999"};
     case ag::KnobType::kOnOff: return {"", "2", "-1", "maybe", "onn", "analytic"};
-    case ag::KnobType::kTuneMode: return {"", "2", "maybe", "analytics", "probe"};
     case ag::KnobType::kText: break;
   }
   return {};

@@ -1,9 +1,9 @@
 // The process's one host calibration (obs/calibrate host_calibration):
-// telemetry's expected-efficiency model and the tuner's host fingerprint
-// read the same probes, in either order and under concurrency; injected
-// models win before and after the probes run; recorders never wait for a
-// calibration another thread is running; and a child forked while its
-// parent calibrates takes the calibration over instead of waiting for it.
+// telemetry's expected-efficiency model reads it, and resolving a
+// tunable key never runs it, in either order; injected models win before
+// and after the probes run; recorders never wait for a calibration
+// another thread is running; and a child forked while its parent
+// calibrates takes the calibration over instead of waiting for it.
 //
 // "Once per process" is checked on host_calibration_runs(), which ctest
 // sees fresh: every test runs in its own process. Tests that need a
@@ -13,9 +13,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +22,6 @@
 #include <unistd.h>
 #endif
 
-#include "common/json.hpp"
 #include "common/knobs.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/telemetry.hpp"
@@ -40,20 +36,10 @@ struct Model {
   double peak = 0, mu = 0, pi = 0;
 };
 
-// The tuner's model as its saved cache file's fingerprint records it
-// (17 significant digits, so the doubles round-trip exactly).
-Model tuner_model() {
-  const std::string path = ::testing::TempDir() + "/host_calibration_tune.json";
-  EXPECT_EQ(ag::tune::save_cache(path), 0);
-  std::ifstream in(path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  std::remove(path.c_str());
-  std::string err;
-  const ag::JsonValue doc = ag::JsonValue::parse(text.str(), &err);
-  EXPECT_TRUE(doc.is_object()) << err;
-  const ag::JsonValue& fp = doc["fingerprint"];
-  return {fp["peak_gflops"].as_number(), fp["mu"].as_number(), fp["pi"].as_number()};
+// The process's host calibration, running it if no thread has.
+Model host_model() {
+  const obs::CalibrationResult& cal = *obs::host_calibration(/*wait=*/true);
+  return {cal.peak_gflops, cal.mu, cal.pi};
 }
 
 Model telemetry_model() {
@@ -71,23 +57,20 @@ void expect_same_bits(const Model& a, const Model& b) {
   EXPECT_EQ(a.pi, b.pi);
 }
 
-// A tunable key the tuner resolves analytically: no probe runner is
-// installed, so resolution reads the machine model and runs no probes.
+// A tunable key: with no cache file it resolves to the anchor, which
+// reads nothing of the host but its kernel registry.
 void resolve_tunable_key() {
   ASSERT_NE(ag::tune::resolve(ag::tune::Precision::kF64, 300, 300, 300, 1), nullptr);
 }
 
-// Tuner on and unpinned, no injected telemetry model; telemetry is off
-// again after each test. Resolved keys are kept (dropping them would leak
-// the immortal configs), so a later test in the same process finds its
-// key resolved and reads the calibration only through save_cache.
+// Tuner on with no cache file, no injected telemetry model; telemetry is
+// off again after each test.
 class TelemetryHostModel : public ::testing::Test {
  protected:
   void SetUp() override {
     if (!obs::stats_compiled_in) GTEST_SKIP() << "built with -DARMGEMM_STATS=OFF";
     obs::telemetry_set_model(0, {}, 0);
     obs::telemetry_reset();
-    ag::tune::set_machine_model(0, 0, 0);
   }
   void TearDown() override { obs::telemetry_disable(); }
 
@@ -101,36 +84,34 @@ TEST_F(TelemetryHostModel, EnableThenResolveCalibratesOnce) {
   EXPECT_EQ(obs::host_calibration_runs(), 1);
   const Model tel = telemetry_model();
   EXPECT_GT(tel.peak, 0.0);
-  expect_same_bits(tuner_model(), tel);
+  expect_same_bits(host_model(), tel);
 }
 
 TEST_F(TelemetryHostModel, ResolveThenEnableCalibratesOnce) {
+  const int runs_before = obs::host_calibration_runs();
   resolve_tunable_key();
+  EXPECT_EQ(obs::host_calibration_runs(), runs_before);  // resolving never calibrates
   obs::telemetry_enable();
   EXPECT_EQ(obs::host_calibration_runs(), 1);
   const Model tel = telemetry_model();
   EXPECT_GT(tel.peak, 0.0);
-  expect_same_bits(tuner_model(), tel);
+  expect_same_bits(host_model(), tel);
 }
 
 TEST_F(TelemetryHostModel, InjectedModelsWinBeforeAndAfterTheCalibration) {
   const Model injected{10.0, 1e-10, 1e-9};
   const ag::model::CostParams cost{injected.mu, injected.pi, 0.125};
 
-  // Injected before: enabling telemetry and resolving on a pinned tuner
-  // read the injections and run no probes.
+  // Injected before: enabling telemetry reads the injection and runs no
+  // probes.
   const int runs_before = obs::host_calibration_runs();
   obs::telemetry_set_model(injected.peak, cost, 1.0);
-  ag::tune::set_machine_model(injected.peak, injected.mu, injected.pi);
   obs::telemetry_enable();
-  resolve_tunable_key();
   EXPECT_EQ(obs::host_calibration_runs(), runs_before);
   expect_same_bits(telemetry_model(), injected);
-  expect_same_bits(tuner_model(), injected);
 
-  // The probes run for the unpinned tuner; telemetry keeps its injection.
-  ag::tune::set_machine_model(0, 0, 0);
-  const Model host = tuner_model();
+  // The probes run for another reader; telemetry keeps its injection.
+  const Model host = host_model();
   EXPECT_EQ(obs::host_calibration_runs(), 1);
   expect_same_bits(telemetry_model(), injected);
 
@@ -141,16 +122,13 @@ TEST_F(TelemetryHostModel, InjectedModelsWinBeforeAndAfterTheCalibration) {
   expect_same_bits(telemetry_model(), host);
   EXPECT_EQ(obs::host_calibration_runs(), 1);
 
-  // Injected after the calibration: both readers switch to the injection.
+  // Injected after the calibration: telemetry switches to the injection.
   obs::telemetry_set_model(injected.peak, cost, 1.0);
-  ag::tune::set_machine_model(injected.peak, injected.mu, injected.pi);
   expect_same_bits(telemetry_model(), injected);
-  expect_same_bits(tuner_model(), injected);
   EXPECT_EQ(obs::host_calibration_runs(), 1);
-  ag::tune::set_machine_model(0, 0, 0);
 }
 
-TEST_F(TelemetryHostModel, RecordersDoNotWaitForTheTunersCalibration) {
+TEST_F(TelemetryHostModel, RecordersDoNotWaitForAnotherThreadsCalibration) {
   if (obs::host_calibration_runs() != 0) GTEST_SKIP() << "needs a process that has not calibrated";
   constexpr int kRecorders = 4;
   std::atomic<bool> go{false};
@@ -172,15 +150,16 @@ TEST_F(TelemetryHostModel, RecordersDoNotWaitForTheTunersCalibration) {
       }
     });
   }
-  std::thread resolver([] { resolve_tunable_key(); });
-  // Release the recorders once the resolver has claimed the calibration.
+  std::thread calibrating([] { obs::host_calibration(/*wait=*/true); });
+  // Release the recorders once the other thread has claimed the
+  // calibration.
   while (obs::host_calibration_runs() == 0) std::this_thread::yield();
   go.store(true, std::memory_order_release);
-  resolver.join();
+  calibrating.join();
   for (std::thread& t : recorders) t.join();
 
   EXPECT_EQ(obs::host_calibration_runs(), 1);
-  expect_same_bits(tuner_model(), telemetry_model());
+  expect_same_bits(host_model(), telemetry_model());
   // A recorder that waited for the calibration would record its first
   // call only once the model was ready; these returned without it.
   int total_without = 0, total = 0;

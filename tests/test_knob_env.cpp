@@ -41,11 +41,6 @@ void every_row() {
                                                    agtest::typed_getter_text(k));
     check(ag::knob_text(k) == raw, std::string(row.env) + " renders as " + ag::knob_text(k));
   }
-  // ARMGEMM_SMALL_MNK is in no tune group: nothing at run time writes it.
-  check(!ag::tuner_apply(ag::Knob::kSmallMnk, 3), "the tuner wrote ARMGEMM_SMALL_MNK");
-  // An environment value pins its tune group against the autotuner.
-  check(ag::knob_pinned(ag::Knob::kPrea) && ag::knob_pinned(ag::Knob::kPreb),
-        "ARMGEMM_PREA/PREB did not pin");
 }
 
 void telemetry_off() {

@@ -6,6 +6,8 @@
 // not digits).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/json.hpp"
@@ -29,6 +31,38 @@ TEST(ObsCalibrate, ThroughputProbeIsPlausible) {
   const double gflops = 1e-9 / mu;
   EXPECT_GT(gflops, 0.01);
   EXPECT_LT(gflops, 10000.0);
+}
+
+// Leaves `value` in the stack below the caller's frame, where the frames
+// (and the red zone) of the caller's next call will sit.
+[[gnu::noinline]] void paint_stack(double value) {
+  volatile double area[2048];
+  for (volatile double& x : area) x = value;
+}
+
+// The best of three probes, each run over a stack painted with `paint`.
+template <typename Probe>
+double best_over_painted_stack(double paint, Probe&& probe) {
+  double best = std::numeric_limits<double>::max();
+  for (int i = 0; i < 3; ++i) {
+    paint_stack(paint);
+    best = std::min(best, probe(fast_options()));
+  }
+  return best;
+}
+
+TEST(ObsCalibrate, FmaProbesReadTheirOwnOperandsNotTheStack) {
+  // The probes' operands are locals they store themselves. If the
+  // compiler dropped those stores and the loops read whatever an earlier
+  // frame left there, a subnormal left behind would put every FMA on the
+  // microcode-assist path (0.16 against 38 Gflop/s on one x86-64 host).
+  const double subnormal = std::numeric_limits<double>::min() / 4;
+  for (auto* probe : {&ag::obs::measure_fma_throughput, &ag::obs::measure_fma_latency}) {
+    const double after_subnormals = best_over_painted_stack(subnormal, probe);
+    const double after_ones = best_over_painted_stack(1.0, probe);
+    EXPECT_LT(after_subnormals, 2 * after_ones);
+    EXPECT_LT(after_ones, 2 * after_subnormals);
+  }
 }
 
 TEST(ObsCalibrate, LatencyChainIsNoFasterThanThroughput) {

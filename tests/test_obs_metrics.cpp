@@ -74,11 +74,19 @@ TEST(MetricsGolden, MinimalSnapshotJsonMatchesGolden) {
       canonical_json(golden("minimal.json")));
 }
 
+// `members` wrapped into a JSON object's text.
+std::string as_object(const std::string& members) {
+  std::string text = "{";
+  text += members;
+  text += '}';
+  return text;
+}
+
 TEST(MetricsGolden, RuntimeMembersAreTheDocumentsRuntimeSections) {
   // The forensics bundle splices these members into its own object.
   const obs::TelemetrySnapshot s = agtest::full_snapshot();
-  const ag::JsonValue runtime = ag::JsonValue::parse(
-      "{" + obs::render_metrics(s, obs::MetricsFormat::kJsonRuntime) + "}");
+  const ag::JsonValue runtime =
+      ag::JsonValue::parse(as_object(obs::render_metrics(s, obs::MetricsFormat::kJsonRuntime)));
   const ag::JsonValue doc = ag::JsonValue::parse(obs::render_metrics(s, obs::MetricsFormat::kJson));
   for (const char* key : {"scheduler", "panel_cache", "tune", "topology"}) {
     ag::JsonWriter a(9), b(9);
@@ -87,9 +95,8 @@ TEST(MetricsGolden, RuntimeMembersAreTheDocumentsRuntimeSections) {
     EXPECT_TRUE(runtime[key].is_object()) << key;
     EXPECT_EQ(a.str(), b.str()) << key;
   }
-  const ag::JsonValue none = ag::JsonValue::parse(
-      "{" + obs::render_metrics(agtest::minimal_snapshot(), obs::MetricsFormat::kJsonRuntime) +
-      "}");
+  const ag::JsonValue none = ag::JsonValue::parse(as_object(
+      obs::render_metrics(agtest::minimal_snapshot(), obs::MetricsFormat::kJsonRuntime)));
   for (const char* key : {"scheduler", "panel_cache", "tune", "topology"}) {
     EXPECT_TRUE(none.has(key)) << key;
     EXPECT_TRUE(none[key].is_null()) << key;
